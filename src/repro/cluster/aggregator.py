@@ -91,6 +91,17 @@ class Aggregator:
             qid=qid, arrival_ms=arrival_ms, pending=self.wait_for_k
         )
 
+    def progress(self, qid: int) -> tuple[set[int], bool]:
+        """ISNs that have responded to ``qid``, and whether it was answered.
+
+        Valid for any query that has begun; the returned set is live
+        bookkeeping and must not be mutated.
+        """
+        entry = self._inflight.get(qid)
+        if entry is not None:
+            return entry.seen_isns, False
+        return self._emitted[qid], True
+
     def on_isn_complete(self, qid: int, finish_ms: float, isn: int) -> bool:
         """Record the completion of ISN ``isn``'s replica of ``qid``.
 

@@ -8,13 +8,19 @@ when the slowest replica completes.  All ISNs share one target table,
 matching the paper's observation that evenly-balanced ISNs converge to
 the same table (Section 3.3).
 
-Because ISNs never interact — each server's events touch only its own
-state, and the aggregator is a pure max over replica completion times —
-the experiment decomposes exactly into one independent simulation per
-ISN.  With ``workers > 1`` the per-ISN runs fan out across the
-:mod:`repro.exec` process pool (all shared randomness — trace,
-arrivals, the demand-jitter matrix — is drawn once up front), and the
-reassembled result is bit-identical to the shared-engine path.
+All shared randomness — trace, arrivals, the demand-jitter matrix — is
+drawn once up front, and the run then takes one of two execution paths:
+
+* the shared-engine runner
+  :func:`repro.resilience.cluster.run_shared_resilient`, which puts
+  every ISN on one engine and also serves fault injection and hedging;
+* the decomposed path, used when ``workers > 1``, the cluster has more
+  than one ISN, and no fault or hedge option is active.  Healthy ISNs
+  never interact — each server's events touch only its own state, and
+  the aggregator is a pure max over replica completion times — so the
+  experiment splits exactly into one independent simulation per ISN.
+  The per-ISN runs fan out across the :mod:`repro.exec` process pool,
+  and the reassembled result is bit-identical to the shared engine's.
 """
 
 from __future__ import annotations
@@ -35,10 +41,9 @@ from ..search.workload import SearchWorkload
 from ..sim.client import poisson_arrival_times
 from ..sim.engine import Engine
 from ..sim.load import LoadMetric
-from ..sim.metrics import LatencyRecorder, percentile
+from ..sim.metrics import LatencyRecorder, ResilienceStats, percentile
 from ..sim.request import Request
 from ..sim.server import Server
-from .aggregator import Aggregator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..resilience.faults import FaultSpec
@@ -60,6 +65,8 @@ class ClusterExperimentResult:
     isn_latencies_ms: np.ndarray
     #: Per-ISN recorders (index = ISN id).
     isn_recorders: list[LatencyRecorder]
+    #: Mitigation accounting; None when no fault or hedge option is active.
+    resilience: ResilienceStats | None = None
 
     def aggregator_percentile(self, p: float) -> float:
         """Percentile of the aggregator (user-visible) latency."""
@@ -189,11 +196,10 @@ def run_cluster_experiment(
     enables partial-wait aggregation and hedged re-issue (see
     :mod:`repro.resilience`).  Either option couples the ISNs (hedges
     move work between nodes, faults are wall-clock windows on the
-    shared clock), so the run then uses the shared-engine path
-    regardless of ``workers`` and returns a
-    :class:`~repro.resilience.cluster.ResilientClusterResult`.  With
-    both left at their no-op defaults this function behaves exactly as
-    before.
+    shared clock), so the run then stays on the shared engine
+    regardless of ``workers`` and the result's ``resilience`` carries
+    the mitigation accounting.  With both options at their no-op
+    defaults ``resilience`` is None.
     """
     if n_queries < 1:
         raise ConfigError("n_queries must be >= 1")
@@ -219,89 +225,25 @@ def run_cluster_experiment(
         for _ in range(n_queries)
     ]
 
-    resilient = (fault_spec is not None and not fault_spec.is_noop) or (
-        hedge_policy is not None and not hedge_policy.is_noop(ccfg.num_isns)
+    noop = (fault_spec is None or fault_spec.is_noop) and (
+        hedge_policy is None or hedge_policy.is_noop(ccfg.num_isns)
     )
-    if resilient:
-        from ..resilience.cluster import run_shared_resilient
-
-        return run_shared_resilient(
-            workload, policy_name, qps,
-            ccfg, scfg, policy_config, target_table, load_metric,
-            logical, arrivals, jitters,
-            fault_spec=fault_spec, hedge_policy=hedge_policy,
-        )
-
-    effective_workers = resolve_worker_count(workers)
-    if effective_workers > 1 and ccfg.num_isns > 1:
-        return _run_decomposed(
-            workload, policy_name, qps, n_queries,
-            ccfg, scfg, policy_config, target_table, load_metric,
-            logical, arrivals, jitters, effective_workers, progress,
-        )
-
-    engine = Engine()
-    aggregator = Aggregator(ccfg.num_isns, ccfg.network_overhead_ms)
-
-    servers: list[Server] = []
-    for isn in range(ccfg.num_isns):
-        policy = make_policy(
-            policy_name,
-            speedup_book=workload.speedup_book,
-            group_weights=workload.group_weights,
-            target_table=target_table,
-            policy_config=policy_config,
-            load_metric=load_metric,
-        )
-
-        def on_isn_complete(request: Request, isn: int = isn) -> None:
-            aggregator.on_isn_complete(request.rid, engine.now, isn)
-
-        servers.append(
-            Server(
-                scfg,
-                policy,
-                engine=engine,
-                completion_callback=on_isn_complete,
-            )
-        )
-
-    for request, at, jitter in zip(logical, arrivals, jitters):
-        replicas = [
-            Request(
-                rid=request.rid,
-                demand_ms=float(request.demand_ms * jitter[i]),
-                predicted_ms=request.predicted_ms,
-                speedup=request.speedup,
-            )
-            for i in range(ccfg.num_isns)
-        ]
-
-        def fan_out(
-            at_ms: float = float(at),
-            reps: list[Request] = replicas,
-            qid: int = request.rid,
-        ) -> None:
-            aggregator.begin(qid, at_ms)
-            for server, replica in zip(servers, reps):
-                server.submit(replica)
-
-        engine.schedule_at(float(at), fan_out)
-
-    while aggregator.completed < n_queries:
-        if not engine.step():
-            raise SimulationError(
-                f"engine drained with {aggregator.completed}/{n_queries} "
-                "queries aggregated"
+    if noop:
+        effective_workers = resolve_worker_count(workers)
+        if effective_workers > 1 and ccfg.num_isns > 1:
+            return _run_decomposed(
+                workload, policy_name, qps, n_queries,
+                ccfg, scfg, policy_config, target_table, load_metric,
+                logical, arrivals, jitters, effective_workers, progress,
             )
 
-    return ClusterExperimentResult(
-        policy_name=policy_name,
-        qps=qps,
-        num_isns=ccfg.num_isns,
-        aggregator_latencies_ms=np.asarray(aggregator.latencies_ms),
-        isn_latencies_ms=np.asarray(aggregator.isn_latencies_ms),
-        isn_recorders=[s.recorder for s in servers],
+    from ..resilience.cluster import run_shared_resilient
+
+    return run_shared_resilient(
+        workload, policy_name, qps,
+        ccfg, scfg, policy_config, target_table, load_metric,
+        logical, arrivals, jitters,
+        fault_spec=fault_spec, hedge_policy=hedge_policy,
     )
 
 

@@ -9,6 +9,7 @@ parallelism-efficiency groups of Figure 2 (<30 ms, 30-80 ms, >80 ms).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -294,10 +295,16 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.num_isns < 1:
             raise ConfigError("num_isns must be >= 1")
-        if self.demand_jitter_sigma < 0:
-            raise ConfigError("demand_jitter_sigma must be >= 0")
-        if self.network_overhead_ms < 0:
-            raise ConfigError("network_overhead_ms must be >= 0")
+        if not 0 <= self.demand_jitter_sigma < math.inf:
+            raise ConfigError(
+                f"demand_jitter_sigma must be finite and >= 0, got "
+                f"{self.demand_jitter_sigma}"
+            )
+        if not 0 <= self.network_overhead_ms < math.inf:
+            raise ConfigError(
+                f"network_overhead_ms must be finite and >= 0, got "
+                f"{self.network_overhead_ms}"
+            )
 
 
 @dataclass(frozen=True)

@@ -10,17 +10,19 @@ simulation of :mod:`repro.cluster`:
   partial aggregation, timeout-triggered hedged re-issue of lagging
   replicas, and tied-request cancellation.
 
-Both default to exact no-ops, and :func:`repro.cluster.run_cluster_experiment`
-only takes the coupled shared-engine path when at least one is active,
-so plain cluster runs are bit-identical to a build without this
-package.  ``python -m repro.resilience`` runs named fault scenarios
-comparing the paper's policies and writes a ``BENCH_resilience.json``
-report.
+Both default to exact no-ops: with neither active, a cluster run's
+latencies are bit-identical at any worker count and its result carries
+no resilience accounting.  :func:`run_shared_resilient` is the
+shared-engine cluster runner that
+:func:`repro.cluster.run_cluster_experiment` uses for every run it does
+not decompose across processes.  ``python -m repro.resilience`` runs
+named fault scenarios comparing the paper's policies and writes a
+``BENCH_resilience.json`` report.
 """
 
 from .faults import FaultKind, FaultSpec, FaultWindow, sample_fault_spec
 from .hedging import HedgePolicy
-from .cluster import ResilientClusterResult, run_shared_resilient
+from .cluster import run_shared_resilient
 from .scenarios import (
     Scenario,
     ScenarioResult,
@@ -35,7 +37,6 @@ __all__ = [
     "FaultWindow",
     "sample_fault_spec",
     "HedgePolicy",
-    "ResilientClusterResult",
     "run_shared_resilient",
     "Scenario",
     "ScenarioResult",

@@ -1,30 +1,33 @@
-"""Shared-engine cluster run with fault injection and hedging.
+"""The shared-engine cluster runner, with optional faults and hedging.
 
-:func:`run_shared_resilient` is the coupled counterpart of the plain
-cluster experiment: faults are wall-clock windows on the shared
-simulation clock and hedges move replicas between ISNs, so the run
-cannot decompose into independent per-ISN simulations.  All shared
-randomness (trace, arrivals, demand jitters) is drawn by the caller —
-:func:`repro.cluster.cluster.run_cluster_experiment` — in the exact
-stream order of the plain path, so a no-op fault spec and a no-op
-hedge policy would reproduce the plain run bit-for-bit (and the plain
-path is used in that case).
+:func:`run_shared_resilient` simulates every ISN of a cluster on one
+engine and one clock.  It serves every cluster run that is not
+dispatched to the process-parallel per-ISN decomposition: healthy
+wait-for-all runs (the paper's Figure 8), faulted runs and hedged runs
+alike.  Faults are wall-clock windows on the shared clock and hedges
+move replicas between ISNs, so those runs cannot decompose into
+independent per-ISN simulations.  All shared randomness (trace,
+arrivals, demand jitters) is drawn by the caller —
+:func:`repro.cluster.cluster.run_cluster_experiment` — so a run with
+no-op options reproduces the decomposed layout bit for bit.
 
 Replica bookkeeping
 -------------------
 Each logical query fans out one *shard replica* per ISN; shard ``s`` of
-query ``q`` is primarily served by ISN ``s``.  A hedge re-issues a
-lagging shard to a secondary ISN (the least-loaded healthy node), so a
-shard can have up to two live replicas — a *tied pair*.  The first
-member of the pair to complete reports to the aggregator under the
-shard's id; with ``tie_cancel`` the other member is withdrawn through
-:meth:`repro.sim.server.Server.cancel_request`, and its executed work
-is charged to ``wasted_work_ms``.
+query ``q`` is primarily served by ISN ``s`` under rid ``q``, so a
+primary replica needs no record: the per-server completion callback
+already knows its shard.  A hedge re-issues a lagging shard to a
+secondary ISN (the least-loaded healthy node) under a fresh rid, and
+only hedges are recorded, so a shard can have up to two live replicas —
+a *tied pair*.  The first member of the pair to complete reports to the
+aggregator under the shard's id; with ``tie_cancel`` the other member is
+withdrawn through :meth:`repro.sim.server.Server.cancel_request`, and
+its executed work is charged to ``wasted_work_ms``.  Per-query hedge
+timers exist only when hedging is enabled, and per-node live-replica
+maps only when the fault spec has blackouts to kill replicas with.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,49 +46,10 @@ from ..cluster.cluster import ClusterExperimentResult
 from .faults import FaultKind, FaultSpec
 from .hedging import HedgePolicy
 
-__all__ = ["ResilientClusterResult", "run_shared_resilient"]
+__all__ = ["run_shared_resilient"]
 
 #: Request states a replica can still be withdrawn from.
 _LIVE = (RequestState.QUEUED, RequestState.RUNNING)
-
-
-@dataclass
-class ResilientClusterResult(ClusterExperimentResult):
-    """Cluster result plus mitigation accounting."""
-
-    resilience: ResilienceStats | None = None
-    fault_spec: FaultSpec | None = None
-    hedge_policy: HedgePolicy | None = None
-
-
-@dataclass
-class _Replica:
-    """One issued copy of a shard's work (primary or hedge)."""
-
-    request: Request
-    qid: int
-    #: Shard slot this replica answers for (the primary ISN's index).
-    shard: int
-    #: ISN actually executing the replica.
-    node: int
-    is_hedge: bool
-    #: The other member of a tied pair, if any.
-    partner: "_Replica | None" = None
-
-
-@dataclass
-class _QueryState:
-    """Per-logical-query progress the hedging logic needs."""
-
-    qid: int
-    arrival_ms: float
-    #: Shard slots whose result has reached the aggregator.
-    shards_done: set[int]
-    #: First-issued (primary) replica per shard slot, if not dropped.
-    primaries: dict[int, _Replica]
-    emitted: bool = False
-    hedges_issued: int = 0
-    timer: EventHandle | None = None
 
 
 def run_shared_resilient(
@@ -102,13 +66,14 @@ def run_shared_resilient(
     jitters: list[np.ndarray],
     fault_spec: FaultSpec | None = None,
     hedge_policy: HedgePolicy | None = None,
-) -> ResilientClusterResult:
-    """Run a faulted and/or hedged cluster on one shared engine.
+) -> ClusterExperimentResult:
+    """Run a cluster, faulted and/or hedged or not, on one shared engine.
 
     ``logical``, ``arrivals`` and ``jitters`` are the pre-drawn shared
-    randomness (see module docstring).  Raises :class:`ConfigError`
-    when the configuration cannot terminate (blackouts under strict
-    wait-for-all with no hedging).
+    randomness (see module docstring).  The result carries
+    :class:`ResilienceStats` unless both options are no-ops.  Raises
+    :class:`ConfigError` when the configuration cannot terminate
+    (blackouts under strict wait-for-all with no hedging).
     """
     fspec = fault_spec if fault_spec is not None else FaultSpec.none()
     hpolicy = hedge_policy if hedge_policy is not None else HedgePolicy()
@@ -116,7 +81,10 @@ def run_shared_resilient(
     n_queries = len(logical)
     fspec.validate_for(num_isns)
     wait_k = hpolicy.effective_k(num_isns)
-    if fspec.has_blackouts and wait_k == num_isns and not hpolicy.hedging_enabled:
+    hedging = hpolicy.hedging_enabled
+    blackouts = fspec.has_blackouts
+    slowdowns = any(w.kind == FaultKind.SLOWDOWN for w in fspec.windows)
+    if blackouts and wait_k == num_isns and not hedging:
         raise ConfigError(
             "blackout windows under strict wait-for-all aggregation can "
             "drop a shard forever; enable hedging or set wait_for_k < "
@@ -127,12 +95,16 @@ def run_shared_resilient(
     aggregator = Aggregator(
         num_isns, ccfg.network_overhead_ms, wait_for_k=wait_k
     )
-    #: Replica metadata keyed by id(request) (rids are shared across a
-    #: query's primary replicas, so they cannot key this map).
-    meta: dict[int, _Replica] = {}
-    queries: dict[int, _QueryState] = {}
-    #: Live replicas per node, keyed by id(request) (blackout kills).
-    node_live: list[dict[int, _Replica]] = [{} for _ in range(num_isns)]
+    #: Hedge rid -> (qid, shard) it answers for.
+    hedge_of: dict[int, tuple[int, int]] = {}
+    #: (rid, node) of one member of a tied pair -> (other member, its node).
+    tied: dict[tuple[int, int], tuple[Request, int]] = {}
+    #: Armed hedge timer per query still waiting for it.
+    timers: dict[int, EventHandle] = {}
+    #: Live replicas per node keyed by rid (blackout kills only).
+    node_live: list[dict[int, Request]] | None = (
+        [{} for _ in range(num_isns)] if blackouts else None
+    )
 
     stats = {
         "hedges_issued": 0,
@@ -158,7 +130,7 @@ def run_shared_resilient(
         )
 
         def on_isn_complete(request: Request, isn: int = isn) -> None:
-            _on_replica_complete(request)
+            _on_replica_complete(request, isn)
 
         servers.append(
             Server(
@@ -169,45 +141,44 @@ def run_shared_resilient(
             )
         )
 
-    def _cancel_partner(rep: _Replica) -> None:
-        partner = rep.partner
-        if partner is None or partner.request.state not in _LIVE:
-            return
-        work_done = servers[partner.node].cancel_request(
-            partner.request, cause="hedge-superseded"
-        )
-        node_live[partner.node].pop(id(partner.request), None)
+    def _cancel(request: Request, node: int, cause: str) -> None:
+        work_done = servers[node].cancel_request(request, cause=cause)
+        if node_live is not None:
+            node_live[node].pop(request.rid, None)
         stats["cancelled_replicas"] += 1
         stats["wasted_work_ms"] += work_done
 
-    def _on_replica_complete(request: Request) -> None:
-        rep = meta[id(request)]
-        node_live[rep.node].pop(id(request), None)
-        q = queries[rep.qid]
-        if rep.shard in q.shards_done:
+    def _on_replica_complete(request: Request, node: int) -> None:
+        qid, shard = request.rid, node
+        hedge = hedge_of.get(qid)
+        if hedge is not None:
+            qid, shard = hedge
+        if node_live is not None:
+            node_live[node].pop(request.rid, None)
+        seen, answered = aggregator.progress(qid)
+        if shard in seen:
             # The tied partner already delivered this shard's result
             # (tie cancellation disabled or too late to stop this one).
             stats["redundant_completions"] += 1
             stats["wasted_work_ms"] += request.demand_ms
             return
-        q.shards_done.add(rep.shard)
-        was_emitted = q.emitted
-        emitted_now = aggregator.on_isn_complete(rep.qid, engine.now, rep.shard)
-        if was_emitted:
+        emitted_now = aggregator.on_isn_complete(qid, engine.now, shard)
+        if answered:
             # Delivered, but after the aggregator had already answered
             # (wait-for-k < n): the work bought nothing user-visible.
             stats["wasted_work_ms"] += request.demand_ms
         else:
             stats["useful_work_ms"] += request.demand_ms
-        if rep.is_hedge:
+        if hedge is not None:
             stats["hedge_wins"] += 1
-        if hpolicy.tie_cancel:
-            _cancel_partner(rep)
+        if hedging and hpolicy.tie_cancel:
+            partner = tied.get((request.rid, node))
+            if partner is not None and partner[0].state in _LIVE:
+                _cancel(*partner, cause="hedge-superseded")
         if emitted_now:
-            q.emitted = True
-            if q.timer is not None:
-                q.timer.cancel()
-                q.timer = None
+            timer = timers.pop(qid, None)
+            if timer is not None:
+                timer.cancel()
 
     # -- fault transitions ---------------------------------------------
     # Scheduled before the fan-outs so same-instant transitions resolve
@@ -216,15 +187,10 @@ def run_shared_resilient(
     def _on_blackout_edge(isn: int, t_ms: float) -> None:
         if not fspec.is_blacked_out(isn, t_ms):
             return  # window closed; the node simply takes traffic again
-        for rep in list(node_live[isn].values()):
-            if rep.request.state not in _LIVE:  # pragma: no cover - guard
+        for request in list(node_live[isn].values()):
+            if request.state not in _LIVE:  # pragma: no cover - guard
                 continue
-            work_done = servers[isn].cancel_request(
-                rep.request, cause="blackout"
-            )
-            node_live[isn].pop(id(rep.request), None)
-            stats["cancelled_replicas"] += 1
-            stats["wasted_work_ms"] += work_done
+            _cancel(request, isn, cause="blackout")
 
     for t, isn in fspec.transition_times(FaultKind.BLACKOUT):
         engine.schedule_at(
@@ -241,8 +207,6 @@ def run_shared_resilient(
     # -- hedging --------------------------------------------------------
 
     hedge_rid = max((r.rid for r in logical), default=0) + 1  # fresh rids
-    #: Position of each logical query in the pre-drawn arrays.
-    position = {request.rid: i for i, request in enumerate(logical)}
 
     def _pick_secondary(shard: int, t_ms: float) -> int | None:
         """Least-loaded healthy node other than the shard's own ISN."""
@@ -256,53 +220,47 @@ def run_shared_resilient(
                 best, best_load = isn, load
         return best
 
-    def _on_hedge_timer(qid: int) -> None:
+    def _on_hedge_timer(
+        request: Request, jitter: np.ndarray, primaries: list[Request | None]
+    ) -> None:
         nonlocal hedge_rid
-        q = queries[qid]
-        q.timer = None
-        if q.emitted:
-            return
+        qid = request.rid
+        del timers[qid]
+        # The answer cancels the timer, so the query is still unanswered.
+        seen, _ = aggregator.progress(qid)
         stats["timeout_fires"] += 1
         now = engine.now
-        lagging = sorted(set(range(num_isns)) - q.shards_done)
-        issued_any = False
-        for shard in lagging:
-            if q.hedges_issued >= hpolicy.max_hedges_per_query:
+        issued = 0
+        for shard in range(num_isns):
+            if shard in seen:
+                continue
+            if issued >= hpolicy.max_hedges_per_query:
                 break
             secondary = _pick_secondary(shard, now)
             if secondary is None:
                 continue
-            request = logical[position[qid]]
-            demand = float(
-                request.demand_ms
-                * jitters[position[qid]][shard]
-                * fspec.demand_multiplier(secondary, now)
-            )
             hedge = Request(
                 rid=hedge_rid,
-                demand_ms=demand,
+                demand_ms=float(
+                    request.demand_ms
+                    * jitter[shard]
+                    * fspec.demand_multiplier(secondary, now)
+                ),
                 predicted_ms=request.predicted_ms,
                 speedup=request.speedup,
             )
             hedge_rid += 1
-            primary = q.primaries.get(shard)
-            rep = _Replica(
-                request=hedge,
-                qid=qid,
-                shard=shard,
-                node=secondary,
-                is_hedge=True,
-                partner=primary,
-            )
+            hedge_of[hedge.rid] = (qid, shard)
+            primary = primaries[shard]
             if primary is not None:
-                primary.partner = rep
-            meta[id(hedge)] = rep
-            node_live[secondary][id(hedge)] = rep
+                tied[(hedge.rid, secondary)] = (primary, shard)
+                tied[(qid, shard)] = (hedge, secondary)
+            if node_live is not None:
+                node_live[secondary][hedge.rid] = hedge
             servers[secondary].submit(hedge)
-            q.hedges_issued += 1
-            stats["hedges_issued"] += 1
-            issued_any = True
-        if issued_any:
+            issued += 1
+        stats["hedges_issued"] += issued
+        if issued:
             stats["hedged_queries"] += 1
 
     # -- fan-out --------------------------------------------------------
@@ -311,17 +269,16 @@ def run_shared_resilient(
         at_ms = float(at)
         replicas: list[Request | None] = []
         for isn in range(num_isns):
-            if fspec.is_blacked_out(isn, at_ms):
+            if blackouts and fspec.is_blacked_out(isn, at_ms):
                 replicas.append(None)
                 continue
+            demand = request.demand_ms * jitter[isn]
+            if slowdowns:
+                demand *= fspec.demand_multiplier(isn, at_ms)
             replicas.append(
                 Request(
                     rid=request.rid,
-                    demand_ms=float(
-                        request.demand_ms
-                        * jitter[isn]
-                        * fspec.demand_multiplier(isn, at_ms)
-                    ),
+                    demand_ms=float(demand),
                     predicted_ms=request.predicted_ms,
                     speedup=request.speedup,
                 )
@@ -330,32 +287,22 @@ def run_shared_resilient(
         def fan_out(
             at_ms: float = at_ms,
             reps: list[Request | None] = replicas,
-            qid: int = request.rid,
+            request: Request = request,
+            jitter: np.ndarray = jitter,
         ) -> None:
-            q = _QueryState(
-                qid=qid, arrival_ms=at_ms, shards_done=set(), primaries={}
-            )
-            queries[qid] = q
+            qid = request.rid
             aggregator.begin(qid, at_ms)
             for isn, replica in enumerate(reps):
                 if replica is None:
                     stats["dropped_replicas"] += 1
                     continue
-                rep = _Replica(
-                    request=replica,
-                    qid=qid,
-                    shard=isn,
-                    node=isn,
-                    is_hedge=False,
-                )
-                q.primaries[isn] = rep
-                meta[id(replica)] = rep
-                node_live[isn][id(replica)] = rep
+                if node_live is not None:
+                    node_live[isn][qid] = replica
                 servers[isn].submit(replica)
-            if hpolicy.hedging_enabled:
-                q.timer = engine.schedule_at(
+            if hedging:
+                timers[qid] = engine.schedule_at(
                     at_ms + float(hpolicy.hedge_timeout_ms),
-                    lambda qid=qid: _on_hedge_timer(qid),
+                    lambda: _on_hedge_timer(request, jitter, reps),
                 )
 
         engine.schedule_at(at_ms, fan_out)
@@ -375,25 +322,19 @@ def run_shared_resilient(
     while engine.step():
         pass
 
-    k_coverages = aggregator.k_coverages
-    resilience = ResilienceStats(
-        queries=n_queries,
-        num_isns=num_isns,
-        hedges_issued=stats["hedges_issued"],
-        hedged_queries=stats["hedged_queries"],
-        hedge_wins=stats["hedge_wins"],
-        timeout_fires=stats["timeout_fires"],
-        cancelled_replicas=stats["cancelled_replicas"],
-        dropped_replicas=stats["dropped_replicas"],
-        redundant_completions=stats["redundant_completions"],
-        late_completions=aggregator.late_completions,
-        wasted_work_ms=stats["wasted_work_ms"],
-        useful_work_ms=stats["useful_work_ms"],
-        k_coverage_mean=(
-            float(np.mean(k_coverages)) if k_coverages else 0.0
-        ),
-    )
-    return ResilientClusterResult(
+    resilience = None
+    if not (fspec.is_noop and hpolicy.is_noop(num_isns)):
+        k_coverages = aggregator.k_coverages
+        resilience = ResilienceStats(
+            queries=n_queries,
+            num_isns=num_isns,
+            late_completions=aggregator.late_completions,
+            k_coverage_mean=(
+                float(np.mean(k_coverages)) if k_coverages else 0.0
+            ),
+            **stats,
+        )
+    return ClusterExperimentResult(
         policy_name=policy_name,
         qps=qps,
         num_isns=num_isns,
@@ -401,6 +342,4 @@ def run_shared_resilient(
         isn_latencies_ms=np.asarray(aggregator.isn_latencies_ms),
         isn_recorders=[s.recorder for s in servers],
         resilience=resilience,
-        fault_spec=fspec,
-        hedge_policy=hpolicy,
     )

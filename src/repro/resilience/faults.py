@@ -26,6 +26,7 @@ are reproducible from a single experiment seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import ConfigError
@@ -69,6 +70,10 @@ class FaultWindow:
             raise ConfigError(
                 f"fault window needs 0 <= t0 < t1, got [{self.t0_ms}, "
                 f"{self.t1_ms})"
+            )
+        if not math.isfinite(self.severity):
+            raise ConfigError(
+                f"fault severity must be finite, got {self.severity}"
             )
         if self.kind == FaultKind.SLOWDOWN and self.severity <= 1.0:
             raise ConfigError(

@@ -23,6 +23,7 @@ hashes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import ConfigError
@@ -50,9 +51,11 @@ class HedgePolicy:
             raise ConfigError(
                 f"wait_for_k must be >= 1 or None, got {self.wait_for_k}"
             )
-        if self.hedge_timeout_ms is not None and self.hedge_timeout_ms <= 0:
+        if self.hedge_timeout_ms is not None and not (
+            0 < self.hedge_timeout_ms < math.inf
+        ):
             raise ConfigError(
-                f"hedge_timeout_ms must be > 0 or None, got "
+                f"hedge_timeout_ms must be finite and > 0, or None, got "
                 f"{self.hedge_timeout_ms}"
             )
         if self.max_hedges_per_query < 1:

@@ -37,7 +37,6 @@ def execute_cluster_cell(spec: CellSpec) -> CellResult:
     """Expand and simulate one cluster cell (deterministic per spec)."""
     from ..cluster.cluster import run_cluster_experiment
     from ..exec.pool import memoised_workload
-    from .cluster import ResilientClusterResult
 
     assert spec.cluster_config is not None
     started = time.perf_counter()
@@ -73,7 +72,7 @@ def execute_cluster_cell(spec: CellSpec) -> CellResult:
         "isn_p99_ms": result.isn_percentile(99),
         "isn_p999_ms": result.isn_percentile(99.9),
     }
-    if isinstance(result, ResilientClusterResult) and result.resilience:
+    if result.resilience is not None:
         extras.update(result.resilience.as_row())
     return CellResult(
         spec_hash=spec.content_hash,

@@ -1,10 +1,13 @@
 """Cross-ISN consistency properties of the cluster simulation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.cluster import run_cluster_experiment
 from repro.config import ClusterConfig
+from repro.resilience import FaultSpec, HedgePolicy
 
 
 @pytest.fixture(scope="module")
@@ -77,29 +80,56 @@ class TestClusterConsistency:
     def test_parallel_matches_serial_bit_for_bit(
         self, tiny_search_workload, target_table
     ):
-        # The decomposed per-ISN fan-out (workers > 1) must reproduce
-        # the shared-engine run exactly: same aggregator latencies,
-        # same per-replica latencies, same per-ISN recorders.
-        kwargs = dict(
-            qps=200.0, n_queries=150, seed=23,
-            cluster_config=ClusterConfig(num_isns=3),
-            target_table=target_table,
-        )
-        serial = run_cluster_experiment(
-            tiny_search_workload, "TPC", workers=1, **kwargs
-        )
-        parallel = run_cluster_experiment(
-            tiny_search_workload, "TPC", workers=2, **kwargs
-        )
-        np.testing.assert_array_equal(
-            serial.aggregator_latencies_ms, parallel.aggregator_latencies_ms
-        )
-        np.testing.assert_array_equal(
-            serial.isn_latencies_ms, parallel.isn_latencies_ms
-        )
-        for a, b in zip(serial.isn_recorders, parallel.isn_recorders):
-            np.testing.assert_array_equal(a.responses_ms, b.responses_ms)
-            np.testing.assert_array_equal(a.max_degrees, b.max_degrees)
+        # The two execution paths — the coupled shared-engine runner
+        # (workers=1) and the decomposed per-ISN fan-out (workers=2) —
+        # must agree exactly: same aggregator latencies, same
+        # per-replica latencies, same per-ISN recorders.  Covered for
+        # omitted and explicit no-op resilience options, a
+        # non-correcting and a correcting policy, and a one- and a
+        # three-ISN cluster; none of them reports resilience stats.
+        options = {
+            "omitted": {},
+            "explicit-noop": dict(
+                fault_spec=FaultSpec.none(),
+                hedge_policy=HedgePolicy.wait_for_all(),
+            ),
+        }
+        for (label, opts), policy, num_isns in itertools.product(
+            options.items(), ("Sequential", "TPC"), (1, 3)
+        ):
+            case = f"{label}/{policy}/{num_isns} ISNs"
+            kwargs = dict(
+                qps=200.0, n_queries=150, seed=23,
+                cluster_config=ClusterConfig(num_isns=num_isns),
+                target_table=target_table,
+                **opts,
+            )
+            coupled = run_cluster_experiment(
+                tiny_search_workload, policy, workers=1, **kwargs
+            )
+            decomposed = run_cluster_experiment(
+                tiny_search_workload, policy, workers=2, **kwargs
+            )
+            np.testing.assert_array_equal(
+                coupled.aggregator_latencies_ms,
+                decomposed.aggregator_latencies_ms,
+                err_msg=case,
+            )
+            np.testing.assert_array_equal(
+                coupled.isn_latencies_ms,
+                decomposed.isn_latencies_ms,
+                err_msg=case,
+            )
+            assert len(coupled.isn_recorders) == num_isns, case
+            for a, b in zip(coupled.isn_recorders, decomposed.isn_recorders):
+                np.testing.assert_array_equal(
+                    a.responses_ms, b.responses_ms, err_msg=case
+                )
+                np.testing.assert_array_equal(
+                    a.max_degrees, b.max_degrees, err_msg=case
+                )
+            assert coupled.resilience is None, case
+            assert decomposed.resilience is None, case
 
     def test_same_seed_reproducible(self, tiny_search_workload, target_table):
         kwargs = dict(

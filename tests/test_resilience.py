@@ -17,7 +17,6 @@ from repro.resilience import (
     HedgePolicy,
     sample_fault_spec,
 )
-from repro.resilience.cluster import ResilientClusterResult
 from repro.resilience.scenarios import get_scenario, run_scenario
 from repro.rng import RngFactory
 from repro.sim.engine import Engine
@@ -148,6 +147,25 @@ class TestHedgePolicy:
             HedgePolicy.partial(6).effective_k(5)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: HedgePolicy(hedge_timeout_ms=v),
+        lambda v: FaultWindow(FaultKind.SLOWDOWN, 0, 0.0, 1.0, severity=v),
+        lambda v: ClusterConfig(network_overhead_ms=v),
+        lambda v: ClusterConfig(demand_jitter_sigma=v),
+    ],
+    ids=["hedge_timeout_ms", "slowdown_severity", "network_overhead_ms",
+         "demand_jitter_sigma"],
+)
+def test_non_finite_spec_rejected_up_front(build, value):
+    # Each used to be accepted and then either die mid-run with a
+    # misleading SimulationError or yield silently wrong latencies.
+    with pytest.raises(ConfigError):
+        build(value)
+
+
 # ---------------------------------------------------------------------------
 # Server cancellation and worker limits
 # ---------------------------------------------------------------------------
@@ -234,30 +252,6 @@ class TestServerResilienceHooks:
 # ---------------------------------------------------------------------------
 
 class TestResilientCluster:
-    def test_noop_options_keep_plain_path(
-        self, tiny_search_workload, target_table
-    ):
-        kwargs = dict(
-            qps=200.0, n_queries=200, seed=23,
-            cluster_config=ClusterConfig(num_isns=3),
-            target_table=target_table,
-        )
-        plain = run_cluster_experiment(tiny_search_workload, "TPC", **kwargs)
-        noop = run_cluster_experiment(
-            tiny_search_workload, "TPC",
-            fault_spec=FaultSpec.none(),
-            hedge_policy=HedgePolicy.wait_for_all(),
-            **kwargs,
-        )
-        # No-op resilience options must not even switch the code path.
-        assert not isinstance(noop, ResilientClusterResult)
-        np.testing.assert_array_equal(
-            plain.aggregator_latencies_ms, noop.aggregator_latencies_ms
-        )
-        np.testing.assert_array_equal(
-            plain.isn_latencies_ms, noop.isn_latencies_ms
-        )
-
     def test_single_isn_cluster_matches_plain_experiment(
         self, tiny_search_workload, target_table
     ):
@@ -347,7 +341,7 @@ class TestResilientCluster:
             tiny_search_workload, "TPC",
             hedge_policy=HedgePolicy.partial(3), **kwargs,
         )
-        assert isinstance(partial, ResilientClusterResult)
+        assert partial.resilience is not None
         assert (
             partial.aggregator_percentile(99)
             <= all_of.aggregator_percentile(99)
