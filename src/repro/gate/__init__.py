@@ -5,8 +5,8 @@ paper's numbers.  This package turns that claim into an executable
 contract: a registry of :class:`GateCheck`\\ s declares the paper's
 headline metrics as tolerance bands — the Section 2 demand
 distribution, the Section 4 policy orderings at fixed loads,
-cluster-vs-single-ISN consistency, and wall-clock budgets for the
-simulator hot path — and :func:`run_gate` re-derives every metric
+cluster-vs-single-ISN consistency, and the simulator hot path's
+deterministic event count — and :func:`run_gate` re-derives every metric
 from deterministic :class:`~repro.exec.spec.SweepSpec` cells executed
 through the :mod:`repro.exec` pool and cache, so a warm re-run is
 near-free.
@@ -14,8 +14,9 @@ near-free.
 The outcome is a versioned ``BENCH_gate.json`` report (git SHA,
 pass/fail per check, measured value vs. band, timings) plus a
 human-readable summary.  Baselines for machine-relative bands live
-under ``benchmarks/baselines/`` and are refreshed with
-``python -m repro.gate --update-baselines``.
+in ``benchmarks/baselines/gate_baseline.json`` and are refreshed with
+``python -m repro.gate --update-baselines``.  :mod:`repro.perf` judges
+throughput with the same bands and the same baseline file.
 
 Run it locally::
 

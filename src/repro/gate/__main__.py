@@ -1,4 +1,4 @@
-"""``python -m repro.gate`` — run the fidelity & performance gate.
+"""``python -m repro.gate`` — run the fidelity & determinism gate.
 
 Exit status: 0 when every check passes, 1 on any band violation, 2 on
 usage errors or a check that crashed.  The JSON artifact is written
@@ -11,6 +11,7 @@ import argparse
 import sys
 from typing import Sequence
 
+from ..artifacts import git_sha
 from ..errors import ConfigError, ReproError
 from ..exec.cache import ResultCache
 from ..exec.pool import log_progress
@@ -21,7 +22,6 @@ from .baselines import (
     save_baselines,
 )
 from .checks import CHECKS, scale_for_mode
-from .report import git_sha
 from .runner import baseline_metrics, run_gate
 
 __all__ = ["main"]
@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.gate",
         description=(
-            "Machine-checked fidelity & performance gate: re-derives the "
+            "Machine-checked fidelity & determinism gate: re-derives the "
             "paper's headline metrics from deterministic simulations and "
             "judges them against tolerance bands."
         ),

@@ -1,15 +1,18 @@
-"""Stored gate baselines: blessed measurements for relative bands.
+"""The repository's baseline store: blessed values for relative bands.
 
 Machine-relative bands (e.g. "TPC p99 within 25 % of the blessed
-run", "hot-path throughput at least a quarter of the blessed run")
-need a reference value.  Those references live in one JSON file under
-``benchmarks/baselines/``, keyed by gate mode and metric id, and are
-refreshed with ``python -m repro.gate --update-baselines`` after an
-intentional change to the simulation or its calibration.
+run", "engine throughput at least 70 % of the blessed run") need a
+reference value.  Those references live in one JSON file under
+``benchmarks/baselines/``, keyed by mode and metric id.  Two CLIs
+share it: ``python -m repro.gate --update-baselines`` refreshes the
+gate's fidelity and determinism metrics, ``python -m repro.perf
+--update-baselines`` the ``perf.*`` throughput metrics.  A refresh
+overwrites only the metrics it measured, so neither clobbers the
+other's entries.
 
-Serialisation is canonical — sorted keys, fixed indentation, trailing
-newline — so a write → load → write round trip is bit-stable and
-baseline diffs in review show only genuinely changed values.
+Serialisation goes through :func:`repro.artifacts.write_json`, so a
+write → load → write round trip is bit-stable and baseline diffs in
+review show only genuinely changed values.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import json
 from pathlib import Path
 from typing import Mapping
 
+from ..artifacts import write_json
 from ..errors import ConfigError
 
 __all__ = [
@@ -47,14 +51,6 @@ def default_baselines_path() -> Path:
         / "baselines"
         / BASELINE_FILENAME
     )
-
-
-def _canonical_bytes(payload: dict) -> bytes:
-    """The one true serialisation of a baseline document."""
-    return (
-        json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": "))
-        + "\n"
-    ).encode("utf-8")
 
 
 def load_baselines(
@@ -92,10 +88,7 @@ def load_baselines(
 
 def save_baselines(document: dict, path: str | Path | None = None) -> Path:
     """Write a baseline document canonically; returns the path."""
-    target = Path(path) if path is not None else default_baselines_path()
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_bytes(_canonical_bytes(document))
-    return target
+    return write_json(document, path if path is not None else default_baselines_path())
 
 
 def merge_baselines(
@@ -106,14 +99,18 @@ def merge_baselines(
 ) -> dict:
     """Fold freshly measured values for one mode into the document.
 
-    Other modes' entries are preserved, so fast and full baselines can
-    be refreshed independently.
+    Only the given metrics are overwritten: the mode's other entries and
+    every other mode are preserved, so fast and full baselines, and the
+    gate's and the perf harness's metrics, are refreshed independently.
+    A retired metric is removed by deleting its key from the file.
     """
     modes = {
         str(name): dict(values)
         for name, values in document.get("modes", {}).items()
     }
-    modes[mode] = {str(k): round(float(v), 6) for k, v in metrics.items()}
+    modes.setdefault(mode, {}).update(
+        {str(k): round(float(v), 6) for k, v in metrics.items()}
+    )
     return {
         "schema_version": BASELINE_SCHEMA_VERSION,
         "updated_from_git_sha": git_sha,

@@ -29,9 +29,10 @@ Registered checks:
     percentile, and per-ISN behaviour stays consistent with the
     single-server cell.
 ``perf_budget``
-    Wall-clock budget for the simulator hot path on a synthetic
-    workload (no expensive workload build): events/sec and
-    requests/sec floors plus a bit-deterministic event count.
+    Determinism of the simulator hot path on a synthetic workload (no
+    expensive workload build): its event count is pinned exactly and
+    its wall time recorded.  Throughput is judged by ``python -m
+    repro.perf``, not here.
 """
 
 from __future__ import annotations
@@ -459,37 +460,22 @@ def _evaluate_cluster(ctx: "GateContext") -> list[Measurement]:
 # ---------------------------------------------------------------------------
 # perf_budget
 #
-# The hot-path benchmark itself lives in repro.perf.scenarios (the
-# perf harness's ``server_under_load`` scenario) and is imported above,
-# so ``python -m repro.perf`` and this check time the identical code.
-# The gate seed equals repro.perf's HOTPATH_SEED; both are asserted
-# equal by the test suite.
+# The hot-path benchmark lives in repro.perf.scenarios (the perf
+# harness's ``server_under_load`` scenario) and is imported above.  The
+# gate judges fidelity and determinism, so it pins the benchmark's
+# event count; ``python -m repro.perf`` judges its throughput
+# (``perf.server_under_load.events_per_s``, best of three) against the
+# same baseline file.  The gate seed equals repro.perf's HOTPATH_SEED;
+# both are asserted equal by the test suite.
 
 
 def hotpath_measurements(result: HotpathResult) -> list[Measurement]:
-    """Band the hot-path benchmark: throughput floors, exact event count.
+    """Band the hot-path benchmark: an exact event count.
 
-    The throughput floors are deliberately loose (an absolute minimum
-    plus wide relative slack) — they catch order-of-magnitude
-    regressions without flaking on slower CI machines.  The event
-    count, in contrast, is bit-deterministic: any drift means the
-    engine's scheduling semantics changed.
+    The event count is bit-deterministic: any drift means the engine's
+    scheduling semantics changed.  The wall time is recorded only.
     """
     return [
-        Measurement(
-            "hotpath_events_per_s",
-            result.events_per_s,
-            Band(lo=2_000.0, rel_lo=0.15, unit="events/s"),
-            paper_ref="sim hot-path wall-clock budget",
-            baseline_key=True,
-        ),
-        Measurement(
-            "hotpath_requests_per_s",
-            result.requests_per_s,
-            Band(lo=1_000.0, rel_lo=0.15, unit="req/s"),
-            paper_ref="sim hot-path wall-clock budget",
-            baseline_key=True,
-        ),
         Measurement(
             "hotpath_events_run",
             float(result.events_run),
@@ -497,9 +483,7 @@ def hotpath_measurements(result: HotpathResult) -> list[Measurement]:
             paper_ref="deterministic event count of the synthetic trace",
             baseline_key=True,
         ),
-        Measurement(
-            "hotpath_wall_time_s", result.wall_time_s, None
-        ),
+        Measurement("hotpath_wall_time_s", result.wall_time_s, None),
     ]
 
 
@@ -555,7 +539,7 @@ CHECKS: dict[str, GateCheck] = {
         ),
         GateCheck(
             name="perf_budget",
-            description="simulator hot-path throughput and event count",
+            description="simulator hot-path event count (determinism)",
             paper_ref="sim/engine + sim/server hot path",
             cells=lambda s: (),
             evaluate=_evaluate_hotpath,

@@ -9,54 +9,20 @@ from the artifact alone.
 
 from __future__ import annotations
 
-import json
-import platform
-import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from ..artifacts import write_json
 from .bands import EvaluatedMeasurement
 
 __all__ = [
     "REPORT_SCHEMA_VERSION",
     "CheckReport",
     "GateReport",
-    "git_sha",
 ]
 
 REPORT_SCHEMA_VERSION = 1
-
-
-def git_sha(repo_root: str | Path | None = None) -> str:
-    """The current commit hash, or ``"unknown"`` outside a checkout."""
-    root = Path(repo_root) if repo_root is not None else Path.cwd()
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=root,
-            capture_output=True,
-            text=True,
-            timeout=10,
-            check=False,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else "unknown"
-
-
-def _environment() -> dict[str, Any]:
-    import numpy
-
-    import repro
-
-    return {
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "repro": getattr(repro, "__version__", "unknown"),
-        "platform": platform.platform(),
-    }
 
 
 @dataclass
@@ -92,16 +58,23 @@ class CheckReport:
 class GateReport:
     """The full gate outcome, serialisable as ``BENCH_gate.json``."""
 
-    mode: str
     checks: list[CheckReport]
     total_wall_time_s: float
     cells_total: int
     cells_executed: int
     cells_from_cache: int
     payload_hits: int
-    sha: str = "unknown"
+    #: :func:`repro.artifacts.artifact_header` of the run (mode, SHA, ...).
+    header: dict[str, Any]
     baselines_used: bool = False
-    environment: dict[str, Any] = field(default_factory=_environment)
+
+    @property
+    def mode(self) -> str:
+        return self.header["mode"]
+
+    @property
+    def sha(self) -> str:
+        return self.header["git_sha"]
 
     @property
     def passed(self) -> bool:
@@ -128,10 +101,7 @@ class GateReport:
             "errored": sum(1 for c in self.checks if c.status == "error"),
         }
         return {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "generated_by": "repro.gate",
-            "git_sha": self.sha,
-            "mode": self.mode,
+            **self.header,
             "status": self.status,
             "counts": counts,
             "timing": {
@@ -142,21 +112,12 @@ class GateReport:
                 "payload_hits": self.payload_hits,
             },
             "baselines_used": self.baselines_used,
-            "environment": self.environment,
             "checks": [c.as_dict() for c in self.checks],
         }
 
-    def to_json(self) -> str:
-        """Canonical serialisation (stable key order, trailing newline)."""
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-
     def write(self, path: str | Path) -> Path:
         """Write ``BENCH_gate.json`` to ``path``; returns the path."""
-        target = Path(path)
-        if target.parent != Path("."):
-            target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(self.to_json(), encoding="utf-8")
-        return target
+        return write_json(self.to_json_dict(), path)
 
     def render_summary(self) -> str:
         """The human-readable verdict printed after a run."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Mapping, Sequence
 
+from ..artifacts import artifact_header
 from ..errors import ConfigError
 from ..exec.cache import ResultCache
 from ..exec.pool import ProgressEvent, run_sweep
@@ -21,7 +22,7 @@ from ..exec.spec import CellResult, CellSpec
 from .bands import EvaluatedMeasurement, Measurement, evaluate_measurement
 from .baselines import load_baselines
 from .checks import CHECKS, GateCheck, GateScale, scale_for_mode
-from .report import CheckReport, GateReport, git_sha
+from .report import REPORT_SCHEMA_VERSION, CheckReport, GateReport
 
 __all__ = ["GateContext", "run_gate", "select_checks", "baseline_metrics"]
 
@@ -208,14 +209,13 @@ def run_gate(
         )
 
     return GateReport(
-        mode=mode,
         checks=check_reports,
         total_wall_time_s=time.perf_counter() - started,
         cells_total=len(cells),
         cells_executed=len(cells) - cells_from_cache,
         cells_from_cache=cells_from_cache,
         payload_hits=ctx.payload_hits,
-        sha=git_sha(),
+        header=artifact_header("repro.gate", REPORT_SCHEMA_VERSION, mode),
         baselines_used=bool(baselines),
     )
 

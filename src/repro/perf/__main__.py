@@ -1,8 +1,10 @@
 """``python -m repro.perf`` — run the hot-path benchmark harness.
 
-Runs the registered scenarios (best-of-``--repeats`` each), writes
-``BENCH_perf.json``, compares throughput against the checked-in
-baseline and exits non-zero on a regression beyond the threshold.
+Runs the registered scenarios (best-of-``--repeats`` each), judges
+each scenario's throughput against its baseline in the shared baseline
+store (``benchmarks/baselines/gate_baseline.json``; see
+:mod:`repro.perf.report`), writes ``BENCH_perf.json`` and exits 1 when
+any throughput falls below its floor.
 
 Examples::
 
@@ -17,15 +19,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .report import (
-    DEFAULT_BASELINE_PATH,
-    DEFAULT_REGRESSION_THRESHOLD,
-    build_report,
-    compare_to_baseline,
-    load_baseline,
-    update_baseline,
-    write_report,
+from ..artifacts import git_sha, write_json
+from ..gate.bands import evaluate_measurement
+from ..gate.baselines import (
+    default_baselines_path,
+    load_baselines,
+    merge_baselines,
+    save_baselines,
 )
+from .report import build_report, throughput_measurements
 from .runner import run_scenario
 from .scenarios import SCENARIOS, scenario
 
@@ -57,20 +59,16 @@ def main(argv: list[str] | None = None) -> int:
         help="report path (default: BENCH_perf.json)",
     )
     parser.add_argument(
-        "--baseline",
-        default=str(DEFAULT_BASELINE_PATH),
-        help="baseline JSON path",
+        "--baselines",
+        default=None,
+        metavar="PATH",
+        help=f"baseline JSON (default {default_baselines_path()})",
     )
     parser.add_argument(
         "--update-baselines",
         action="store_true",
-        help="refresh the baseline for this mode instead of gating",
-    )
-    parser.add_argument(
-        "--regression-threshold",
-        type=float,
-        default=DEFAULT_REGRESSION_THRESHOLD,
-        help="relative throughput drop that fails the run (default 0.30)",
+        help="store this run's throughputs as the baselines for this mode "
+        "instead of gating",
     )
     parser.add_argument(
         "--profile",
@@ -108,20 +106,27 @@ def main(argv: list[str] | None = None) -> int:
         )
         runs.append(run)
 
-    report = build_report(runs, fast=args.fast)
-    write_report(report, args.output)
+    mode = "fast" if args.fast else "full"
+    measurements = throughput_measurements(runs)
+    baselines = load_baselines(args.baselines, mode=mode)
+    evaluated = [evaluate_measurement(m, baselines) for m in measurements]
+    write_json(build_report(runs, args.fast, evaluated), args.output)
     print(f"[perf] wrote {args.output}")
 
     if args.update_baselines:
-        update_baseline(report, args.baseline)
-        print(f"[perf] baseline updated: {args.baseline}")
+        document = merge_baselines(
+            load_baselines(args.baselines),
+            mode,
+            {m.metric: m.value for m in measurements},
+            git_sha(),
+        )
+        target = save_baselines(document, args.baselines)
+        print(f"[perf] baselines for mode={mode} updated at {target}")
         return 0
 
-    failures = compare_to_baseline(
-        report, load_baseline(args.baseline), args.regression_threshold
-    )
-    for message in failures:
-        print(f"[perf] REGRESSION {message}", file=sys.stderr)
+    failures = [m for m in evaluated if not m.passed]
+    for m in failures:
+        print(f"[perf] REGRESSION {m.describe()}", file=sys.stderr)
     if failures:
         return 1
     print("[perf] no regressions against baseline")

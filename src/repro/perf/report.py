@@ -1,72 +1,71 @@
-"""BENCH_perf.json assembly and baseline regression gating.
+"""Throughput judgement and BENCH_perf.json assembly.
 
-The report schema (version 1):
+Each scenario's throughput becomes one gate
+:class:`~repro.gate.bands.Measurement`, ``perf.<scenario>.<key>`` (for
+example ``perf.server_under_load.events_per_s``), banded at
+:data:`THROUGHPUT_REL_LO` of its stored baseline and judged by
+:func:`repro.gate.bands.evaluate_measurement` against the shared
+baseline store (:mod:`repro.gate.baselines`).  A scenario with no
+stored baseline is recorded with a note, not failed, so adding a
+scenario never fails CI before its baseline lands.
 
-.. code-block:: json
-
-    {
-      "schema": 1,
-      "mode": "fast",
-      "python": "3.12.3",
-      "platform": "linux",
-      "pre_pr_reference": {"events_per_s": 42539.0, "scenario": "..."},
-      "scenarios": {
-        "server_under_load": {
-          "size": 6000, "repeats": 3, "events_run": 12472.0,
-          "wall_time_s": 0.12, "events_per_s": 105000.0,
-          "peak_rss_kb": 91000.0, "all_wall_times_s": [...],
-          "speedup_vs_pre_pr": 2.47
-        }
-      }
-    }
-
-Baselines mirror the fidelity gate's: a small JSON checked into
-``benchmarks/baselines/perf_baseline.json`` holding each scenario's
-throughput per mode, refreshed via ``--update-baselines``.  The CI
-perf job fails when any scenario's throughput drops more than the
-regression threshold (default 30 %) below its baseline — loose enough
-for CI machine jitter, tight enough to catch real hot-path
-regressions.
+``BENCH_perf.json`` (schema 2) opens with the common artifact header,
+then records the verdict, each scenario's best-of-N metrics and the
+evaluated measurements with their effective floors and baselines.
 """
 
 from __future__ import annotations
 
-import json
-import platform
-import sys
-from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from ..errors import ConfigError
+from ..artifacts import artifact_header
+from ..gate.bands import Band, EvaluatedMeasurement, Measurement
 from .runner import ScenarioRun
 from .scenarios import PRE_PR_EVENTS_PER_S, SCENARIOS
 
 __all__ = [
-    "DEFAULT_BASELINE_PATH",
-    "DEFAULT_REGRESSION_THRESHOLD",
+    "THROUGHPUT_REL_LO",
+    "throughput_measurements",
     "build_report",
-    "write_report",
-    "load_baseline",
-    "update_baseline",
-    "compare_to_baseline",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
-#: Checked-in throughput baselines, next to the gate's.
-DEFAULT_BASELINE_PATH = Path("benchmarks/baselines/perf_baseline.json")
+#: A scenario fails when its throughput drops below this fraction of
+#: its baseline: loose enough for CI machine jitter, tight enough to
+#: catch real hot-path regressions.
+THROUGHPUT_REL_LO = 0.70
 
-#: Maximum tolerated relative throughput drop before CI fails.
-DEFAULT_REGRESSION_THRESHOLD = 0.30
+_UNITS = {"events_per_s": "events/s", "requests_per_s": "req/s"}
 
 
-def build_report(runs: Sequence[ScenarioRun], fast: bool) -> dict:
+def throughput_measurements(runs: Sequence[ScenarioRun]) -> list[Measurement]:
+    """One banded, baseline-keyed throughput measurement per run."""
+    measurements = []
+    for run in runs:
+        key = SCENARIOS[run.name].throughput_key
+        measurements.append(
+            Measurement(
+                f"perf.{run.name}.{key}",
+                run.metrics[key],
+                Band(rel_lo=THROUGHPUT_REL_LO, unit=_UNITS[key]),
+                paper_ref=f"best of {run.repeats} at size {run.size}",
+                baseline_key=True,
+            )
+        )
+    return measurements
+
+
+def build_report(
+    runs: Sequence[ScenarioRun],
+    fast: bool,
+    evaluated: Sequence[EvaluatedMeasurement] = (),
+) -> dict:
     """Assemble the BENCH_perf.json document from scenario runs."""
     mode = "fast" if fast else "full"
     pre_pr = PRE_PR_EVENTS_PER_S[mode]
     scenarios: dict[str, dict] = {}
     for run in runs:
-        spec = SCENARIOS[run.name]
         entry: dict = {
             "size": run.size,
             "repeats": run.repeats,
@@ -79,13 +78,11 @@ def build_report(runs: Sequence[ScenarioRun], fast: bool) -> dict:
             # (see scenarios.PRE_PR_EVENTS_PER_S); not a pass/fail bound.
             entry["pre_pr_events_per_s"] = pre_pr
             entry["speedup_vs_pre_pr"] = run.metrics["events_per_s"] / pre_pr
-        entry["throughput_key"] = spec.throughput_key
+        entry["throughput_key"] = SCENARIOS[run.name].throughput_key
         scenarios[run.name] = entry
     return {
-        "schema": SCHEMA_VERSION,
-        "mode": mode,
-        "python": platform.python_version(),
-        "platform": sys.platform,
+        **artifact_header("repro.perf", SCHEMA_VERSION, mode),
+        "status": "pass" if all(m.passed for m in evaluated) else "fail",
         "pre_pr_reference": {
             "scenario": "server_under_load",
             "events_per_s": pre_pr,
@@ -93,83 +90,5 @@ def build_report(runs: Sequence[ScenarioRun], fast: bool) -> dict:
             "optimisation pass; informational only",
         },
         "scenarios": scenarios,
+        "measurements": [m.as_dict() for m in evaluated],
     }
-
-
-def write_report(report: Mapping, path: str | Path) -> None:
-    """Write the report as pretty-printed JSON."""
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-
-
-def load_baseline(path: str | Path = DEFAULT_BASELINE_PATH) -> dict | None:
-    """Load the perf baseline, or None when it does not exist yet."""
-    p = Path(path)
-    if not p.exists():
-        return None
-    try:
-        return json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"corrupt perf baseline {p}: {exc}") from exc
-
-
-def update_baseline(
-    report: Mapping, path: str | Path = DEFAULT_BASELINE_PATH
-) -> dict:
-    """Refresh the baseline's entries for the report's mode.
-
-    Other modes' entries are preserved, so ``--fast
-    --update-baselines`` never clobbers the full-mode baseline.
-    """
-    path = Path(path)
-    baseline = load_baseline(path) or {"schema": SCHEMA_VERSION, "modes": {}}
-    mode_entry: dict[str, dict] = {}
-    for name, entry in report["scenarios"].items():
-        key = entry["throughput_key"]
-        mode_entry[name] = {
-            "throughput_key": key,
-            "throughput": entry[key],
-            "size": entry["size"],
-        }
-    baseline["modes"][report["mode"]] = mode_entry
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(baseline, indent=2, sort_keys=True) + "\n")
-    return baseline
-
-
-def compare_to_baseline(
-    report: Mapping,
-    baseline: Mapping | None,
-    threshold: float = DEFAULT_REGRESSION_THRESHOLD,
-) -> list[str]:
-    """Return one message per scenario regressing beyond ``threshold``.
-
-    A scenario regresses when its throughput falls more than
-    ``threshold`` (relative) below the baseline for the same mode and
-    size.  Scenarios absent from the baseline — or a missing baseline
-    entirely — are skipped, so adding a scenario never fails CI before
-    its baseline lands.  Size mismatches are skipped too: throughput
-    at different sizes is not comparable.
-    """
-    if baseline is None:
-        return []
-    mode_entry = baseline.get("modes", {}).get(report["mode"])
-    if not mode_entry:
-        return []
-    failures: list[str] = []
-    for name, entry in report["scenarios"].items():
-        base = mode_entry.get(name)
-        if base is None or base.get("size") != entry["size"]:
-            continue
-        key = base["throughput_key"]
-        current = entry.get(key)
-        reference = base.get("throughput")
-        if current is None or not reference:
-            continue
-        floor = reference * (1.0 - threshold)
-        if current < floor:
-            failures.append(
-                f"{name}: {key} {current:,.0f} is "
-                f"{100.0 * (1.0 - current / reference):.1f}% below "
-                f"baseline {reference:,.0f} (floor {floor:,.0f})"
-            )
-    return failures

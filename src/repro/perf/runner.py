@@ -55,9 +55,6 @@ class ScenarioRun:
     #: Wall time of every repeat, for dispersion reporting.
     all_wall_times_s: tuple[float, ...] = field(default_factory=tuple)
 
-    def throughput(self, key: str) -> float:
-        return self.metrics[key]
-
 
 def run_scenario(
     spec: ScenarioSpec,

@@ -9,13 +9,13 @@ Scenarios at increasing integration depth:
     Exercises push, pop, lazy skip and automatic heap compaction with
     no server logic in the way.
 ``server_under_load``
-    The synthetic hot-path benchmark the fidelity gate budgets: hand
-    made requests with lognormal demands over a three-group speedup
-    book, scheduled by AP at 500 qps.  No workload build, no predictor
-    — the wall clock is pure simulator.  This module is the single
-    home of that benchmark; :mod:`repro.gate.checks` imports it from
-    here so the gate's ``perf_budget`` check and ``python -m
-    repro.perf`` time the identical code.
+    The synthetic hot-path benchmark: hand made requests with
+    lognormal demands over a three-group speedup book, scheduled by AP
+    at 500 qps.  No workload build, no predictor — the wall clock is
+    pure simulator.  This module is the single home of that benchmark;
+    :mod:`repro.gate.checks` imports it from here and pins its event
+    count (``perf_budget``), while ``python -m repro.perf`` judges its
+    throughput.
 ``tracing_overhead``
     The hot-path benchmark run bare and then with the
     :mod:`repro.obs` observability layer attached — budgets the
@@ -33,7 +33,7 @@ time varies across machines.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from ..config import PredictorConfig, SearchWorkloadConfig, ServerConfig
@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 #: Seed of the hot-path benchmark; equals the gate seed so the gate's
-#: ``perf_budget`` check and the perf harness measure the same trace.
+#: ``perf_budget`` check and the perf harness run the same trace.
 HOTPATH_SEED = 93
 
 #: ``server_under_load`` events/sec per mode on the development machine
@@ -195,7 +195,7 @@ def run_engine_only(size: int, seed: int = HOTPATH_SEED) -> dict[str, float]:
 def run_server_under_load(
     size: int, seed: int = HOTPATH_SEED
 ) -> dict[str, float]:
-    """The gate's hot-path benchmark as a perf scenario."""
+    """The hot-path benchmark as a perf scenario."""
     result = run_hotpath_benchmark(size, seed)
     return {
         "size": float(size),
@@ -319,10 +319,8 @@ class ScenarioSpec:
     runner: Callable[[int, int], Mapping[str, float]]
     fast_size: int
     full_size: int
-    #: Key of the throughput metric the baseline gate compares.
+    #: Key of the throughput metric judged against the baseline.
     throughput_key: str = "events_per_s"
-    #: Extra metadata attached to reports.
-    notes: dict[str, float] = field(default_factory=dict)
 
     def size_for(self, fast: bool) -> int:
         return self.fast_size if fast else self.full_size

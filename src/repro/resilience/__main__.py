@@ -2,7 +2,7 @@
 
 Compares Sequential / Pred / TPC under a fault campaign with and
 without aggregator mitigations (wait-for-k, hedging) and writes a
-``BENCH_resilience.json`` artifact in the gate's report style.
+``BENCH_resilience.json`` artifact with the common report header.
 
 Exit status: 0 on success, 2 on usage errors or a failed run.
 """
@@ -13,10 +13,11 @@ import argparse
 import sys
 from typing import Sequence
 
+from ..artifacts import write_json
 from ..errors import ReproError
 from ..exec.cache import ResultCache, default_cache
 from ..exec.pool import log_progress
-from .report import build_report, render_summary, write_report
+from .report import build_report, render_summary
 from .scenarios import SCENARIOS, list_scenarios, run_scenario
 
 __all__ = ["main"]
@@ -122,7 +123,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
     report = build_report(results)
-    path = write_report(report, args.output)
+    path = write_json(report, args.output)
     print(render_summary(results))
     print(f"report written to {path}")
     return 0

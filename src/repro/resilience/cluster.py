@@ -25,6 +25,10 @@ withdrawn through :meth:`repro.sim.server.Server.cancel_request`, and
 its executed work is charged to ``wasted_work_ms``.  Per-query hedge
 timers exist only when hedging is enabled, and per-node live-replica
 maps only when the fault spec has blackouts to kill replicas with.
+
+A blackout can kill a shard's last live replica after the query's one
+hedge timer fired; with both hedging and blackouts on, such a kill
+re-arms the timer, which re-issues these *orphaned* shards first.
 """
 
 from __future__ import annotations
@@ -105,6 +109,13 @@ def run_shared_resilient(
     node_live: list[dict[int, Request]] | None = (
         [{} for _ in range(num_isns)] if blackouts else None
     )
+    #: Hedging under blackouts only: each query's hedge-timer arguments
+    #: (to re-arm the timer after a kill), and the latest hedge per
+    #: (qid, shard) (to tell whether a shard still has a live replica).
+    rearm: dict[int, tuple[Request, np.ndarray, list]] | None = (
+        {} if hedging and blackouts else None
+    )
+    last_hedge: dict[tuple[int, int], Request] = {}
 
     stats = {
         "hedges_issued": 0,
@@ -191,6 +202,28 @@ def run_shared_resilient(
             if request.state not in _LIVE:  # pragma: no cover - guard
                 continue
             _cancel(request, isn, cause="blackout")
+            if rearm is not None:
+                _rearm_hedge_timer(request, isn)
+
+    def _orphaned(qid: int, shard: int, primaries: list) -> bool:
+        """True when no replica of the shard is live any more."""
+        return all(
+            r is None or r.state not in _LIVE
+            for r in (primaries[shard], last_hedge.get((qid, shard)))
+        )
+
+    def _rearm_hedge_timer(killed: Request, node: int) -> None:
+        # A query's hedge timer fires once; a replica killed after that
+        # would leave its shard unserved forever, so arm the timer again
+        # while the query still waits for a shard with no live replica.
+        qid, shard = hedge_of.get(killed.rid, (killed.rid, node))
+        if qid in timers:
+            return
+        seen, answered = aggregator.progress(qid)
+        request, jitter, primaries = rearm[qid]
+        if answered or shard in seen or not _orphaned(qid, shard, primaries):
+            return
+        _arm_hedge_timer(request, jitter, primaries, engine.now)
 
     for t, isn in fspec.transition_times(FaultKind.BLACKOUT):
         engine.schedule_at(
@@ -208,8 +241,8 @@ def run_shared_resilient(
 
     hedge_rid = max((r.rid for r in logical), default=0) + 1  # fresh rids
 
-    def _pick_secondary(shard: int, t_ms: float) -> int | None:
-        """Least-loaded healthy node other than the shard's own ISN."""
+    def _pick_secondary(shard: int | None, t_ms: float) -> int | None:
+        """Least-loaded healthy node other than ISN ``shard``."""
         best: int | None = None
         best_load = -1
         for isn in range(num_isns):
@@ -219,6 +252,17 @@ def run_shared_resilient(
             if best is None or load < best_load:
                 best, best_load = isn, load
         return best
+
+    def _arm_hedge_timer(
+        request: Request,
+        jitter: np.ndarray,
+        primaries: list[Request | None],
+        from_ms: float,
+    ) -> None:
+        timers[request.rid] = engine.schedule_at(
+            from_ms + float(hpolicy.hedge_timeout_ms),
+            lambda: _on_hedge_timer(request, jitter, primaries),
+        )
 
     def _on_hedge_timer(
         request: Request, jitter: np.ndarray, primaries: list[Request | None]
@@ -230,13 +274,26 @@ def run_shared_resilient(
         seen, _ = aggregator.progress(qid)
         stats["timeout_fires"] += 1
         now = engine.now
+        shards: list[int] | range = range(num_isns)
+        orphans: list[int] = []
+        if rearm is not None:
+            # Shards a blackout left without a live replica go first.
+            orphans = [
+                s
+                for s in shards
+                if s not in seen and _orphaned(qid, s, primaries)
+            ]
+            shards = orphans + [s for s in shards if s not in orphans]
         issued = 0
-        for shard in range(num_isns):
+        for shard in shards:
             if shard in seen:
                 continue
             if issued >= hpolicy.max_hedges_per_query:
                 break
-            secondary = _pick_secondary(shard, now)
+            # An orphaned shard may go back to its own ISN once healthy.
+            secondary = _pick_secondary(
+                None if shard in orphans else shard, now
+            )
             if secondary is None:
                 continue
             hedge = Request(
@@ -257,11 +314,20 @@ def run_shared_resilient(
                 tied[(qid, shard)] = (hedge, secondary)
             if node_live is not None:
                 node_live[secondary][hedge.rid] = hedge
+            if rearm is not None:
+                last_hedge[(qid, shard)] = hedge
             servers[secondary].submit(hedge)
             issued += 1
         stats["hedges_issued"] += issued
         if issued:
             stats["hedged_queries"] += 1
+        if (
+            orphans
+            and issued >= hpolicy.max_hedges_per_query
+            and any(_orphaned(qid, s, primaries) for s in orphans)
+        ):
+            # The budget ran out before every orphaned shard was re-issued.
+            _arm_hedge_timer(request, jitter, primaries, now)
 
     # -- fan-out --------------------------------------------------------
 
@@ -300,10 +366,9 @@ def run_shared_resilient(
                     node_live[isn][qid] = replica
                 servers[isn].submit(replica)
             if hedging:
-                timers[qid] = engine.schedule_at(
-                    at_ms + float(hpolicy.hedge_timeout_ms),
-                    lambda: _on_hedge_timer(request, jitter, reps),
-                )
+                _arm_hedge_timer(request, jitter, reps, at_ms)
+                if rearm is not None:
+                    rearm[qid] = (request, jitter, reps)
 
         engine.schedule_at(at_ms, fan_out)
 

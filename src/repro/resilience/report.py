@@ -1,25 +1,23 @@
 """``BENCH_resilience.json`` and the human-readable scenario summary.
 
-Follows the conventions of :mod:`repro.gate.report`: the artifact is
-versioned (schema), attributed (git SHA, mode), and self-contained —
-every (policy, variant) row with its latency percentiles and
-mitigation accounting, plus the per-policy tail improvement of each
-variant over the scenario's baseline variant.
+The artifact opens with the common header of
+:func:`repro.artifacts.artifact_header` (schema, producer, git SHA,
+mode, environment) and is self-contained: every (policy, variant) row
+with its latency percentiles and mitigation accounting, plus the
+per-policy tail improvement of each variant over the scenario's
+baseline variant.  Write it with :func:`repro.artifacts.write_json`.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Any, Sequence
 
-from ..gate.report import git_sha
+from ..artifacts import artifact_header
 from .scenarios import ScenarioResult
 
 __all__ = [
     "REPORT_SCHEMA_VERSION",
     "build_report",
-    "write_report",
     "render_summary",
 ]
 
@@ -71,25 +69,12 @@ def _scenario_dict(result: ScenarioResult) -> dict[str, Any]:
 
 def build_report(results: Sequence[ScenarioResult]) -> dict[str, Any]:
     """Assemble the full JSON document for one or more scenario runs."""
+    mode = "fast" if any(r.fast for r in results) else "full"
     return {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "generated_by": "repro.resilience",
-        "git_sha": git_sha(),
-        "mode": "fast" if any(r.fast for r in results) else "full",
+        **artifact_header("repro.resilience", REPORT_SCHEMA_VERSION, mode),
         "status": "ok",
         "scenarios": [_scenario_dict(r) for r in results],
     }
-
-
-def write_report(report: dict[str, Any], path: str | Path) -> Path:
-    """Write the artifact (stable key order, trailing newline)."""
-    target = Path(path)
-    if target.parent != Path("."):
-        target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return target
 
 
 def render_summary(results: Sequence[ScenarioResult]) -> str:

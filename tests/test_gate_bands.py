@@ -222,6 +222,19 @@ class TestBaselines:
         assert load_baselines(path, mode="full") == {"x": 2.0}
         assert load_baselines(path, mode="unknown") == {}
 
+    def test_merge_keeps_other_metrics_of_the_mode(self):
+        # `--only perf_budget --update-baselines` used to drop tpc_*.
+        document = merge_baselines({}, "fast", {"tpc_p99@450": 73.844862})
+        document = merge_baselines(
+            document, "fast", {"hotpath_events_run": 12472.0}
+        )
+        assert document["modes"]["fast"] == {
+            "tpc_p99@450": 73.844862,
+            "hotpath_events_run": 12472.0,
+        }
+        document = merge_baselines(document, "fast", {"tpc_p99@450": 70.0})
+        assert document["modes"]["fast"]["tpc_p99@450"] == 70.0
+
     def test_corrupt_file_raises_config_error(self, tmp_path):
         path = tmp_path / "gate_baseline.json"
         path.write_text("{not json", encoding="utf-8")

@@ -1,23 +1,45 @@
 """Tests for the perf benchmark harness (repro.perf)."""
 
 import json
+import shutil
 
 import pytest
 
+from repro.artifacts import write_json
 from repro.errors import ConfigError
+from repro.gate.bands import evaluate_measurement
+from repro.gate.baselines import (
+    default_baselines_path,
+    load_baselines,
+    merge_baselines,
+    save_baselines,
+)
 from repro.perf import (
     HOTPATH_SEED,
     SCENARIOS,
+    THROUGHPUT_REL_LO,
     build_report,
-    compare_to_baseline,
-    load_baseline,
     run_scenario,
     scenario,
-    update_baseline,
-    write_report,
+    throughput_measurements,
 )
-from repro.perf.runner import peak_rss_kb
+from repro.perf.runner import ScenarioRun, peak_rss_kb
 from repro.perf.scenarios import run_engine_only, run_server_under_load
+
+#: Throughputs of the retired perf-harness baseline file, carried over into
+#: the shared baseline store: no floor may sit below 70 % of these.
+CARRIED_OVER_BASELINES = {
+    "fast": {
+        "end_to_end_cell": 622.2764773539755,
+        "engine_only": 461823.2501670652,
+        "server_under_load": 119123.97497302451,
+    },
+    "full": {
+        "end_to_end_cell": 2253.0090247945955,
+        "engine_only": 508427.6393497685,
+        "server_under_load": 112536.21930608583,
+    },
+}
 
 
 class TestScenarioRegistry:
@@ -86,122 +108,161 @@ class TestRunner:
         assert peak_rss_kb() > 0.0
 
 
+def _judge(runs, baselines):
+    return [
+        evaluate_measurement(m, baselines)
+        for m in throughput_measurements(runs)
+    ]
+
+
 class TestReportAndBaseline:
-    def _report(self, fast=True):
-        runs = [
+    def _runs(self):
+        return [
             run_scenario(scenario("engine_only"), 1_000, repeats=1),
             run_scenario(scenario("server_under_load"), 300, repeats=1),
         ]
-        return build_report(runs, fast=fast)
 
     def test_report_schema(self, tmp_path):
-        report = self._report()
+        runs = self._runs()
+        report = build_report(runs, fast=True, evaluated=_judge(runs, {}))
+        assert report["schema_version"] == 2
+        assert report["generated_by"] == "repro.perf"
         assert report["mode"] == "fast"
+        assert report["status"] == "pass"
+        assert "python" not in report and "platform" not in report
         entry = report["scenarios"]["server_under_load"]
         assert entry["speedup_vs_pre_pr"] > 0.0
         assert entry["pre_pr_events_per_s"] > 0.0
         assert entry["peak_rss_kb"] > 0.0
-        out = tmp_path / "BENCH_perf.json"
-        write_report(report, out)
-        assert json.loads(out.read_text())["schema"] == 1
+        assert [m["metric"] for m in report["measurements"]] == [
+            "perf.engine_only.events_per_s",
+            "perf.server_under_load.events_per_s",
+        ]
+        out = write_json(report, tmp_path / "BENCH_perf.json")
+        assert json.loads(out.read_text())["schema_version"] == 2
 
     def test_baseline_roundtrip_and_mode_isolation(self, tmp_path):
-        path = tmp_path / "perf_baseline.json"
-        assert load_baseline(path) is None
-        fast = self._report(fast=True)
-        update_baseline(fast, path)
-        full = self._report(fast=False)
-        update_baseline(full, path)
-        baseline = load_baseline(path)
-        assert set(baseline["modes"]) == {"fast", "full"}
+        path = tmp_path / "gate_baseline.json"
+        assert load_baselines(path) == {}
+        values = {
+            m.metric: m.value for m in throughput_measurements(self._runs())
+        }
+        document = merge_baselines({}, "fast", values)
+        document = merge_baselines(document, "full", values)
+        save_baselines(document, path)
+        assert set(load_baselines(path)["modes"]) == {"fast", "full"}
         # Updating one mode must not clobber the other.
-        update_baseline(self._report(fast=True), path)
-        assert "full" in load_baseline(path)["modes"]
+        document = merge_baselines(load_baselines(path), "fast", values)
+        save_baselines(document, path)
+        assert set(load_baselines(path, mode="full")) == set(values)
 
-    def test_no_regression_against_own_baseline(self, tmp_path):
-        path = tmp_path / "perf_baseline.json"
-        report = self._report()
-        update_baseline(report, path)
-        assert compare_to_baseline(report, load_baseline(path)) == []
+    def test_no_regression_against_own_baseline(self):
+        runs = self._runs()
+        own = {m.metric: m.value for m in throughput_measurements(runs)}
+        assert all(m.passed for m in _judge(runs, own))
 
-    def test_regression_detected(self, tmp_path):
-        path = tmp_path / "perf_baseline.json"
-        report = self._report()
-        update_baseline(report, path)
-        baseline = load_baseline(path)
-        entry = baseline["modes"]["fast"]["engine_only"]
-        entry["throughput"] = entry["throughput"] * 100.0
-        failures = compare_to_baseline(report, baseline, threshold=0.30)
-        assert len(failures) == 1
-        assert "engine_only" in failures[0]
+    def test_regression_detected(self):
+        runs = self._runs()
+        doctored = {
+            m.metric: m.value for m in throughput_measurements(runs)
+        }
+        doctored["perf.engine_only.events_per_s"] *= 100.0
+        failures = [m for m in _judge(runs, doctored) if not m.passed]
+        assert [m.metric for m in failures] == [
+            "perf.engine_only.events_per_s"
+        ]
+        assert failures[0].lo == pytest.approx(
+            THROUGHPUT_REL_LO * doctored["perf.engine_only.events_per_s"]
+        )
 
     def test_missing_baseline_entries_skipped(self):
-        report = self._report()
-        assert compare_to_baseline(report, None) == []
-        assert compare_to_baseline(report, {"modes": {}}) == []
-        # Size mismatch: not comparable, skipped.
-        baseline = {
-            "modes": {
-                "fast": {
-                    "engine_only": {
-                        "throughput_key": "events_per_s",
-                        "throughput": 10.0**12,
-                        "size": 999,
-                    }
-                }
-            }
-        }
-        assert compare_to_baseline(report, baseline) == []
+        # No stored baseline: the relative floor is skipped with a note.
+        for m in _judge(self._runs(), {}):
+            assert m.passed and m.lo is None
+            assert "no baseline" in m.note
 
     def test_corrupt_baseline_rejected(self, tmp_path):
-        path = tmp_path / "perf_baseline.json"
+        from repro.perf.__main__ import main
+
+        path = tmp_path / "gate_baseline.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError):
-            load_baseline(path)
+            main(_cli_args(tmp_path, path))
+
+
+class TestSharedStore:
+    @pytest.mark.parametrize("mode", ["fast", "full"])
+    def test_floors_not_lowered(self, mode):
+        """Every carried-over throughput floor is 0.70 x its old value."""
+        baselines = load_baselines(mode=mode)
+        for name, old in CARRIED_OVER_BASELINES[mode].items():
+            spec = SCENARIOS[name]
+            run = ScenarioRun(
+                name=name,
+                size=spec.size_for(mode == "fast"),
+                repeats=3,
+                metrics={spec.throughput_key: 0.0},
+                peak_rss_kb=0.0,
+            )
+            (judged,) = _judge([run], baselines)
+            assert judged.metric == f"perf.{name}.{spec.throughput_key}"
+            assert judged.lo == pytest.approx(0.70 * old, rel=1e-9)
+        # tracing_overhead stays ungated: it has no stored baseline.
+        assert not any(k.startswith("perf.tracing_overhead.") for k in baselines)
+
+
+def _cli_args(tmp_path, baselines):
+    return [
+        "--fast",
+        "--only",
+        "engine_only",
+        "--repeats",
+        "1",
+        "--output",
+        str(tmp_path / "BENCH_perf.json"),
+        "--baselines",
+        str(baselines),
+    ]
 
 
 class TestCli:
     def test_cli_smoke_update_and_gate(self, tmp_path):
         from repro.perf.__main__ import main
 
-        baseline = tmp_path / "perf_baseline.json"
-        output = tmp_path / "BENCH_perf.json"
-        args = [
-            "--fast",
-            "--only",
-            "engine_only",
-            "--repeats",
-            "1",
-            "--output",
-            str(output),
-            "--baseline",
-            str(baseline),
-        ]
+        baselines = tmp_path / "gate_baseline.json"
+        args = _cli_args(tmp_path, baselines)
         assert main(args + ["--update-baselines"]) == 0
-        assert baseline.exists()
+        assert "perf.engine_only.events_per_s" in load_baselines(
+            baselines, mode="fast"
+        )
         assert main(args) == 0
-        report = json.loads(output.read_text())
+        report = json.loads((tmp_path / "BENCH_perf.json").read_text())
         assert "engine_only" in report["scenarios"]
+        assert report["status"] == "pass"
 
-    def test_cli_fails_on_regression(self, tmp_path):
+    def test_cli_fails_on_regression(self, tmp_path, capsys):
+        """A doctored copy of the shipped baselines fails the run."""
         from repro.perf.__main__ import main
 
-        baseline = tmp_path / "perf_baseline.json"
-        output = tmp_path / "BENCH_perf.json"
-        args = [
-            "--fast",
-            "--only",
-            "engine_only",
-            "--repeats",
-            "1",
-            "--output",
-            str(output),
-            "--baseline",
-            str(baseline),
-        ]
-        assert main(args + ["--update-baselines"]) == 0
-        doc = json.loads(baseline.read_text())
-        entry = doc["modes"]["fast"]["engine_only"]
-        entry["throughput"] = entry["throughput"] * 100.0
-        baseline.write_text(json.dumps(doc))
-        assert main(args) == 1
+        baselines = tmp_path / "gate_baseline.json"
+        shutil.copy(default_baselines_path(), baselines)
+        doc = load_baselines(baselines)
+        doc["modes"]["fast"]["perf.engine_only.events_per_s"] *= 100.0
+        save_baselines(doc, baselines)
+        assert main(_cli_args(tmp_path, baselines)) == 1
+        assert "perf.engine_only.events_per_s" in capsys.readouterr().err
+
+    def test_cli_update_keeps_gate_baselines(self, tmp_path):
+        from repro.perf.__main__ import main
+
+        baselines = tmp_path / "gate_baseline.json"
+        shutil.copy(default_baselines_path(), baselines)
+        before = load_baselines(baselines)["modes"]
+        args = _cli_args(tmp_path, baselines) + ["--update-baselines"]
+        assert main(args) == 0
+        after = load_baselines(baselines)["modes"]
+        for mode, metrics in before.items():
+            assert set(metrics) <= set(after[mode])
+            for metric, value in metrics.items():
+                if metric != "perf.engine_only.events_per_s":
+                    assert after[mode][metric] == value

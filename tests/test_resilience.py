@@ -394,6 +394,23 @@ class TestResilientCluster:
         assert result.resilience.dropped_replicas > 0
         assert result.resilience.hedge_wins > 0
 
+    def test_hedged_rolling_blackout_terminates(self, tiny_search_workload):
+        # A replica killed after its query's hedge timer fired used to
+        # leave the shard unserved: "engine drained with 399/400".
+        result = run_cluster_experiment(
+            tiny_search_workload, "Sequential", qps=300.0, n_queries=400,
+            seed=5,
+            cluster_config=ClusterConfig(num_isns=4),
+            fault_spec=FaultSpec.rolling_blackout(4, 150.0, 300.0, 50.0),
+            hedge_policy=HedgePolicy.hedged(
+                30.0, tie_cancel=False, wait_for_k=3
+            ),
+        )
+        assert len(result.aggregator_latencies_ms) == 400
+        stats = result.resilience
+        assert stats.hedges_issued > 0
+        assert stats.hedge_wins <= stats.hedges_issued
+
     def test_degraded_window_applies(
         self, tiny_search_workload, target_table
     ):
@@ -550,16 +567,13 @@ class TestScenarios:
     def test_report_roundtrip(self, straggler_result, tmp_path):
         import json
 
-        from repro.resilience.report import (
-            build_report,
-            render_summary,
-            write_report,
-        )
+        from repro.artifacts import write_json
+        from repro.resilience.report import build_report, render_summary
 
         report = build_report([straggler_result])
         assert report["schema_version"] == 1
         assert report["status"] == "ok"
-        path = write_report(report, tmp_path / "BENCH_resilience.json")
+        path = write_json(report, tmp_path / "BENCH_resilience.json")
         loaded = json.loads(path.read_text())
         assert loaded["scenarios"][0]["name"] == "one-straggler"
         rows = loaded["scenarios"][0]["rows"]
