@@ -187,8 +187,6 @@ class PredictorConfig:
     max_depth: int = 5
     min_samples_leaf: int = 8
     subsample: float = 0.8
-    #: Fraction of generated queries used for training (rest evaluates).
-    train_fraction: float = 0.5
     #: The long-query classification threshold (ms) used for
     #: precision/recall reporting and by the Pred policy.
     long_threshold_ms: float = 80.0
@@ -205,8 +203,6 @@ class PredictorConfig:
             raise ConfigError("max_depth must be >= 1")
         if not 0 < self.subsample <= 1:
             raise ConfigError("subsample must be in (0, 1]")
-        if not 0 < self.train_fraction < 1:
-            raise ConfigError("train_fraction must be in (0, 1)")
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,11 @@ Features are pre-binned into at most 256 quantile bins; each split
 search accumulates per-bin sums with ``np.bincount`` and scans the
 variance-gain of every bin boundary — the same strategy LightGBM-class
 learners use, compact enough to implement and verify from scratch.
+
+Both hot paths are vectorised across features and nodes: one offset
+``bincount`` builds every feature's histogram of a node at once, and
+prediction routes all rows through flat node arrays, one ``np.where``
+per level.
 """
 
 from __future__ import annotations
@@ -55,10 +60,6 @@ class FeatureBinner:
             binned[:, j] = np.searchsorted(edges, X[:, j], side="right")
         return binned
 
-    def num_bins(self, feature: int) -> int:
-        """Number of distinct bins of one feature."""
-        return len(self._edges[feature]) + 1
-
 
 @dataclass(frozen=True)
 class _Node:
@@ -83,6 +84,9 @@ class RegressionTree:
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self._nodes: list[_Node] = []
+        #: ``_nodes`` as parallel (feature, threshold, left, right, value)
+        #: arrays for routing; leaves point to themselves.
+        self._flat: tuple[np.ndarray, ...] = ()
 
     @property
     def num_nodes(self) -> int:
@@ -97,94 +101,109 @@ class RegressionTree:
             raise PredictionError("binned features and targets must align")
         if len(y) == 0:
             raise PredictionError("cannot fit a tree on zero samples")
+        # Offset every feature's codes into its own bin range so one
+        # bincount per node yields all features' histograms.
+        width = int(X.max()) + 1 if X.size else 1
+        codes = X.astype(np.int64) + np.arange(X.shape[1]) * width
         self._nodes = []
-        self._grow(X, y, np.arange(len(y)), depth=0)
+        self._grow(X, codes, width, y, np.arange(len(y)), depth=0)
+        self._flat = self._flatten()
         return self
 
     def _grow(
-        self, X: np.ndarray, y: np.ndarray, rows: np.ndarray, depth: int
+        self,
+        X: np.ndarray,
+        codes: np.ndarray,
+        width: int,
+        y: np.ndarray,
+        rows: np.ndarray,
+        depth: int,
     ) -> int:
         node_id = len(self._nodes)
         value = float(y[rows].mean())
         self._nodes.append(_Node(-1, -1, -1, -1, value, True))
         if depth >= self.max_depth or len(rows) < 2 * self.min_samples_leaf:
             return node_id
-        split = self._best_split(X, y, rows)
+        split = self._best_split(codes, width, y, rows)
         if split is None:
             return node_id
         feature, threshold_bin = split
         go_left = X[rows, feature] <= threshold_bin
         left_rows = rows[go_left]
         right_rows = rows[~go_left]
-        left_id = self._grow(X, y, left_rows, depth + 1)
-        right_id = self._grow(X, y, right_rows, depth + 1)
+        left_id = self._grow(X, codes, width, y, left_rows, depth + 1)
+        right_id = self._grow(X, codes, width, y, right_rows, depth + 1)
         self._nodes[node_id] = _Node(
             feature, threshold_bin, left_id, right_id, value, False
         )
         return node_id
 
     def _best_split(
-        self, X: np.ndarray, y: np.ndarray, rows: np.ndarray
+        self, codes: np.ndarray, width: int, y: np.ndarray, rows: np.ndarray
     ) -> tuple[int, int] | None:
+        """Best (feature, threshold bin) over every bin boundary, or None.
+
+        Each (feature, bin) sum adds its rows in row order, and bins past
+        a feature's last code have no rows on the right, so they are
+        invalid; the row-major first maximum is the first feature's first
+        boundary attaining the best gain.
+        """
         y_rows = y[rows]
         n = len(rows)
+        num_features = codes.shape[1]
         total_sum = y_rows.sum()
-        best_gain = 1e-12
-        best: tuple[int, int] | None = None
-        for feature in range(X.shape[1]):
-            codes = X[rows, feature].astype(np.int64)
-            counts = np.bincount(codes)
-            if len(counts) < 2:
-                continue
-            sums = np.bincount(codes, weights=y_rows)
-            left_counts = np.cumsum(counts)[:-1]
-            left_sums = np.cumsum(sums)[:-1]
-            right_counts = n - left_counts
-            right_sums = total_sum - left_sums
-            valid = (left_counts >= self.min_samples_leaf) & (
-                right_counts >= self.min_samples_leaf
+        node_codes = codes[rows].ravel()
+        size = num_features * width
+        counts = np.bincount(node_codes, minlength=size)
+        sums = np.bincount(
+            node_codes, weights=np.repeat(y_rows, num_features), minlength=size
+        )
+        grid = (num_features, width)
+        left_counts = np.cumsum(counts.reshape(grid), axis=1)[:, :-1]
+        left_sums = np.cumsum(sums.reshape(grid), axis=1)[:, :-1]
+        right_counts = n - left_counts
+        right_sums = total_sum - left_sums
+        valid = (left_counts >= self.min_samples_leaf) & (
+            right_counts >= self.min_samples_leaf
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = np.where(
+                valid,
+                left_sums**2 / left_counts
+                + right_sums**2 / right_counts
+                - total_sum**2 / n,
+                -np.inf,
             )
-            if not valid.any():
-                continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gain = np.where(
-                    valid,
-                    left_sums**2 / left_counts
-                    + right_sums**2 / right_counts
-                    - total_sum**2 / n,
-                    -np.inf,
-                )
-            idx = int(np.argmax(gain))
-            if gain[idx] > best_gain:
-                best_gain = float(gain[idx])
-                best = (feature, idx)
-        return best
+        if gain.size == 0:
+            return None
+        feature, idx = np.unravel_index(int(np.argmax(gain)), gain.shape)
+        if not gain[feature, idx] > 1e-12:
+            return None
+        return int(feature), int(idx)
 
     def predict(self, binned: np.ndarray) -> np.ndarray:
         """Predict for binned features."""
         if not self._nodes:
             raise PredictionError("tree is not fitted")
+        feature, threshold, left, right, value = self._flat
         X = np.asarray(binned)
-        out = np.empty(len(X), dtype=np.float64)
-        # Vectorised level-by-level routing.
-        node_ids = np.zeros(len(X), dtype=np.int64)
-        active = np.arange(len(X))
-        while len(active):
-            still_internal = []
-            for nid in np.unique(node_ids[active]):
-                node = self._nodes[nid]
-                members = active[node_ids[active] == nid]
-                if node.is_leaf:
-                    out[members] = node.value
-                    continue
-                left = X[members, node.feature] <= node.threshold_bin
-                node_ids[members[left]] = node.left
-                node_ids[members[~left]] = node.right
-                still_internal.append(members)
-            active = (
-                np.concatenate(still_internal) if still_internal else np.empty(0, int)
-            )
-        return out
+        rows = np.arange(len(X))
+        node = np.zeros(len(X), dtype=np.int64)
+        # Leaves point to themselves, so max_depth steps settle every row.
+        for _ in range(self.max_depth):
+            go_left = X[rows, feature[node]] <= threshold[node]
+            node = np.where(go_left, left[node], right[node])
+        return value[node]
+
+    def _flatten(self) -> tuple[np.ndarray, ...]:
+        nodes = self._nodes
+        return (
+            np.array([max(n.feature, 0) for n in nodes]),
+            np.array([n.threshold_bin for n in nodes]),
+            np.array([i if n.is_leaf else n.left for i, n in enumerate(nodes)]),
+            np.array([i if n.is_leaf else n.right for i, n in enumerate(nodes)]),
+            np.array([n.value for n in nodes]),
+        )
 
 
 def _as_matrix(features: np.ndarray) -> np.ndarray:

@@ -93,7 +93,6 @@ class TestPredictorConfig:
             {"learning_rate": 1.5},
             {"max_depth": 0},
             {"subsample": 0},
-            {"train_fraction": 1.0},
         ],
     )
     def test_rejects_invalid(self, kwargs):

@@ -24,7 +24,11 @@ from repro.perf import (
     throughput_measurements,
 )
 from repro.perf.runner import ScenarioRun, peak_rss_kb
-from repro.perf.scenarios import run_engine_only, run_server_under_load
+from repro.perf.scenarios import (
+    run_end_to_end_cell,
+    run_engine_only,
+    run_server_under_load,
+)
 
 #: Throughputs of the retired perf-harness baseline file, carried over into
 #: the shared baseline store: no floor may sit below 70 % of these.
@@ -80,6 +84,15 @@ class TestScenarios:
         a = run_server_under_load(1_000)
         b = run_server_under_load(1_000)
         assert a["events_run"] == b["events_run"]
+
+    def test_end_to_end_cell_splits_build_and_cell(self):
+        metrics = run_end_to_end_cell(200)
+        assert "sim_wall_time_s" not in metrics
+        assert metrics["build_s"] > 0.0 and metrics["cell_s"] > 0.0
+        assert metrics["wall_time_s"] == pytest.approx(
+            metrics["build_s"] + metrics["cell_s"]
+        )
+        assert metrics["requests_per_s"] == 200 / metrics["wall_time_s"]
 
 
 class TestRunner:
