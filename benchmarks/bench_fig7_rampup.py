@@ -7,6 +7,7 @@ parallelism.  TPC beats the *best* RampUp interval at every load.
 """
 
 from conftest import BENCH_SEED, bench_queries, emit, exec_kwargs, qps_grid
+from repro.config import PolicyConfig
 from repro.experiments import run_load_sweep
 from repro.experiments.report import format_table
 
@@ -26,7 +27,7 @@ def _run(workload, search_table):
         sweep = run_load_sweep(
             workload, ["RampUp"], grid,
             n_requests=bench_queries(), seed=BENCH_SEED,
-            rampup_interval_ms=interval,
+            policy_config=PolicyConfig(rampup_interval_ms=interval),
             **exec_kwargs(),
         )
         series[f"RampUp-{interval:g}ms"] = [r.p99_ms for r in sweep["RampUp"]]

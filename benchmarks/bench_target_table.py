@@ -15,7 +15,11 @@ from repro.config import TargetTableConfig
 from repro.core.table_builder import build_target_table_multistart
 from repro.core.target_table import TargetTable
 from repro.experiments import DEFAULT_SEARCH_TARGET_TABLE
-from repro.experiments.runner import build_search_target_table, make_measure_tail
+from repro.experiments.runner import (
+    build_search_target_table,
+    make_measure_tail,
+    make_measure_tail_batch,
+)
 from repro.experiments.report import format_table
 
 SEARCH_CONFIG = TargetTableConfig(
@@ -76,13 +80,16 @@ def test_multistart_extension(benchmark, workload):
     """The multi-start wrapper finds a table at least as good as any
     single flat start (crossing coordinated-shift valleys)."""
     measure = make_measure_tail(workload, SEARCH_CONFIG, seed=BENCH_SEED)
+    measure_batch = make_measure_tail_batch(
+        workload, SEARCH_CONFIG, seed=BENCH_SEED
+    )
 
     result = benchmark.pedantic(
         lambda: build_target_table_multistart(
             SEARCH_CONFIG.load_grid,
             [25.0, 45.0],
             SEARCH_CONFIG.step_ms,
-            measure,
+            measure_batch,
             max_iterations=8,
         ),
         rounds=1,

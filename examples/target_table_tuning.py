@@ -15,7 +15,7 @@ from repro.config import TargetTableConfig
 from repro.core.table_builder import build_target_table_multistart
 from repro.core.target_table import TargetTable
 from repro.experiments.report import format_table
-from repro.experiments.runner import make_measure_tail
+from repro.experiments.runner import make_measure_tail, make_measure_tail_batch
 
 
 def main() -> None:
@@ -28,13 +28,14 @@ def main() -> None:
         queries_per_measurement=4_000,
     )
     measure = make_measure_tail(workload, config, seed=42)
+    measure_batch = make_measure_tail_batch(workload, config, seed=42)
 
     print("Running BuildTargetTable (greedy gradient descent, multi-start)...")
     result = build_target_table_multistart(
         config.load_grid,
         initial_levels_ms=[25.0, 45.0],
         step_ms=config.step_ms,
-        measure_tail=measure,
+        measure_tail=measure_batch,
         max_iterations=10,
     )
     print(

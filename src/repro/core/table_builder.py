@@ -11,8 +11,11 @@ measurements instead of exhaustive search's ``(E_max / step) ** m``.
 
 ``measure_tail`` is experiment-dependent (it runs a predefined workload
 across the production load range and returns a weighted sum of tail
-latencies), so it is passed in as a callable; the standard search-
-workload implementation lives in :mod:`repro.experiments.runner`.
+latencies), so it is passed in as a callable.  It is batched: it takes
+a sequence of candidate tables and returns one tail latency per table,
+so the independent candidates of one greedy iteration can be measured
+concurrently.  The standard search-workload implementation is
+:func:`repro.experiments.runner.make_measure_tail_batch`.
 """
 
 from __future__ import annotations
@@ -38,15 +41,26 @@ class TableSearchResult:
     history: tuple[tuple[int, int, float], ...]
 
 
+#: Batched MeasureTail: candidate tables in, one tail latency per table out.
+MeasureTail = Callable[[Sequence[TargetTable]], Sequence[float]]
+
+
+def _measure(measure_tail: MeasureTail, tables: list[TargetTable]) -> list[float]:
+    latencies = [float(v) for v in measure_tail(tables)]
+    if len(latencies) != len(tables):
+        raise TargetTableError(
+            f"measure_tail returned {len(latencies)} values for "
+            f"{len(tables)} tables"
+        )
+    return latencies
+
+
 def build_target_table(
     initial_table: TargetTable,
     step_ms: float,
-    measure_tail: Callable[[TargetTable], float],
+    measure_tail: MeasureTail,
     max_iterations: int = 200,
     max_target_ms: float = 1_000.0,
-    measure_tail_batch: (
-        Callable[[Sequence[TargetTable]], Sequence[float]] | None
-    ) = None,
 ) -> TableSearchResult:
     """Algorithm 1: greedy gradient-descent search for target values.
 
@@ -59,20 +73,16 @@ def build_target_table(
         Search step size delta (the paper uses 1 ms, the smallest unit
         of its tail-latency measurements).
     measure_tail:
-        Experimental procedure: runs the predefined experiment with the
-        candidate table and returns the weighted tail-latency sum.
+        Experimental procedure: runs the predefined experiment with each
+        candidate table and returns their weighted tail-latency sums, in
+        order.  One call measures all candidates of an iteration, so an
+        implementation backed by :mod:`repro.exec` can fan them out
+        across worker processes without changing the result.
     max_iterations:
         Safety bound on while-loop iterations (the paper's bound is
         ``E_max / delta``).
     max_target_ms:
         Targets are never bumped beyond this ceiling.
-    measure_tail_batch:
-        Optional batched form of ``measure_tail``: given the iteration's
-        candidate tables it returns their tail latencies, in order.  The
-        candidates within one greedy iteration are independent, so an
-        implementation backed by :mod:`repro.exec` can fan them out
-        across worker processes; the greedy selection (and therefore the
-        result) is bit-identical to the serial path.
 
     Returns
     -------
@@ -87,7 +97,7 @@ def build_target_table(
 
     table = initial_table
     m = len(table)
-    current_latency = float(measure_tail(table))
+    current_latency = _measure(measure_tail, [table])[0]
     measurements = 1
     history: list[tuple[int, int, float]] = []
 
@@ -98,15 +108,7 @@ def build_target_table(
             i for i in range(m) if table.targets[i] + step_ms <= max_target_ms
         ]
         candidates = [table.bumped(i, step_ms) for i in bumpable]
-        if measure_tail_batch is not None and len(candidates) > 1:
-            latencies = [float(v) for v in measure_tail_batch(candidates)]
-            if len(latencies) != len(candidates):
-                raise TargetTableError(
-                    "measure_tail_batch returned "
-                    f"{len(latencies)} values for {len(candidates)} candidates"
-                )
-        else:
-            latencies = [float(measure_tail(c)) for c in candidates]
+        latencies = _measure(measure_tail, candidates) if candidates else []
         measurements += len(candidates)
         for i, latency in zip(bumpable, latencies):
             if latency < best_latency - 1e-12:
@@ -139,12 +141,9 @@ def build_target_table_multistart(
     load_grid: Sequence[float],
     initial_levels_ms: Sequence[float],
     step_ms: float,
-    measure_tail: Callable[[TargetTable], float],
+    measure_tail: MeasureTail,
     max_iterations: int = 200,
     max_target_ms: float = 1_000.0,
-    measure_tail_batch: (
-        Callable[[Sequence[TargetTable]], Sequence[float]] | None
-    ) = None,
 ) -> TableSearchResult:
     """Algorithm 1 restarted from several flat initial levels.
 
@@ -163,12 +162,7 @@ def build_target_table_multistart(
     for level in initial_levels_ms:
         initial = TargetTable.uniform(load_grid, level)
         result = build_target_table(
-            initial,
-            step_ms,
-            measure_tail,
-            max_iterations,
-            max_target_ms,
-            measure_tail_batch=measure_tail_batch,
+            initial, step_ms, measure_tail, max_iterations, max_target_ms
         )
         total_measurements += result.measurements
         if best is None or result.tail_latency_ms < best.tail_latency_ms:

@@ -19,8 +19,6 @@ import os
 import pickle
 from pathlib import Path
 
-from typing import Any, Callable
-
 from .spec import CellResult, CellSpec
 
 __all__ = ["ResultCache", "default_cache", "DEFAULT_CACHE_DIR"]
@@ -78,56 +76,12 @@ class ResultCache:
             return None
         return path
 
-    def payload_path(self, key: str) -> Path:
-        """Where a generic payload entry lives (whether or not present)."""
-        if not key or any(c in key for c in "/\\"):
-            raise ValueError(f"invalid payload key {key!r}")
-        return self.directory / f"payload-{key}.pkl"
-
-    def get_payload(self, key: str) -> Any | None:
-        """Load a generic cached payload, or None on a miss.
-
-        Payloads extend the cache beyond :class:`CellResult`: any
-        picklable value whose content is a pure function of a
-        caller-computed key (conventionally a
-        :func:`~repro.exec.spec.spec_hash`) can be memoised — e.g. the
-        cluster-run summaries of the fidelity gate, which do not
-        decompose into individual cells.
-        """
-        try:
-            with self.payload_path(key).open("rb") as fh:
-                payload = pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return payload
-
-    def put_payload(self, key: str, payload: Any) -> Path | None:
-        """Store a generic payload atomically; None if unwritable."""
-        path = self.payload_path(key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            with tmp.open("wb") as fh:
-                pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except OSError:
-            return None
-        return path
-
-    def memoise_payload(self, key: str, compute: Callable[[], Any]) -> Any:
-        """Return the cached payload for ``key``, computing it on a miss."""
-        payload = self.get_payload(key)
-        if payload is None:
-            payload = compute()
-            self.put_payload(key, payload)
-        return payload
-
     def clear(self) -> int:
         """Delete every cached entry; returns the number removed."""
         removed = 0
         if self.directory.is_dir():
+            # payload-*.pkl: entries of a generic payload cache that
+            # older versions kept alongside the cells.
             for pattern in ("cell-*.pkl", "payload-*.pkl"):
                 for entry in self.directory.glob(pattern):
                     try:

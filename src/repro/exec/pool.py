@@ -78,11 +78,19 @@ def log_progress(event: ProgressEvent) -> None:
 
 
 def resolve_worker_count(workers: int | None = None) -> int:
-    """Effective worker count: argument, env var, or cpu_count - 1."""
+    """Effective worker count: argument, env var, or cpu_count - 1.
+
+    An empty ``REPRO_BENCH_WORKERS`` counts as unset.
+    """
     if workers is None:
-        env = os.environ.get("REPRO_BENCH_WORKERS")
-        if env is not None:
-            workers = int(env)
+        env = os.environ.get("REPRO_BENCH_WORKERS", "").strip()
+        if env:
+            try:
+                workers = int(env)
+            except ValueError:
+                raise ConfigError(
+                    f"REPRO_BENCH_WORKERS must be an integer, got {env!r}"
+                ) from None
         else:
             workers = max(1, (os.cpu_count() or 2) - 1)
     if workers < 1:
@@ -93,9 +101,9 @@ def resolve_worker_count(workers: int | None = None) -> int:
 def memoised_workload(spec: WorkloadSpec) -> Any:
     """Build (or reuse) the workload a spec describes, in this process.
 
-    Public so non-cell callers (e.g. the gate's cluster check) can
-    share the copy that inline cell execution already built instead of
-    paying a second multi-second workload build.
+    Public so non-cell callers (``default_workload``, the cluster
+    layout tests) share the copy that inline cell execution builds
+    instead of paying a second multi-second workload build.
     """
     workload = _WORKLOAD_MEMO.get(spec)
     if workload is None:
@@ -116,11 +124,21 @@ def forget_workload(spec: WorkloadSpec) -> None:
     _WORKLOAD_MEMO.pop(spec, None)
 
 
-def _execute_cell(spec: CellSpec) -> CellResult:
-    """Expand and simulate one cell (runs in worker or caller process)."""
+def _execute_cell(spec: CellSpec, observation: Any = None) -> CellResult:
+    """Expand and simulate one cell (runs in worker or caller process).
+
+    ``observation`` (a :class:`repro.obs.Observation`, single-server
+    cells only) is attached before the run and its scalar telemetry
+    lands in ``extras``; the simulated numbers are unchanged by it.
+    """
     from ..experiments.runner import run_search_experiment
 
     if spec.cluster_config is not None:
+        if observation is not None:
+            raise ConfigError(
+                "observe_cell supports single-server cells only; "
+                "cluster cells are not observable yet"
+            )
         from ..resilience.runner import execute_cluster_cell
 
         return execute_cluster_cell(spec)
@@ -139,27 +157,20 @@ def _execute_cell(spec: CellSpec) -> CellResult:
         load_metric=spec.load_metric,
         prediction=spec.prediction,
         oracle_sigma=spec.oracle_sigma,
-        rampup_interval_ms=spec.rampup_interval_ms,
+        observation=observation,
     )
     return CellResult.from_recorder(
         spec,
         result.policy_name,
         result.recorder,
         wall_time_s=time.perf_counter() - started,
+        extras=observation.extras() if observation is not None else None,
     )
 
 
 def run_cell(spec: CellSpec, cache: ResultCache | None = None) -> CellResult:
     """Execute one cell inline, consulting the cache if given."""
-    if cache is not None:
-        hit = cache.get(spec)
-        if hit is not None:
-            hit.wall_time_s = 0.0
-            return hit
-    result = _execute_cell(spec)
-    if cache is not None:
-        cache.put(spec, result)
-    return result
+    return run_sweep([spec], workers=1, cache=cache)[0]
 
 
 def run_sweep(

@@ -57,7 +57,8 @@ __all__ = [
 #: Bump to invalidate every cached result when the result format or the
 #: simulation semantics change incompatibly.
 #: v2: cluster/resilience cell fields on CellSpec, extras on CellResult.
-SPEC_SCHEMA_VERSION = 2
+#: v3: cluster cells carry ``isn_pct_at_agg_p99``; no ``rampup_interval_ms``.
+SPEC_SCHEMA_VERSION = 3
 
 
 def _canonical(obj: Any) -> Any:
@@ -160,8 +161,7 @@ class WorkloadSpec:
 
         Returns ``None`` when the workload does not carry enough
         provenance to be rebuilt in another process (e.g. it was
-        assembled by hand); callers then fall back to in-process serial
-        execution.
+        assembled by hand); such a workload cannot be declared as a cell.
         """
         from ..finance.workload import FinanceWorkload
         from ..search.workload import SearchWorkload
@@ -229,7 +229,6 @@ class CellSpec:
     load_metric: LoadMetric = LoadMetric.LONG_THREADS
     prediction: str = "model"
     oracle_sigma: float = 0.0
-    rampup_interval_ms: float | None = None
     #: Non-None turns the cell into a cluster run (N ISNs behind an
     #: aggregator) instead of a single-server experiment.
     cluster_config: ClusterConfig | None = None

@@ -94,7 +94,6 @@ def run_search_experiment(
     load_metric: LoadMetric = LoadMetric.LONG_THREADS,
     prediction: str = "model",
     oracle_sigma: float = 0.0,
-    rampup_interval_ms: float | None = None,
     speedup_book=None,
     observation=None,
 ) -> ExperimentResult:
@@ -122,7 +121,6 @@ def run_search_experiment(
         target_table=target_table,
         policy_config=policy_config,
         load_metric=load_metric,
-        rampup_interval_ms=rampup_interval_ms,
     )
     engine = Engine()
     server = Server(server_cfg, policy, engine=engine)
@@ -145,6 +143,17 @@ def run_search_experiment(
     )
 
 
+def _workload_spec(workload: SearchWorkload) -> WorkloadSpec:
+    """The spec cells over ``workload`` are declared on."""
+    wspec = WorkloadSpec.from_workload(workload)
+    if wspec is None:
+        raise ConfigError(
+            "the workload carries no build provenance, so its cells cannot "
+            "be declared; build it with build_search_workload or a WorkloadSpec"
+        )
+    return wspec
+
+
 def run_load_sweep(
     workload: SearchWorkload,
     policy_names: Sequence[str],
@@ -159,36 +168,19 @@ def run_load_sweep(
 ) -> dict[str, list[ExperimentResult]]:
     """All (policy, load) cells: ``{policy: [result per QPS]}``.
 
-    Independent cells are executed through :func:`repro.exec.run_sweep`
-    when the workload can be declared as a spec (it carries build
-    provenance and no in-memory overrides like ``speedup_book`` are in
-    play); otherwise the sweep falls back to an in-process serial loop.
-    Either path returns identical numbers.
+    The cells are declared as specs and executed through
+    :func:`repro.exec.run_sweep`, so ``workers`` and ``cache`` apply;
+    ``kwargs`` are further :class:`~repro.exec.spec.CellSpec` fields.
+    The workload must carry build provenance (:class:`ConfigError`
+    otherwise).
     """
-    wspec = (
-        WorkloadSpec.from_workload(workload)
-        if kwargs.get("speedup_book") is None
-        else None
-    )
-    if wspec is None:
-        results: dict[str, list[ExperimentResult]] = {}
-        for name in policy_names:
-            results[name] = [
-                run_search_experiment(
-                    workload, name, qps, n_requests, seed,
-                    target_table=target_table, **kwargs,
-                )
-                for qps in qps_grid
-            ]
-        return results
-
-    kwargs.pop("speedup_book", None)
+    wspec = _workload_spec(workload)
     sweep = SweepSpec.grid(
         wspec, policy_names, qps_grid, n_requests, seed,
         target_table=target_table, **kwargs,
     )
     cell_results = run_sweep(sweep, workers=workers, cache=cache, progress=progress)
-    results = {}
+    results: dict[str, list[ExperimentResult]] = {}
     per_policy = len(qps_grid)
     for p, name in enumerate(policy_names):
         series = cell_results[p * per_policy : (p + 1) * per_policy]
@@ -273,39 +265,22 @@ def make_measure_tail_batch(
         if n_requests is not None
         else table_config.queries_per_measurement
     )
-    wspec = WorkloadSpec.from_workload(workload)
+    wspec = _workload_spec(workload)
     loads = len(table_config.measure_loads_qps)
 
     def measure_batch(tables: Sequence[TargetTable]) -> list[float]:
-        if wspec is None:
-            # No rebuildable spec: run in-process, serially.
-            samples_per_table = [
-                [
-                    run_search_experiment(
-                        workload, "TPC", qps, count, seed,
-                        target_table=table,
-                        server_config=server_config,
-                        load_metric=load_metric,
-                    ).recorder.responses
-                    for qps in table_config.measure_loads_qps
-                ]
-                for table in tables
-            ]
-        else:
-            cells = _measure_cells(
-                wspec, tables, table_config, seed, count,
-                server_config, load_metric,
-            )
-            results = run_sweep(cells, workers=workers, cache=cache)
-            samples_per_table = [
-                [r.responses_ms for r in results[t * loads : (t + 1) * loads]]
-                for t in range(len(tables))
-            ]
+        cells = _measure_cells(
+            wspec, tables, table_config, seed, count,
+            server_config, load_metric,
+        )
+        results = run_sweep(cells, workers=workers, cache=cache)
         return [
             weighted_tail_latency(
-                samples, table_config.measure_weights, table_config.percentile
+                [r.responses_ms for r in results[t * loads : (t + 1) * loads]],
+                table_config.measure_weights,
+                table_config.percentile,
             )
-            for samples in samples_per_table
+            for t in range(len(tables))
         ]
 
     return measure_batch
@@ -327,16 +302,9 @@ def build_search_target_table(
     """
     cfg = table_config if table_config is not None else TargetTableConfig()
     initial = TargetTable.uniform(cfg.load_grid, cfg.initial_target_ms)
-    measure = make_measure_tail(
-        workload, cfg, seed, workers=workers, cache=cache, **measure_kwargs
-    )
     measure_batch = make_measure_tail_batch(
         workload, cfg, seed, workers=workers, cache=cache, **measure_kwargs
     )
     return build_target_table(
-        initial,
-        cfg.step_ms,
-        measure,
-        max_iterations=cfg.max_iterations,
-        measure_tail_batch=measure_batch,
+        initial, cfg.step_ms, measure_batch, max_iterations=cfg.max_iterations
     )

@@ -8,12 +8,11 @@ the paper computes its table offline and distributes it to all ISNs).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from ..config import PredictorConfig, SearchWorkloadConfig, TargetTableConfig
 from ..core.target_table import TargetTable
+from ..exec.pool import memoised_workload
 from ..exec.spec import WorkloadSpec
-from ..search.workload import SearchWorkload, build_search_workload
+from ..search.workload import SearchWorkload
 
 __all__ = [
     "DEFAULT_SEED",
@@ -78,25 +77,18 @@ DEFAULT_FINANCE_TARGET_TABLE = TargetTable(
 )
 
 
-@lru_cache(maxsize=4)
 def default_workload(
     seed: int = DEFAULT_SEED, pool_size: int = 12_000
 ) -> SearchWorkload:
     """The canonical calibrated search workload.
 
-    The ``lru_cache`` is **per process**: exec-pool workers never see
-    the parent's cached instance and instead rebuild the workload from
-    :func:`default_workload_spec` (or the provenance carried by the
-    built workload) on first use.  Each of ``N`` worker processes
-    therefore holds its own copy of the inverted index and query pools
-    — budget roughly one workload's memory footprint per worker.
+    Built through the :mod:`repro.exec` per-process workload memo, so
+    it is the very copy that inline cell execution reuses.  The memo is
+    **per process**: each of ``N`` exec-pool workers rebuilds its own
+    copy from :func:`default_workload_spec` on first use — budget
+    roughly one workload's memory footprint per worker.
     """
-    return build_search_workload(
-        seed=seed,
-        config=SearchWorkloadConfig(),
-        predictor_config=PredictorConfig(),
-        pool_size=pool_size,
-    )
+    return memoised_workload(default_workload_spec(seed, pool_size))
 
 
 def default_workload_spec(

@@ -37,12 +37,12 @@ Registered checks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from ..config import ClusterConfig, ServerConfig
+from ..config import ClusterConfig
 from ..errors import ConfigError
-from ..exec.spec import CellSpec, spec_hash
+from ..exec.spec import CellResult, CellSpec
 from ..perf.scenarios import HotpathResult, run_hotpath_benchmark
 from ..sim.metrics import DistributionStats, distribution_stats
 from .bands import Band, Measurement
@@ -62,8 +62,6 @@ __all__ = [
     "cluster_measurements",
     "hotpath_measurements",
     "run_hotpath_benchmark",
-    "ClusterProbe",
-    "ClusterProbeSpec",
 ]
 
 #: Seed of every gate experiment (distinct from the benchmark seed so
@@ -356,83 +354,37 @@ def _evaluate_tpc_budget(ctx: "GateContext") -> list[Measurement]:
 # cluster_consistency
 
 
-@dataclass(frozen=True)
-class ClusterProbeSpec:
-    """Declarative description of the gate's cluster run.
-
-    Not a :class:`CellSpec` — a cluster run spans many coupled per-ISN
-    simulations — but hashable the same way, so its summary can be
-    memoised in the :mod:`repro.exec` payload cache and a warm gate
-    run skips the cluster simulation entirely.
-    """
-
-    policy_name: str
-    qps: float
-    n_queries: int
-    num_isns: int
-    seed: int
-
-    @property
-    def content_hash(self) -> str:
-        """Stable cache key (same spec, same hash, any process)."""
-        return spec_hash(self)
-
-
-@dataclass(frozen=True)
-class ClusterProbe:
-    """The compact summary of one cluster run the gate judges."""
-
-    aggregator_p99_ms: float
-    isn_p99_ms: float
-    isn_percentile_at_aggregator_p99: float
-
-
-def run_cluster_probe(ctx: "GateContext", spec: ClusterProbeSpec) -> ClusterProbe:
-    """Execute the cluster run and reduce it to a :class:`ClusterProbe`."""
-    from ..cluster import run_cluster_experiment
-    from ..experiments.scenarios import DEFAULT_SEARCH_TARGET_TABLE
-
-    result = run_cluster_experiment(
-        ctx.workload(),
-        spec.policy_name,
-        spec.qps,
-        spec.n_queries,
-        spec.seed,
-        cluster_config=ClusterConfig(num_isns=spec.num_isns),
-        target_table=DEFAULT_SEARCH_TARGET_TABLE,
-        workers=ctx.workers,
-    )
-    agg_p99 = result.aggregator_percentile(99)
-    return ClusterProbe(
-        aggregator_p99_ms=agg_p99,
-        isn_p99_ms=result.isn_percentile(99),
-        isn_percentile_at_aggregator_p99=result.isn_percentile_of_latency(
-            agg_p99
-        ),
+def _cluster_cell(scale: GateScale) -> CellSpec:
+    """The Figure 8 cluster cell: TPC at moderate load on many ISNs."""
+    return replace(
+        _gate_cell(scale, "TPC", scale.mid_qps),
+        n_requests=scale.cluster_queries,
+        cluster_config=ClusterConfig(num_isns=scale.cluster_isns),
     )
 
 
 def cluster_measurements(
-    probe: ClusterProbe, single_isn_p99_ms: float
+    cluster: CellResult, single_isn_p99_ms: float
 ) -> list[Measurement]:
-    """Band the cluster run against the single-ISN cell."""
+    """Band an executed cluster cell against the single-ISN cell."""
     ref = "PAPER '4.4 Fig. 8"
+    isn_p99_ms = cluster.extras["isn_p99_ms"]
     return [
         Measurement(
             "cluster_agg_p99_over_isn_p99",
-            probe.aggregator_p99_ms / probe.isn_p99_ms,
+            cluster.summary.p99_ms / isn_p99_ms,
             Band(lo=1.0, unit="ratio"),
             paper_ref=f"{ref}: the aggregator waits for its slowest ISN",
         ),
         Measurement(
             "cluster_isn_pct_at_agg_p99",
-            probe.isn_percentile_at_aggregator_p99,
+            cluster.extras["isn_pct_at_agg_p99"],
             Band(lo=99.0, hi=100.0, unit="percentile"),
             paper_ref=f"{ref}(b): aggregator p99 ~ ISN p99.8",
         ),
         Measurement(
             "cluster_isn_p99_over_single",
-            probe.isn_p99_ms / single_isn_p99_ms,
+            isn_p99_ms / single_isn_p99_ms,
             Band(lo=0.6, hi=1.4, unit="ratio"),
             paper_ref=f"{ref}: per-ISN behaviour matches the single-ISN run",
         ),
@@ -441,20 +393,9 @@ def cluster_measurements(
 
 def _evaluate_cluster(ctx: "GateContext") -> list[Measurement]:
     scale = ctx.scale
-    probe_spec = ClusterProbeSpec(
-        policy_name="TPC",
-        qps=scale.mid_qps,
-        n_queries=scale.cluster_queries,
-        num_isns=scale.cluster_isns,
-        seed=scale.seed,
-    )
-    probe = ctx.memoise_payload(
-        f"gate-cluster-{probe_spec.content_hash}",
-        lambda: run_cluster_probe(ctx, probe_spec),
-        expect=ClusterProbe,
-    )
+    cluster = ctx.result(_cluster_cell(scale))
     single = ctx.result(_gate_cell(scale, "TPC", scale.mid_qps))
-    return cluster_measurements(probe, single.summary.p99_ms)
+    return cluster_measurements(cluster, single.summary.p99_ms)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +475,7 @@ CHECKS: dict[str, GateCheck] = {
             name="cluster_consistency",
             description="cluster aggregator vs single-ISN consistency",
             paper_ref="PAPER '4.4 Fig. 8",
-            cells=lambda s: (_gate_cell(s, "TPC", s.mid_qps),),
+            cells=lambda s: (_gate_cell(s, "TPC", s.mid_qps), _cluster_cell(s)),
             evaluate=_evaluate_cluster,
         ),
         GateCheck(

@@ -22,7 +22,8 @@ __all__ = [
     "GateReport",
 ]
 
-REPORT_SCHEMA_VERSION = 1
+#: v2: ``timing.payload_hits`` removed (the cluster check is a cell).
+REPORT_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -63,7 +64,6 @@ class GateReport:
     cells_total: int
     cells_executed: int
     cells_from_cache: int
-    payload_hits: int
     #: :func:`repro.artifacts.artifact_header` of the run (mode, SHA, ...).
     header: dict[str, Any]
     baselines_used: bool = False
@@ -109,7 +109,6 @@ class GateReport:
                 "cells_total": self.cells_total,
                 "cells_executed": self.cells_executed,
                 "cells_from_cache": self.cells_from_cache,
-                "payload_hits": self.payload_hits,
             },
             "baselines_used": self.baselines_used,
             "checks": [c.as_dict() for c in self.checks],
@@ -126,8 +125,7 @@ class GateReport:
             f"status={self.status.upper()}",
             f"cells: {self.cells_total} total, "
             f"{self.cells_executed} simulated, "
-            f"{self.cells_from_cache} from cache, "
-            f"{self.payload_hits} payload hits; "
+            f"{self.cells_from_cache} from cache; "
             f"wall {self.total_wall_time_s:.1f}s",
             "",
         ]

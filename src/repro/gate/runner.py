@@ -12,7 +12,7 @@ a warm gate must be near-free), then hands each check a
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from ..artifacts import artifact_header
 from ..errors import ConfigError
@@ -28,21 +28,11 @@ __all__ = ["GateContext", "run_gate", "select_checks", "baseline_metrics"]
 
 
 class GateContext:
-    """What one check sees while evaluating: results, cache, workload."""
+    """What one check sees while evaluating: the executed cells."""
 
-    def __init__(
-        self,
-        scale: GateScale,
-        results: Mapping[str, CellResult],
-        cache: ResultCache | None = None,
-        workers: int | None = 1,
-    ) -> None:
+    def __init__(self, scale: GateScale, results: Mapping[str, CellResult]) -> None:
         self.scale = scale
         self._results = dict(results)
-        self.cache = cache
-        self.workers = workers
-        self._workload: Any = None
-        self.payload_hits = 0
 
     def result(self, spec: CellSpec) -> CellResult:
         """The executed result of a declared cell (by content hash)."""
@@ -53,43 +43,6 @@ class GateContext:
                 f"cell {spec.policy_name} @ {spec.qps:g} qps was not "
                 "declared by this check's cells()"
             ) from None
-
-    def workload(self) -> Any:
-        """The built canonical workload (lazy — only paid on cache miss).
-
-        Routed through the exec layer's per-process workload memo, so
-        a cold gate run that already expanded cells inline reuses the
-        copy those cells built instead of building a second one.
-        """
-        if self._workload is None:
-            from ..exec.pool import memoised_workload
-            from ..experiments.scenarios import default_workload_spec
-
-            self._workload = memoised_workload(default_workload_spec())
-        return self._workload
-
-    def memoise_payload(
-        self,
-        key: str,
-        compute: Callable[[], Any],
-        expect: type | None = None,
-    ) -> Any:
-        """Payload-cache a non-cell computation (e.g. a cluster run).
-
-        ``expect`` guards against stale entries written by an older
-        gate version: a payload of the wrong type is recomputed.
-        """
-        if self.cache is not None:
-            payload = self.cache.get_payload(key)
-            if payload is not None and (
-                expect is None or isinstance(payload, expect)
-            ):
-                self.payload_hits += 1
-                return payload
-        payload = compute()
-        if self.cache is not None:
-            self.cache.put_payload(key, payload)
-        return payload
 
 
 def select_checks(only: Sequence[str] | None = None) -> list[GateCheck]:
@@ -174,7 +127,7 @@ def run_gate(
     else:
         by_hash = {}
 
-    ctx = GateContext(scale, by_hash, cache=cache, workers=workers)
+    ctx = GateContext(scale, by_hash)
     check_reports: list[CheckReport] = []
     for check in checks:
         check_started = time.perf_counter()
@@ -214,7 +167,6 @@ def run_gate(
         cells_total=len(cells),
         cells_executed=len(cells) - cells_from_cache,
         cells_from_cache=cells_from_cache,
-        payload_hits=ctx.payload_hits,
         header=artifact_header("repro.gate", REPORT_SCHEMA_VERSION, mode),
         baselines_used=bool(baselines),
     )

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from ..errors import ConfigError
 from ..sim.tracing import RequestTracer, TraceEventKind, attach_tracer
 from .attribution import DecisionLog, RequestInfo, TailReport, tail_report
 from .registry import MetricRegistry
@@ -253,43 +252,12 @@ def observe_cell(
     The returned :class:`CellResult` is bit-identical to
     ``run_cell(spec)`` on the same spec (observation never perturbs the
     simulation), with the observation's scalar telemetry added under
-    ``extras``.  Cluster cells are not observable through this path
-    yet.
+    ``extras``.  Both run the one cell expansion of
+    :mod:`repro.exec.pool`.  Cluster cells are not observable through
+    this path yet and raise :class:`~repro.errors.ConfigError` before
+    any work.
     """
-    import time
+    from ..exec.pool import _execute_cell
 
-    from ..exec.pool import memoised_workload
-    from ..exec.spec import CellResult
-    from ..experiments.runner import run_search_experiment
-
-    if spec.cluster_config is not None:
-        raise ConfigError(
-            "observe_cell supports single-server cells only; "
-            "cluster cells are not observable yet"
-        )
     obs = observation if observation is not None else Observation()
-    started = time.perf_counter()
-    workload = memoised_workload(spec.workload)
-    result = run_search_experiment(
-        workload,
-        spec.policy_name,
-        spec.qps,
-        spec.n_requests,
-        spec.seed,
-        target_table=spec.target_table,
-        server_config=spec.server_config,
-        policy_config=spec.policy_config,
-        load_metric=spec.load_metric,
-        prediction=spec.prediction,
-        oracle_sigma=spec.oracle_sigma,
-        rampup_interval_ms=spec.rampup_interval_ms,
-        observation=obs,
-    )
-    cell = CellResult.from_recorder(
-        spec,
-        result.policy_name,
-        result.recorder,
-        wall_time_s=time.perf_counter() - started,
-        extras=obs.extras(),
-    )
-    return cell, obs
+    return _execute_cell(spec, obs), obs

@@ -65,16 +65,13 @@ def make_policy(
     target_table: TargetTable | None = None,
     policy_config: PolicyConfig | None = None,
     load_metric: LoadMetric = LoadMetric.LONG_THREADS,
-    rampup_interval_ms: float | None = None,
-    pred_fixed_degree: int | None = None,
 ) -> ParallelismPolicy:
     """Construct a policy by registry name.
 
     Parameters
     ----------
     name:
-        One of :func:`policy_names` (``"RampUp"`` accepts an interval
-        via ``rampup_interval_ms``).
+        One of :func:`policy_names`.
     speedup_book:
         Per-group parallelism-efficiency profiles of the workload.
     group_weights:
@@ -82,30 +79,21 @@ def make_policy(
     target_table:
         Required for the TP/TPC families.
     policy_config:
-        Shared policy knobs; defaults to :class:`PolicyConfig`.
+        Every policy knob (Pred's fixed degree, RampUp's interval, ...);
+        defaults to :class:`PolicyConfig`.
     """
     cfg = policy_config if policy_config is not None else PolicyConfig()
     if name == "Sequential":
         return SequentialPolicy()
     if name == "Pred":
-        degree = (
-            pred_fixed_degree
-            if pred_fixed_degree is not None
-            else cfg.pred_fixed_degree
-        )
-        return PredPolicy(cfg.long_threshold_ms, degree)
+        return PredPolicy(cfg.long_threshold_ms, cfg.pred_fixed_degree)
     if name == "WQ-Linear":
         return WQLinearPolicy(cfg.wq_linear_beta)
     if name == "AP":
         avg = average_profile(speedup_book, list(group_weights))
         return AdaptiveParallelismPolicy(avg, cfg.ap_interference_weight)
     if name == "RampUp":
-        interval = (
-            rampup_interval_ms
-            if rampup_interval_ms is not None
-            else cfg.rampup_interval_ms
-        )
-        return RampUpPolicy(interval)
+        return RampUpPolicy(cfg.rampup_interval_ms)
     if name == "RampUp-Adaptive":
         return AdaptiveRampUpPolicy()
     if name in ("TP", "TPC"):

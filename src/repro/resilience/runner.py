@@ -71,6 +71,10 @@ def execute_cluster_cell(spec: CellSpec) -> CellResult:
         "num_isns": float(result.num_isns),
         "isn_p99_ms": result.isn_percentile(99),
         "isn_p999_ms": result.isn_percentile(99.9),
+        # Figure 8(b): the ISN percentile the aggregator's p99 sits at.
+        "isn_pct_at_agg_p99": float(
+            result.isn_percentile_of_latency(summary.p99_ms)
+        ),
     }
     if result.resilience is not None:
         extras.update(result.resilience.as_row())

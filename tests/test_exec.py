@@ -188,6 +188,15 @@ class TestResolveWorkerCount:
         with pytest.raises(ConfigError):
             resolve_worker_count(None)
 
+    def test_empty_env_var_counts_as_unset(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_WORKERS", "")
+        assert resolve_worker_count(None) >= 1
+
+    def test_non_integer_env_var_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_WORKERS", "two")
+        with pytest.raises(ConfigError, match="REPRO_BENCH_WORKERS"):
+            resolve_worker_count(None)
+
 
 class TestRunSweep:
     def test_results_arrive_in_spec_order(self, small_sweep, serial_results):

@@ -1,5 +1,7 @@
 """Tests for the experiment runner, scenarios and report formatting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,11 @@ from repro.experiments import (
     run_search_experiment,
     series_to_rows,
 )
-from repro.experiments.runner import build_search_target_table, make_measure_tail
+from repro.experiments.runner import (
+    build_search_target_table,
+    make_measure_tail,
+    make_measure_tail_batch,
+)
 from repro.experiments.report import format_cdf_rows
 from repro.sim.load import LoadMetric
 
@@ -92,6 +98,11 @@ class TestRunLoadSweep:
         assert set(results) == {"Sequential", "TPC"}
         assert [r.qps for r in results["TPC"]] == [100.0, 300.0]
 
+    def test_workload_without_provenance_rejected(self, tiny_search_workload):
+        bare = dataclasses.replace(tiny_search_workload, provenance=None)
+        with pytest.raises(ConfigError, match="provenance"):
+            run_load_sweep(bare, ["Sequential"], [100.0], n_requests=50, seed=1)
+
 
 class TestMeasureTailAndSearch:
     def test_measure_tail_returns_weighted_sum(self, tiny_search_workload):
@@ -114,6 +125,11 @@ class TestMeasureTailAndSearch:
         measure = make_measure_tail(tiny_search_workload, cfg, seed=9)
         table = TargetTable.constant(40.0)
         assert measure(table) == measure(table)
+
+    def test_workload_without_provenance_rejected(self, tiny_search_workload):
+        bare = dataclasses.replace(tiny_search_workload, provenance=None)
+        with pytest.raises(ConfigError, match="provenance"):
+            make_measure_tail_batch(bare, TargetTableConfig(), seed=9)
 
     def test_build_search_target_table_runs(self, tiny_search_workload):
         cfg = TargetTableConfig(

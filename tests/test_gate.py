@@ -46,7 +46,7 @@ class TestColdRun:
     def test_report_artifact_roundtrip(self, cold_report, tmp_path):
         path = cold_report.write(tmp_path / "BENCH_gate.json")
         document = json.loads(path.read_text())
-        assert document["schema_version"] == 1
+        assert document["schema_version"] == 2
         assert document["generated_by"] == "repro.gate"
         assert document["mode"] == "fast"
         assert document["status"] == "pass"
@@ -67,13 +67,20 @@ class TestColdRun:
 
 class TestWarmRun:
     def test_warm_rerun_is_served_from_cache(self, gate_cache, cold_report):
+        events = []
         warm = run_gate(
-            mode="fast", cache=gate_cache, baselines={}, workers=1
+            mode="fast",
+            cache=gate_cache,
+            baselines={},
+            workers=1,
+            progress=events.append,
         )
         assert warm.status == "pass"
         assert warm.cells_from_cache == warm.cells_total
         assert warm.cells_executed == 0
-        assert warm.payload_hits >= 1  # the cluster probe
+        # The Fig 8 cluster run is one of the cells served from cache.
+        cluster = [e for e in events if e.spec.cluster_config is not None]
+        assert len(cluster) == 1 and cluster[0].from_cache
         # Near-free: no simulation beyond the always-live perf check.
         assert warm.total_wall_time_s < 0.5 * cold_report.total_wall_time_s
 
@@ -146,9 +153,10 @@ class TestScales:
         for check in CHECKS.values():
             for cell in check.cells(scale):
                 hashes.add(cell.content_hash)
-        # The ordering checks share their 12-cell grid and every other
-        # cell-driven check reuses a subset of it.
-        assert len(hashes) == 12
+        # The ordering checks share their 12-cell grid, every other
+        # cell-driven check reuses a subset of it, and the cluster check
+        # adds its one cluster cell.
+        assert len(hashes) == 12 + 1
 
 
 class TestCli:

@@ -3,6 +3,8 @@ baselines, and the pure check-evaluation functions."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,6 @@ from repro.gate.checks import (
     cluster_measurements,
     run_hotpath_benchmark,
 )
-from repro.gate.checks import ClusterProbe
 from repro.sim.metrics import LatencyRecorder, distribution_stats
 
 
@@ -161,23 +162,23 @@ class TestOrderingCheck:
         assert results["p99_ratio@450:AP/Sequential"].passed
 
 
+def _cluster_cell(agg_p99_ms: float, isn_p99_ms: float, isn_pct: float):
+    """The fields of an executed cluster cell the check reads."""
+    return SimpleNamespace(
+        summary=SimpleNamespace(p99_ms=agg_p99_ms),
+        extras={"isn_p99_ms": isn_p99_ms, "isn_pct_at_agg_p99": isn_pct},
+    )
+
+
 class TestClusterCheck:
     def test_consistent_probe_passes(self):
-        probe = ClusterProbe(
-            aggregator_p99_ms=75.0,
-            isn_p99_ms=63.0,
-            isn_percentile_at_aggregator_p99=99.7,
-        )
-        ms = cluster_measurements(probe, single_isn_p99_ms=72.0)
+        cluster = _cluster_cell(75.0, 63.0, 99.7)
+        ms = cluster_measurements(cluster, single_isn_p99_ms=72.0)
         assert all(evaluate_measurement(m).passed for m in ms)
 
     def test_aggregator_faster_than_isns_is_inconsistent(self):
-        probe = ClusterProbe(
-            aggregator_p99_ms=50.0,
-            isn_p99_ms=63.0,
-            isn_percentile_at_aggregator_p99=97.0,
-        )
-        ms = cluster_measurements(probe, single_isn_p99_ms=72.0)
+        cluster = _cluster_cell(50.0, 63.0, 97.0)
+        ms = cluster_measurements(cluster, single_isn_p99_ms=72.0)
         results = {m.metric: evaluate_measurement(m) for m in ms}
         assert not results["cluster_agg_p99_over_isn_p99"].passed
         assert not results["cluster_isn_pct_at_agg_p99"].passed

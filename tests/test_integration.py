@@ -3,6 +3,7 @@ results on the miniature workload (fast versions of the benchmarks)."""
 
 import pytest
 
+from repro.config import PolicyConfig
 from repro.experiments import run_load_sweep, run_search_experiment
 from repro.core.target_table import TargetTable
 
@@ -124,7 +125,7 @@ class TestRampUpComparison:
         for interval in (5.0, 10.0, 20.0):
             ramp = run_search_experiment(
                 tiny_search_workload, "RampUp", 450.0, 6000, 31,
-                rampup_interval_ms=interval,
+                policy_config=PolicyConfig(rampup_interval_ms=interval),
             )
             assert tpc.p99_ms <= ramp.p99_ms * 1.05, f"interval={interval}"
 

@@ -285,13 +285,15 @@ class TestRegistry:
 
     def test_rampup_interval_override(self, speedup_book):
         policy = make_policy(
-            "RampUp", speedup_book, [1, 0, 0], rampup_interval_ms=5.0
+            "RampUp", speedup_book, [1, 0, 0],
+            policy_config=PolicyConfig(rampup_interval_ms=5.0),
         )
         assert policy.interval_ms == 5.0
 
     def test_pred_degree_override(self, speedup_book):
         policy = make_policy(
-            "Pred", speedup_book, [1, 0, 0], pred_fixed_degree=2
+            "Pred", speedup_book, [1, 0, 0],
+            policy_config=PolicyConfig(pred_fixed_degree=2),
         )
         assert policy.fixed_degree == 2
 

@@ -11,6 +11,11 @@ from repro.core.target_table import TargetTable
 from repro.errors import TargetTableError
 
 
+def batched(objective):
+    """Lift a per-table objective to the batched MeasureTail signature."""
+    return lambda tables: [objective(t) for t in tables]
+
+
 def quadratic_objective(optimum: dict[int, float]):
     """A synthetic MeasureTail: tail = sum of squared distances of each
     target from a per-entry optimum (plus a floor)."""
@@ -20,7 +25,7 @@ def quadratic_objective(optimum: dict[int, float]):
             (table.targets[i] - opt) ** 2 for i, opt in optimum.items()
         )
 
-    return measure
+    return batched(measure)
 
 
 class TestBuildTargetTable:
@@ -46,7 +51,7 @@ class TestBuildTargetTable:
             calls.append(table)
             return 100.0 + sum((t - 40.0) ** 2 for t in table.targets)
 
-        result = build_target_table(initial, 10.0, measure)
+        result = build_target_table(initial, 10.0, batched(measure))
         # 1 initial + (m bumps per iteration) * (iterations + final).
         assert result.measurements == len(calls)
         assert result.measurements <= 1 + 2 * (result.iterations + 1)
@@ -65,7 +70,7 @@ class TestBuildTargetTable:
             return 1000.0 - table.targets[0]  # monotone: never converges
 
         result = build_target_table(
-            initial, 1.0, always_improving, max_iterations=7
+            initial, 1.0, batched(always_improving), max_iterations=7
         )
         assert result.iterations == 7
 
@@ -76,13 +81,21 @@ class TestBuildTargetTable:
             return 1000.0 - table.targets[0]
 
         result = build_target_table(
-            initial, 10.0, always_improving, max_target_ms=100.0
+            initial, 10.0, batched(always_improving), max_target_ms=100.0
         )
         assert result.table.targets[0] <= 100.0
 
     def test_rejects_bad_step(self):
         with pytest.raises(TargetTableError):
-            build_target_table(TargetTable.uniform([0], 10.0), 0.0, lambda t: 1.0)
+            build_target_table(
+                TargetTable.uniform([0], 10.0), 0.0, batched(lambda t: 1.0)
+            )
+
+    def test_rejects_wrong_batch_length(self):
+        with pytest.raises(TargetTableError, match="returned 2 values"):
+            build_target_table(
+                TargetTable.uniform([0], 10.0), 5.0, lambda tables: [1.0, 2.0]
+            )
 
 
 class TestMultistart:
@@ -97,10 +110,10 @@ class TestMultistart:
 
         grid = [0, 4, 8]
         single = build_target_table(
-            TargetTable.uniform(grid, 20.0), 5.0, measure
+            TargetTable.uniform(grid, 20.0), 5.0, batched(measure)
         )
         multi = build_target_table_multistart(
-            grid, [20.0, 30.0, 40.0], 5.0, measure
+            grid, [20.0, 30.0, 40.0], 5.0, batched(measure)
         )
         assert multi.tail_latency_ms < single.tail_latency_ms
         assert multi.table.targets == (40.0, 40.0, 40.0)
@@ -112,7 +125,7 @@ class TestMultistart:
 
     def test_rejects_empty_levels(self):
         with pytest.raises(TargetTableError):
-            build_target_table_multistart([0], [], 5.0, lambda t: 1.0)
+            build_target_table_multistart([0], [], 5.0, batched(lambda t: 1.0))
 
 
 class TestHeuristicTable:
