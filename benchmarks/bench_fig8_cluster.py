@@ -14,9 +14,11 @@ from conftest import (
     cluster_isns,
     cluster_queries,
     emit,
+    exec_kwargs,
 )
-from repro.cluster import run_cluster_experiment
 from repro.config import ClusterConfig
+from repro.exec import CellSpec, run_sweep
+from repro.experiments import default_workload_spec
 from repro.experiments.report import format_cdf_rows, format_table
 
 POLICIES = ("Sequential", "AP", "Pred", "TPC")
@@ -27,32 +29,36 @@ POLICIES = ("Sequential", "AP", "Pred", "TPC")
 QPS = 450.0
 
 
-def _run(workload, search_table):
-    results = {}
-    for policy in POLICIES:
-        # workers=None: fan the per-ISN simulations over the exec pool
-        # (REPRO_BENCH_WORKERS / cpu count); numbers are bit-identical
-        # to the single-process run.
-        results[policy] = run_cluster_experiment(
-            workload,
+def _run(search_table):
+    """One cluster cell per policy, run through the exec pool and cache."""
+    cells = [
+        CellSpec.for_experiment(
+            default_workload_spec(),
             policy,
             QPS,
             cluster_queries(),
             BENCH_SEED,
-            cluster_config=ClusterConfig(num_isns=cluster_isns()),
             target_table=search_table,
-            workers=None,
+            cluster_config=ClusterConfig(num_isns=cluster_isns()),
         )
-    return results
+        for policy in POLICIES
+    ]
+    return dict(zip(POLICIES, run_sweep(cells, **exec_kwargs())))
 
 
-def test_fig8a_cluster_cdf(benchmark, workload, search_table):
+def _fraction_slower_than(result, latency_ms: float) -> float:
+    """Fraction of aggregator responses slower than ``latency_ms``."""
+    return float((result.responses_ms > latency_ms).mean())
+
+
+def test_fig8a_cluster_cdf(benchmark, search_table):
     results = benchmark.pedantic(
-        lambda: _run(workload, search_table), rounds=1, iterations=1
+        lambda: _run(search_table), rounds=1, iterations=1
     )
-    latencies = {
-        p: results[p].aggregator_latencies_ms for p in POLICIES
-    }
+    # A cluster cell's responses_ms are the aggregator latencies.
+    latencies = {p: results[p].responses_ms for p in POLICIES}
+    p99 = {p: results[p].summary.p99_ms for p in POLICIES}
+    slow = {p: _fraction_slower_than(results[p], 100.0) for p in POLICIES}
     emit(
         "fig8a_cluster_cdf",
         format_cdf_rows(latencies, [95, 98, 99, 99.5, 99.9])
@@ -60,23 +66,17 @@ def test_fig8a_cluster_cdf(benchmark, workload, search_table):
         + format_table(
             ["policy", "P99 (ms)", "% slower than 100ms"],
             [
-                [
-                    p,
-                    round(results[p].aggregator_percentile(99), 1),
-                    round(100 * results[p].fraction_slower_than(100.0), 2),
-                ]
+                [p, round(p99[p], 1), round(100 * slow[p], 2)]
                 for p in POLICIES
             ],
             title=f"Figure 8(a) - aggregator latency, {cluster_isns()} ISNs @ {QPS:g} QPS",
         ),
     )
 
-    p99 = {p: results[p].aggregator_percentile(99) for p in POLICIES}
     # TPC achieves the lowest cluster P99 of all policies.
     best_prior = min(p99[p] for p in POLICIES[:-1])
     assert p99["TPC"] < best_prior
     # TPC leaves the smallest fraction of responses over 100 ms.
-    slow = {p: results[p].fraction_slower_than(100.0) for p in POLICIES}
     assert slow["TPC"] <= min(slow[p] for p in POLICIES[:-1])
     # Ordering of the paper: TPC < Pred < AP < Sequential at P99
     # (small tolerance on the Pred/AP middle of the ordering, which is
@@ -87,16 +87,16 @@ def test_fig8a_cluster_cdf(benchmark, workload, search_table):
 
     # Figure 8(b): the aggregator P99 maps to a much higher ISN
     # percentile (paper: ~P99.8 with 40 ISNs).
-    tpc = results["TPC"]
-    isn_pct = tpc.isn_percentile_of_latency(tpc.aggregator_percentile(99))
+    tpc = results["TPC"].extras
+    isn_pct = tpc["isn_pct_at_agg_p99"]
     emit(
         "fig8b_percentile_mapping",
         format_table(
             ["quantity", "value"],
             [
-                ["aggregator P99 (ms)", round(tpc.aggregator_percentile(99), 1)],
+                ["aggregator P99 (ms)", round(p99["TPC"], 1)],
                 ["same latency at ISN percentile", round(isn_pct, 2)],
-                ["ISN P99 (ms)", round(tpc.isn_percentile(99), 1)],
+                ["ISN P99 (ms)", round(tpc["isn_p99_ms"], 1)],
             ],
             title="Figure 8(b) - aggregator vs ISN percentile",
         ),

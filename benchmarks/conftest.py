@@ -16,8 +16,8 @@ Scale knobs (environment variables):
                                      [default 6000]
 * ``REPRO_BENCH_CLUSTER_ISNS``      ISNs in the cluster run [default 40]
 * ``REPRO_BENCH_FAST=1``            shrink everything ~10x (CI smoke)
-* ``REPRO_BENCH_WORKERS``           process-pool size for sweeps and
-                                     per-ISN cluster runs
+* ``REPRO_BENCH_WORKERS``           process-pool size for sweeps
+                                     (cluster cells included)
                                      [default cpu_count - 1]
 * ``REPRO_EXEC_CACHE=1``            reuse cached cell results across
                                      runs (``REPRO_EXEC_CACHE_DIR``

@@ -18,7 +18,6 @@ from .pool import (
     resolve_worker_count,
     run_cell,
     run_sweep,
-    run_tasks,
 )
 from .spec import CellResult, CellSpec, SweepSpec, WorkloadSpec, spec_hash
 
@@ -37,5 +36,4 @@ __all__ = [
     "resolve_worker_count",
     "run_cell",
     "run_sweep",
-    "run_tasks",
 ]

@@ -26,7 +26,7 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Sequence
 
 from ..errors import ConfigError
 from .cache import ResultCache
@@ -39,12 +39,8 @@ __all__ = [
     "resolve_worker_count",
     "run_cell",
     "run_sweep",
-    "run_tasks",
     "log_progress",
 ]
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 #: Maximum distinct workloads one process keeps alive simultaneously.
 _MEMO_CAP = 4
@@ -101,8 +97,8 @@ def resolve_worker_count(workers: int | None = None) -> int:
 def memoised_workload(spec: WorkloadSpec) -> Any:
     """Build (or reuse) the workload a spec describes, in this process.
 
-    Public so non-cell callers (``default_workload``, the cluster
-    layout tests) share the copy that inline cell execution builds
+    Public so non-cell callers (``default_workload``, direct cluster
+    runs in tests) share the copy that inline cell execution builds
     instead of paying a second multi-second workload build.
     """
     workload = _WORKLOAD_MEMO.get(spec)
@@ -241,40 +237,3 @@ def run_sweep(
     assert all(r is not None for r in results)
     return results  # type: ignore[return-value]
 
-
-def run_tasks(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    workers: int | None = None,
-    progress: Callable[[int, int], None] | None = None,
-) -> list[R]:
-    """Generic deterministic fan-out used by non-cell work (cluster ISNs).
-
-    Applies a picklable module-level function to every item, inline for
-    one worker or over a process pool otherwise, returning results in
-    item order.  ``progress`` (if given) receives ``(completed,
-    total)``.
-    """
-    todo = list(items)
-    total = len(todo)
-    workers = resolve_worker_count(workers)
-    results: list[R | None] = [None] * total
-    completed = 0
-    if workers <= 1 or total <= 1:
-        for i, item in enumerate(todo):
-            results[i] = fn(item)
-            completed += 1
-            if progress is not None:
-                progress(completed, total)
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, total)) as pool:
-            futures = {pool.submit(fn, item): i for i, item in enumerate(todo)}
-            remaining = set(futures)
-            while remaining:
-                done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                for future in done:
-                    results[futures[future]] = future.result()
-                    completed += 1
-                    if progress is not None:
-                        progress(completed, total)
-    return results  # type: ignore[return-value]

@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -240,8 +241,8 @@ class CellSpec:
     def __post_init__(self) -> None:
         if self.n_requests < 1:
             raise ConfigError("n_requests must be >= 1")
-        if self.qps <= 0:
-            raise ConfigError("qps must be > 0")
+        if not 0 < self.qps < math.inf:
+            raise ConfigError(f"qps must be finite and > 0, got {self.qps}")
         if self.cluster_config is None and (
             self.fault_spec is not None or self.hedge_policy is not None
         ):

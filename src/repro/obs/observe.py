@@ -44,7 +44,7 @@ __all__ = ["Observation", "observe_cell"]
 class _ScopeMetrics:
     """Replay sink deriving one scope's metrics from the event stream."""
 
-    def __init__(self, scope, streaming: bool) -> None:
+    def __init__(self, scope) -> None:
         self.arrivals = scope.counter("arrivals")
         self.dispatches = scope.counter("dispatches")
         self.completions = scope.counter("completions")
@@ -52,12 +52,10 @@ class _ScopeMetrics:
         self.corrections = scope.counter("degree_raises")
         self.queue_depth = scope.gauge("queue_depth")
         self.running = scope.gauge("running")
-        self.queue_wait = scope.histogram("queue_wait_ms", streaming=streaming)
-        self.response = scope.histogram("response_ms", streaming=streaming)
-        self.execution = scope.histogram("execution_ms", streaming=streaming)
-        self.initial_degree = scope.histogram(
-            "initial_degree", streaming=streaming
-        )
+        self.queue_wait = scope.histogram("queue_wait_ms")
+        self.response = scope.histogram("response_ms")
+        self.execution = scope.histogram("execution_ms")
+        self.initial_degree = scope.histogram("initial_degree")
         self.scope = scope
         self._queued = 0
         self._running = 0
@@ -105,17 +103,11 @@ class Observation:
         Optional cap on the number of trace events kept (see
         :class:`RequestTracer`); demand info and policy decisions are
         unaffected by the cap.
-    streaming:
-        Use O(1)-memory streaming quantile histograms instead of exact
-        samples (for long soak runs).
     """
 
-    def __init__(
-        self, capacity: int | None = None, streaming: bool = False
-    ) -> None:
+    def __init__(self, capacity: int | None = None) -> None:
         self.tracer = RequestTracer(capacity)
         self.decisions = DecisionLog()
-        self._streaming = streaming
         #: Per attached server: (scope name, rid -> live request).
         self._servers: list[tuple[str | None, dict[int, "Request"]]] = []
         self._registry = MetricRegistry()
@@ -162,7 +154,7 @@ class Observation:
         owner: dict[int, int] = {}
         for i, (name, requests) in enumerate(self._servers):
             scope = registry.scope(name) if name else registry
-            sinks.append(_ScopeMetrics(scope, self._streaming))
+            sinks.append(_ScopeMetrics(scope))
             for rid in requests:
                 owner.setdefault(rid, i)
         if sinks:

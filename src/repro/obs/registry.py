@@ -7,12 +7,9 @@ Scopes (:meth:`MetricRegistry.scope`) prefix metric names with a dotted
 path — ``isn3.queue_wait_ms`` — so a cluster run keeps per-server and
 cluster-wide metrics in one registry and one JSON dump.
 
-Histograms default to *exact* mode (the full sample is kept and
-quantiles are computed on demand), which keeps the observe path to a
-list append — cheap enough for the <15 % tracing-overhead budget.
-``streaming=True`` switches a histogram to P² estimators
-(:class:`repro.sim.metrics.StreamingQuantile`) for O(1) memory on long
-soak runs, at a higher per-observation cost.
+Histograms keep the full sample and compute quantiles on demand,
+which keeps the observe path to a list append — cheap enough for the
+<15 % tracing-overhead budget.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from ..errors import ConfigError, SimulationError
-from ..sim.metrics import StreamingQuantile
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricRegistry", "MetricScope"]
 
@@ -84,90 +80,44 @@ class Gauge:
 class Histogram:
     """A millisecond-sample distribution: count/sum/min/max + quantiles.
 
-    Exact mode (default) appends observations to a list and derives
-    every statistic on demand — ``observe`` *is* the bound
-    ``list.append``, so the hot path pays exactly one call per sample.
-    Streaming mode keeps running aggregates plus one
-    :class:`StreamingQuantile` per tracked percentile instead, so
-    memory stays O(1) regardless of run length.
+    Observations are appended to a list and every statistic is derived
+    on demand — ``observe`` *is* the bound ``list.append``, so the hot
+    path pays exactly one call per sample.
     """
 
-    __slots__ = (
-        "name",
-        "quantiles",
-        "observe",
-        "_sample",
-        "_estimators",
-        "_count",
-        "_sum",
-        "_min",
-        "_max",
-    )
+    __slots__ = ("name", "quantiles", "observe", "_sample")
 
     def __init__(
         self,
         name: str,
         quantiles: Sequence[float] = DEFAULT_QUANTILES,
-        streaming: bool = False,
     ) -> None:
         if not quantiles:
             raise ConfigError(f"histogram {name!r} needs at least one quantile")
         self.name = name
         self.quantiles = tuple(float(q) for q in quantiles)
-        self._count = 0
-        self._sum = 0.0
-        self._min = float("inf")
-        self._max = float("-inf")
-        if streaming:
-            self._sample: list[float] | None = None
-            self._estimators: dict[float, StreamingQuantile] | None = {
-                q: StreamingQuantile(q / 100.0) for q in self.quantiles
-            }
-            self.observe = self._observe_streaming
-        else:
-            self._sample = []
-            self._estimators = None
-            #: Exact mode: one list append per observation, nothing else.
-            self.observe = self._sample.append
-
-    def _observe_streaming(self, value: float) -> None:
-        self._count += 1
-        self._sum += value
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
-        assert self._estimators is not None
-        for estimator in self._estimators.values():
-            estimator.add(value)
+        self._sample: list[float] = []
+        self.observe = self._sample.append
 
     @property
     def count(self) -> int:
         """Number of observations."""
-        if self._sample is not None:
-            return len(self._sample)
-        return self._count
+        return len(self._sample)
 
     @property
     def sum(self) -> float:
         """Sum of all observations."""
-        if self._sample is not None:
-            return float(sum(self._sample))
-        return self._sum
+        return float(sum(self._sample))
 
     @property
     def min(self) -> float:
         """Smallest observation (``inf`` while empty)."""
-        if self._sample is not None:
-            return min(self._sample) if self._sample else float("inf")
-        return self._min
+        return min(self._sample) if self._sample else float("inf")
 
     @property
     def max(self) -> float:
         """Largest observation (``-inf`` while empty)."""
-        if self._sample is not None:
-            return max(self._sample) if self._sample else float("-inf")
-        return self._max
+        return max(self._sample) if self._sample else float("-inf")
 
     @property
     def mean(self) -> float:
@@ -181,18 +131,7 @@ class Histogram:
         """The ``q``-th percentile (0 < q < 100) of the sample."""
         if self.count == 0:
             raise SimulationError(f"histogram {self.name!r} is empty")
-        if self._sample is not None:
-            return float(
-                np.percentile(np.asarray(self._sample, dtype=np.float64), q)
-            )
-        assert self._estimators is not None
-        estimator = self._estimators.get(float(q))
-        if estimator is None:
-            raise SimulationError(
-                f"histogram {self.name!r} does not track q={q}; "
-                f"tracked: {self.quantiles}"
-            )
-        return estimator.value()
+        return float(np.percentile(np.asarray(self._sample, dtype=np.float64), q))
 
     def snapshot(self) -> dict[str, float]:
         out = {
@@ -245,11 +184,10 @@ class MetricRegistry:
         self,
         name: str,
         quantiles: Sequence[float] = DEFAULT_QUANTILES,
-        streaming: bool = False,
     ) -> Histogram:
         """Get or create the histogram ``name``."""
         return self._get_or_create(
-            name, lambda: Histogram(name, quantiles, streaming), Histogram
+            name, lambda: Histogram(name, quantiles), Histogram
         )
 
     def scope(self, prefix: str) -> "MetricScope":
@@ -305,11 +243,8 @@ class MetricScope:
         self,
         name: str,
         quantiles: Sequence[float] = DEFAULT_QUANTILES,
-        streaming: bool = False,
     ) -> Histogram:
-        return self._registry.histogram(
-            self._qualify(name), quantiles, streaming
-        )
+        return self._registry.histogram(self._qualify(name), quantiles)
 
     def scope(self, prefix: str) -> "MetricScope":
         return MetricScope(self._registry, self._qualify(prefix))

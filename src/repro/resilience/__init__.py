@@ -11,13 +11,13 @@ simulation of :mod:`repro.cluster`:
   replicas, and tied-request cancellation.
 
 Both default to exact no-ops: with neither active, a cluster run's
-latencies are bit-identical at any worker count and its result carries
-no resilience accounting.  :func:`run_shared_resilient` is the
-shared-engine cluster runner that
-:func:`repro.cluster.run_cluster_experiment` uses for every run it does
-not decompose across processes.  ``python -m repro.resilience`` runs
-named fault scenarios comparing the paper's policies and writes a
-``BENCH_resilience.json`` report.
+latencies are bit-identical to a run that omits them and its result
+carries no resilience accounting.  :func:`run_shared_resilient` is the
+shared-engine cluster runner behind every
+:func:`repro.cluster.run_cluster_experiment` call.
+
+``python -m repro.resilience`` runs named fault scenarios comparing the
+paper's policies and writes a ``BENCH_resilience.json`` report.
 """
 
 from .faults import FaultKind, FaultSpec, FaultWindow, sample_fault_spec

@@ -1,15 +1,11 @@
 """The shared-engine cluster runner, with optional faults and hedging.
 
 :func:`run_shared_resilient` simulates every ISN of a cluster on one
-engine and one clock.  It serves every cluster run that is not
-dispatched to the process-parallel per-ISN decomposition: healthy
+engine and one clock.  It serves every cluster run: healthy
 wait-for-all runs (the paper's Figure 8), faulted runs and hedged runs
-alike.  Faults are wall-clock windows on the shared clock and hedges
-move replicas between ISNs, so those runs cannot decompose into
-independent per-ISN simulations.  All shared randomness (trace,
-arrivals, demand jitters) is drawn by the caller —
-:func:`repro.cluster.cluster.run_cluster_experiment` — so a run with
-no-op options reproduces the decomposed layout bit for bit.
+alike.  All shared randomness (trace, arrivals, demand jitters) is
+drawn by the caller —
+:func:`repro.cluster.cluster.run_cluster_experiment`.
 
 Replica bookkeeping
 -------------------

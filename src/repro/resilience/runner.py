@@ -53,7 +53,6 @@ def execute_cluster_cell(spec: CellSpec) -> CellResult:
         target_table=spec.target_table,
         load_metric=spec.load_metric,
         prediction=spec.prediction,
-        workers=1,  # the exec pool already parallelises across cells
         fault_spec=spec.fault_spec,
         hedge_policy=spec.hedge_policy,
     )

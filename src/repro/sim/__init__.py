@@ -14,8 +14,6 @@ from .client import OpenLoopClient, replay_trace
 from .metrics import (
     LatencyRecorder,
     ResilienceStats,
-    StreamingLatencyRecorder,
-    StreamingQuantile,
     percentile,
     weighted_tail_latency,
 )
@@ -35,8 +33,6 @@ __all__ = [
     "OpenLoopClient",
     "replay_trace",
     "LatencyRecorder",
-    "StreamingLatencyRecorder",
-    "StreamingQuantile",
     "ResilienceStats",
     "percentile",
     "weighted_tail_latency",

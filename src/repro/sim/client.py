@@ -10,6 +10,7 @@ a real queue instead of back-pressuring the client.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -28,8 +29,8 @@ def poisson_arrival_times(
     """Cumulative arrival times (ms) of ``n`` Poisson arrivals at ``qps``."""
     if n < 1:
         raise WorkloadError(f"need at least one arrival, got {n}")
-    if qps <= 0:
-        raise WorkloadError(f"qps must be positive, got {qps}")
+    if not 0 < qps < math.inf:
+        raise WorkloadError(f"qps must be finite and positive, got {qps}")
     mean_gap_ms = 1000.0 / qps
     gaps = rng.exponential(mean_gap_ms, size=n)
     return np.cumsum(gaps)

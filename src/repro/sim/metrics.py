@@ -21,8 +21,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "LatencyRecorder",
-    "StreamingLatencyRecorder",
-    "StreamingQuantile",
     "LatencySummary",
     "DistributionStats",
     "ResilienceStats",
@@ -306,219 +304,6 @@ class LatencyRecorder:
             p99_ms=percentile(arr, 99),
             p999_ms=percentile(arr, 99.9),
             max_ms=float(arr.max()),
-        )
-
-
-class StreamingQuantile:
-    """One-pass quantile estimation (P² algorithm) in O(1) memory.
-
-    Jain & Chlamtac's P² estimator maintains five markers whose heights
-    track the quantile ``q`` as observations stream in, refined by
-    piecewise-parabolic interpolation.  Small samples are kept exactly:
-    until ``exact_threshold`` observations arrive the estimator buffers
-    them and :meth:`value` returns the same linearly-interpolated
-    percentile as ``np.percentile``; at the threshold crossing the five
-    markers are initialised from the buffered empirical quantiles
-    (tighter than the classic five-observation bootstrap) and the
-    buffer is dropped.
-
-    This is the opt-in backing store of
-    :class:`StreamingLatencyRecorder`; the default full-sample
-    :class:`LatencyRecorder` API is unchanged.
-    """
-
-    __slots__ = (
-        "q",
-        "exact_threshold",
-        "count",
-        "_buffer",
-        "_heights",
-        "_positions",
-        "_desired",
-        "_increments",
-    )
-
-    def __init__(self, q: float, exact_threshold: int = 500) -> None:
-        if not 0.0 < q < 1.0:
-            raise SimulationError(f"quantile must be in (0, 1), got {q}")
-        if exact_threshold < 5:
-            raise SimulationError("exact_threshold must be >= 5")
-        self.q = float(q)
-        self.exact_threshold = int(exact_threshold)
-        self.count = 0
-        self._buffer: list[float] | None = []
-        self._heights: list[float] = []
-        self._positions: list[float] = []
-        self._desired: list[float] = []
-        self._increments = (0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0)
-
-    def _init_markers(self) -> None:
-        buf = self._buffer
-        assert buf is not None
-        arr = np.asarray(buf, dtype=np.float64)
-        n = arr.size
-        self._heights = [
-            float(np.percentile(arr, 100.0 * frac)) for frac in self._increments
-        ]
-        self._positions = [
-            1.0 + round((n - 1) * frac) for frac in self._increments
-        ]
-        # Marker positions must stay strictly increasing for the
-        # parabolic update; nudge duplicates apart (possible when the
-        # threshold is small relative to the quantile spacing).
-        for i in range(1, 5):
-            if self._positions[i] <= self._positions[i - 1]:
-                self._positions[i] = self._positions[i - 1] + 1.0
-        self._desired = [1.0 + (n - 1) * frac for frac in self._increments]
-        self._buffer = None
-
-    def add(self, x: float) -> None:
-        """Feed one observation."""
-        self.count += 1
-        if self._buffer is not None:
-            self._buffer.append(x)
-            if self.count >= self.exact_threshold:
-                self._init_markers()
-            return
-
-        heights = self._heights
-        positions = self._positions
-        # Locate the cell containing x, extending the extremes.
-        if x < heights[0]:
-            heights[0] = x
-            k = 0
-        elif x >= heights[4]:
-            heights[4] = x
-            k = 3
-        else:
-            k = 0
-            while k < 3 and x >= heights[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            positions[i] += 1.0
-        desired = self._desired
-        increments = self._increments
-        for i in range(5):
-            desired[i] += increments[i]
-
-        # Adjust the three interior markers toward their desired
-        # positions with parabolic (falling back to linear)
-        # interpolation, keeping heights monotone.
-        for i in range(1, 4):
-            d = desired[i] - positions[i]
-            if (d >= 1.0 and positions[i + 1] - positions[i] > 1.0) or (
-                d <= -1.0 and positions[i - 1] - positions[i] < -1.0
-            ):
-                step = 1.0 if d >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, step)
-                positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
-
-    def value(self) -> float:
-        """Current estimate of the ``q``-quantile."""
-        if self.count == 0:
-            raise SimulationError("no observations recorded")
-        if self._buffer is not None:
-            return float(
-                np.percentile(
-                    np.asarray(self._buffer, dtype=np.float64), 100.0 * self.q
-                )
-            )
-        return self._heights[2]
-
-
-class StreamingLatencyRecorder(LatencyRecorder):
-    """O(1)-memory recorder: P² tail estimates instead of full samples.
-
-    Drop-in for :class:`LatencyRecorder` where only the headline
-    statistics are needed (long soak runs, perf benchmarks): response
-    times feed one :class:`StreamingQuantile` per tracked percentile
-    plus running mean/max, and nothing is appended to the sample lists.
-    :meth:`summary` and :meth:`percentile` therefore return *estimates*
-    beyond ``exact_threshold`` observations (exact below it), and the
-    full-sample surfaces — :attr:`responses` and the per-request lists
-    — are unavailable.
-    """
-
-    #: Percentiles tracked by default, matching :class:`LatencySummary`.
-    DEFAULT_QUANTILES = (50.0, 95.0, 99.0, 99.9)
-
-    def __init__(
-        self,
-        quantiles: Sequence[float] = DEFAULT_QUANTILES,
-        exact_threshold: int = 500,
-    ) -> None:
-        super().__init__()
-        self._estimators = {
-            float(p): StreamingQuantile(p / 100.0, exact_threshold)
-            for p in quantiles
-        }
-        self._count = 0
-        self._sum_ms = 0.0
-        self._max_ms = float("-inf")
-        self._corrected_count = 0
-
-    def record(self, request: "Request") -> None:
-        response = request.finish_ms - request.arrival_ms
-        self._count += 1
-        self._sum_ms += response
-        if response > self._max_ms:
-            self._max_ms = response
-        if request.corrected:
-            self._corrected_count += 1
-        for est in self._estimators.values():
-            est.add(response)
-
-    def __len__(self) -> int:
-        return self._count
-
-    @property
-    def responses(self) -> np.ndarray:
-        raise SimulationError(
-            "StreamingLatencyRecorder keeps no full sample; "
-            "use percentile()/summary() or a LatencyRecorder"
-        )
-
-    def percentile(self, p: float) -> float:
-        est = self._estimators.get(float(p))
-        if est is None:
-            raise SimulationError(
-                f"percentile {p} not tracked; tracked: "
-                f"{sorted(self._estimators)}"
-            )
-        return est.value()
-
-    def correction_rate(self) -> float:
-        if self._count == 0:
-            return 0.0
-        return self._corrected_count / self._count
-
-    def summary(self) -> LatencySummary:
-        if self._count == 0:
-            raise SimulationError("no requests recorded")
-        return LatencySummary(
-            count=self._count,
-            mean_ms=self._sum_ms / self._count,
-            p50_ms=self.percentile(50.0),
-            p95_ms=self.percentile(95.0),
-            p99_ms=self.percentile(99.0),
-            p999_ms=self.percentile(99.9),
-            max_ms=self._max_ms,
         )
 
 

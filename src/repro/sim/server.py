@@ -77,8 +77,6 @@ class Server:
         The parallelism policy making degree decisions.
     engine:
         Event loop this server schedules on (shared in cluster runs).
-    recorder:
-        Destination for completed-request metrics.
     long_threshold_ms:
         Predicted-time threshold above which a request's threads count
         toward the LongT load metric (Section 4.6).
@@ -89,14 +87,13 @@ class Server:
         config: "ServerConfig",
         policy: "ParallelismPolicy",
         engine: Engine | None = None,
-        recorder: LatencyRecorder | None = None,
         long_threshold_ms: float = 80.0,
         completion_callback=None,
     ) -> None:
         self.config = config
         self.policy = policy
         self.engine = engine if engine is not None else Engine()
-        self.recorder = recorder if recorder is not None else LatencyRecorder()
+        self.recorder = LatencyRecorder()
         self.long_threshold_ms = float(long_threshold_ms)
         #: Optional hook invoked with each completed request (used by
         #: the cluster aggregator to observe ISN completions).

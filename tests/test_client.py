@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.config import ServerConfig
-from repro.errors import WorkloadError
+from repro.errors import ConfigError, WorkloadError
+from repro.exec import CellSpec, WorkloadSpec
 from repro.sim.client import OpenLoopClient, poisson_arrival_times, replay_trace
 from repro.sim.engine import Engine
 from repro.sim.server import Server
@@ -28,6 +29,18 @@ class TestPoissonArrivals:
             poisson_arrival_times(0, 100.0, rng)
         with pytest.raises(WorkloadError):
             poisson_arrival_times(10, 0.0, rng)
+
+    @pytest.mark.parametrize("qps", [float("nan"), float("inf")])
+    def test_rejects_non_finite_qps(self, rng, qps):
+        # A NaN rate would make every arrival time NaN and spin the
+        # simulation forever; an infinite one would put every arrival
+        # at t=0.
+        with pytest.raises(WorkloadError):
+            poisson_arrival_times(10, qps, rng)
+        with pytest.raises(ConfigError):
+            CellSpec.for_experiment(
+                WorkloadSpec.search(seed=1), "Sequential", qps, 10, seed=1
+            )
 
 
 class TestOpenLoopClient:

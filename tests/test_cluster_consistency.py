@@ -1,7 +1,5 @@
 """Cross-ISN consistency properties of the cluster simulation."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -77,59 +75,39 @@ class TestClusterConsistency:
         spread = lat.max(axis=1) - lat.min(axis=1)
         assert np.median(spread) < 1e-6
 
-    def test_parallel_matches_serial_bit_for_bit(
-        self, tiny_search_workload, target_table
+    @pytest.mark.parametrize("num_isns", [1, 3])
+    @pytest.mark.parametrize("policy", ["Sequential", "TPC"])
+    def test_noop_options_match_omitted(
+        self, tiny_search_workload, target_table, policy, num_isns
     ):
-        # The two execution paths — the coupled shared-engine runner
-        # (workers=1) and the decomposed per-ISN fan-out (workers=2) —
-        # must agree exactly: same aggregator latencies, same
-        # per-replica latencies, same per-ISN recorders.  Covered for
-        # omitted and explicit no-op resilience options, a
-        # non-correcting and a correcting policy, and a one- and a
-        # three-ISN cluster; none of them reports resilience stats.
-        options = {
-            "omitted": {},
-            "explicit-noop": dict(
-                fault_spec=FaultSpec.none(),
-                hedge_policy=HedgePolicy.wait_for_all(),
-            ),
-        }
-        for (label, opts), policy, num_isns in itertools.product(
-            options.items(), ("Sequential", "TPC"), (1, 3)
-        ):
-            case = f"{label}/{policy}/{num_isns} ISNs"
-            kwargs = dict(
-                qps=200.0, n_queries=150, seed=23,
-                cluster_config=ClusterConfig(num_isns=num_isns),
-                target_table=target_table,
-                **opts,
-            )
-            coupled = run_cluster_experiment(
-                tiny_search_workload, policy, workers=1, **kwargs
-            )
-            decomposed = run_cluster_experiment(
-                tiny_search_workload, policy, workers=2, **kwargs
-            )
-            np.testing.assert_array_equal(
-                coupled.aggregator_latencies_ms,
-                decomposed.aggregator_latencies_ms,
-                err_msg=case,
-            )
-            np.testing.assert_array_equal(
-                coupled.isn_latencies_ms,
-                decomposed.isn_latencies_ms,
-                err_msg=case,
-            )
-            assert len(coupled.isn_recorders) == num_isns, case
-            for a, b in zip(coupled.isn_recorders, decomposed.isn_recorders):
-                np.testing.assert_array_equal(
-                    a.responses_ms, b.responses_ms, err_msg=case
-                )
-                np.testing.assert_array_equal(
-                    a.max_degrees, b.max_degrees, err_msg=case
-                )
-            assert coupled.resilience is None, case
-            assert decomposed.resilience is None, case
+        # Explicit no-op fault and hedge options must leave the run
+        # bit-identical to one that omits them — same aggregator
+        # latencies, per-replica latencies and per-ISN recorders — and
+        # neither run reports resilience stats.
+        kwargs = dict(
+            qps=200.0, n_queries=150, seed=23,
+            cluster_config=ClusterConfig(num_isns=num_isns),
+            target_table=target_table,
+        )
+        omitted = run_cluster_experiment(tiny_search_workload, policy, **kwargs)
+        explicit = run_cluster_experiment(
+            tiny_search_workload, policy,
+            fault_spec=FaultSpec.none(),
+            hedge_policy=HedgePolicy.wait_for_all(),
+            **kwargs,
+        )
+        np.testing.assert_array_equal(
+            omitted.aggregator_latencies_ms, explicit.aggregator_latencies_ms
+        )
+        np.testing.assert_array_equal(
+            omitted.isn_latencies_ms, explicit.isn_latencies_ms
+        )
+        assert len(omitted.isn_recorders) == num_isns
+        for a, b in zip(omitted.isn_recorders, explicit.isn_recorders):
+            np.testing.assert_array_equal(a.responses_ms, b.responses_ms)
+            np.testing.assert_array_equal(a.max_degrees, b.max_degrees)
+        assert omitted.resilience is None
+        assert explicit.resilience is None
 
     def test_same_seed_reproducible(self, tiny_search_workload, target_table):
         kwargs = dict(

@@ -1,9 +1,9 @@
 """The gate's Fig 8 cluster check against a direct recomputation.
 
 The ``cluster_consistency`` check's three measurements must equal, bit
-for bit, the values computed here from two independent runs: the
-decomposed cluster layout over two worker processes, and the
-single-ISN TPC cell at the gate's moderate load.  Whatever path the
+for bit, the values computed here from two independent runs: a direct
+``run_cluster_experiment`` call, outside the cell and cache layers, and
+the single-ISN TPC cell at the gate's moderate load.  Whatever path the
 gate takes to run its cluster internally, the numbers it judges may
 not move.
 """
@@ -33,7 +33,6 @@ def expected() -> dict[str, float]:
         scale.seed,
         cluster_config=ClusterConfig(num_isns=scale.cluster_isns),
         target_table=DEFAULT_SEARCH_TARGET_TABLE,
-        workers=2,
     )
     single = run_cell(
         CellSpec.for_experiment(

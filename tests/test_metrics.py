@@ -6,8 +6,6 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim.metrics import (
     LatencyRecorder,
-    StreamingLatencyRecorder,
-    StreamingQuantile,
     cdf_points,
     degree_distribution,
     percentile,
@@ -145,140 +143,3 @@ class TestDegreeDistribution:
         dist = degree_distribution(rec, 80.0, 6)
         assert sum(dist["long"]) == 0.0
 
-
-class TestStreamingQuantile:
-    def test_rejects_invalid_parameters(self):
-        with pytest.raises(SimulationError):
-            StreamingQuantile(0.0)
-        with pytest.raises(SimulationError):
-            StreamingQuantile(1.0)
-        with pytest.raises(SimulationError):
-            StreamingQuantile(0.5, exact_threshold=2)
-        with pytest.raises(SimulationError):
-            StreamingQuantile(0.5).value()
-
-    def test_small_samples_are_exact(self):
-        rng = np.random.default_rng(21)
-        data = rng.lognormal(1.3, 1.3, size=200)
-        est = StreamingQuantile(0.99, exact_threshold=500)
-        for x in data:
-            est.add(float(x))
-        assert est.value() == float(np.percentile(data, 99))
-
-    @pytest.mark.parametrize("p,tol", [(50, 0.02), (95, 0.02), (99, 0.03), (99.9, 0.10)])
-    def test_error_bounds_on_calibrated_demand_distribution(self, p, tol):
-        # The paper's demand shape: lognormal with a heavy tail (the
-        # calibrated sigma from the Section 2 workload statistics).
-        rng = np.random.default_rng(7)
-        data = rng.lognormal(1.3, 1.3, size=60_000)
-        est = StreamingQuantile(p / 100.0)
-        for x in data:
-            est.add(float(x))
-        exact = float(np.percentile(data, p))
-        assert abs(est.value() - exact) / exact < tol
-
-    def test_threshold_crossing_initialises_from_buffer(self):
-        rng = np.random.default_rng(3)
-        data = rng.exponential(10.0, size=2_000)
-        est = StreamingQuantile(0.95, exact_threshold=100)
-        for x in data:
-            est.add(float(x))
-        exact = float(np.percentile(data, 95))
-        assert abs(est.value() - exact) / exact < 0.05
-
-
-class TestStreamingLatencyRecorder:
-    def _filled(self, n, exact_threshold=500):
-        rng = np.random.default_rng(11)
-        latencies = rng.lognormal(1.3, 1.0, size=n)
-        rec = StreamingLatencyRecorder(exact_threshold=exact_threshold)
-        full = LatencyRecorder()
-        for i, lat in enumerate(latencies):
-            req = completed_request(i, float(lat), corrected=(i % 10 == 0))
-            rec.record(req)
-            full.record(req)
-        return rec, full
-
-    def test_len_and_correction_rate(self):
-        rec, full = self._filled(1_000)
-        assert len(rec) == len(full) == 1_000
-        assert rec.correction_rate() == full.correction_rate()
-
-    def test_summary_tracks_full_recorder(self):
-        rec, full = self._filled(20_000)
-        s, f = rec.summary(), full.summary()
-        assert s.count == f.count
-        assert s.mean_ms == pytest.approx(f.mean_ms, rel=1e-9)
-        assert s.max_ms == f.max_ms
-        for got, want, tol in [
-            (s.p50_ms, f.p50_ms, 0.03),
-            (s.p95_ms, f.p95_ms, 0.03),
-            (s.p99_ms, f.p99_ms, 0.05),
-            (s.p999_ms, f.p999_ms, 0.15),
-        ]:
-            assert abs(got - want) / want < tol
-
-    def test_exact_below_threshold(self):
-        rec, full = self._filled(300, exact_threshold=500)
-        assert rec.percentile(99) == pytest.approx(full.percentile(99), rel=1e-12)
-
-    def test_full_sample_surfaces_unavailable(self):
-        rec, _ = self._filled(10)
-        with pytest.raises(SimulationError):
-            rec.responses
-        with pytest.raises(SimulationError):
-            rec.percentile(42)
-
-    def test_empty_recorder_raises(self):
-        rec = StreamingLatencyRecorder()
-        assert len(rec) == 0
-        assert rec.correction_rate() == 0.0
-        with pytest.raises(SimulationError):
-            rec.summary()
-
-    def test_drop_in_for_server_runs(self):
-        from repro.config import ServerConfig
-        from repro.core.speedup import SpeedupBook, SpeedupProfile
-        from repro.policies.registry import make_policy
-        from repro.rng import RngFactory
-        from repro.sim.client import OpenLoopClient
-        from repro.sim.engine import Engine
-        from repro.sim.server import Server
-
-        book = SpeedupBook(
-            [
-                SpeedupProfile([1.0, 1.05, 1.08, 1.11, 1.14, 1.16]),
-                SpeedupProfile([1.0, 1.4, 1.6, 1.8, 1.95, 2.05]),
-                SpeedupProfile([1.0, 1.8, 2.5, 3.2, 3.7, 4.1]),
-            ]
-        )
-        rngs = RngFactory(5)
-        demands = rngs.get("trace").lognormal(1.3, 1.3, size=800)
-        reqs = [
-            make_request(
-                i, float(d), profile=book.profiles[book.group_of(float(d))]
-            )
-            for i, d in enumerate(demands)
-        ]
-        policy = make_policy(
-            "AP", speedup_book=book, group_weights=[0.6, 0.3, 0.1]
-        )
-
-        def run(recorder):
-            engine = Engine()
-            server = Server(ServerConfig(), policy, engine=engine,
-                            recorder=recorder)
-            client = OpenLoopClient([server])
-            import copy
-            client.schedule_trace(engine, copy.deepcopy(reqs), 500.0,
-                                  RngFactory(5).get("arrivals"))
-            server.run_to_completion(len(reqs))
-            return recorder
-
-        stream = run(StreamingLatencyRecorder())
-        full = run(LatencyRecorder())
-        assert len(stream) == len(full)
-        assert stream.summary().mean_ms == pytest.approx(
-            full.summary().mean_ms, rel=1e-9)
-        assert stream.percentile(99) == pytest.approx(
-            full.percentile(99), rel=0.06)

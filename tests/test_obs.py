@@ -106,29 +106,6 @@ class TestRegistry:
         assert h.mean == pytest.approx(2.5)
         assert h.quantile(50.0) == pytest.approx(2.5)
 
-    def test_streaming_matches_exact_aggregates(self):
-        rng = np.random.default_rng(7)
-        sample = rng.exponential(20.0, size=4_000)
-        exact = Histogram("e")
-        stream = Histogram("s", streaming=True)
-        for v in sample:
-            exact.observe(float(v))
-            stream.observe(float(v))
-        assert stream.count == exact.count
-        assert stream.sum == pytest.approx(exact.sum)
-        assert stream.min == exact.min
-        assert stream.max == exact.max
-        # P2 estimators are approximate; a few percent is fine.
-        assert stream.quantile(99.0) == pytest.approx(
-            exact.quantile(99.0), rel=0.1
-        )
-
-    def test_streaming_untracked_quantile_raises(self):
-        h = Histogram("s", streaming=True)
-        h.observe(1.0)
-        with pytest.raises(SimulationError, match="does not track"):
-            h.quantile(42.0)
-
     def test_empty_histogram_raises(self):
         h = Histogram("e")
         with pytest.raises(SimulationError, match="empty"):

@@ -318,10 +318,7 @@ class TestResilientCluster:
             hedge_policy=HedgePolicy.hedged(50.0),
         )
         a = run_cluster_experiment(tiny_search_workload, "TPC", **kwargs)
-        b = run_cluster_experiment(
-            tiny_search_workload, "TPC", workers=4, **kwargs
-        )
-        # workers is irrelevant on the coupled path: bit-identical.
+        b = run_cluster_experiment(tiny_search_workload, "TPC", **kwargs)
         np.testing.assert_array_equal(
             a.aggregator_latencies_ms, b.aggregator_latencies_ms
         )
