@@ -36,7 +36,7 @@ def _run_tpc_variant(workload, search_table, qps, make_policy_fn,
     engine = Engine()
     server = Server(cfg, policy, engine=engine)
     requests = workload.make_requests(bench_queries(), rngs.get("trace"))
-    OpenLoopClient([server]).schedule_trace(
+    OpenLoopClient(server).schedule_trace(
         engine, requests, qps, rngs.get("arrivals")
     )
     server.run_to_completion(len(requests))

@@ -12,8 +12,8 @@ trace you can open at https://ui.perfetto.dev.
 Run:  python examples/trace_timeline.py
 """
 
-from repro.config import PredictorConfig, SearchWorkloadConfig, ServerConfig
-from repro.core.target_table import TargetTable
+from repro.config import ServerConfig
+from repro.experiments.scenarios import TINY_TARGET_TABLE, TINY_WORKLOAD_SPEC
 from repro.policies.registry import make_policy
 from repro.obs import (
     Observation,
@@ -22,7 +22,6 @@ from repro.obs import (
     slowest_spans,
     write_chrome_trace,
 )
-from repro.search import build_search_workload
 from repro.sim.arrivals import RateProfile, nonhomogeneous_arrival_times
 from repro.sim.engine import Engine
 from repro.rng import RngFactory
@@ -37,25 +36,14 @@ BURST_PROFILE = RateProfile(rates_qps=(250.0, 750.0, 250.0), segment_ms=500.0)
 
 def main() -> None:
     print("Building a small search workload (one-off)...")
-    workload = build_search_workload(
-        seed=11,
-        config=SearchWorkloadConfig(
-            num_documents=3_000,
-            vocabulary_size=1_500,
-            mean_doc_length=120,
-            hard_term_pool=150,
-            easy_skip_top=15,
-        ),
-        predictor_config=PredictorConfig(num_trees=60, max_depth=4),
-        pool_size=1_200,
-    )
+    workload = TINY_WORKLOAD_SPEC.build()
 
     rngs = RngFactory(21)
     policy = make_policy(
         "TPC",
         speedup_book=workload.speedup_book,
         group_weights=workload.group_weights,
-        target_table=TargetTable([(0, 40), (8, 65), (16, 90)]),
+        target_table=TINY_TARGET_TABLE,
     )
     engine = Engine()
     server = Server(ServerConfig(), policy, engine=engine)

@@ -49,7 +49,11 @@ class ResultCache:
         try:
             with path.open("rb") as fh:
                 result = pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+        except Exception:
+            # Unpickling can raise almost anything: a truncated file, an
+            # unknown protocol (ValueError), a class or module a refactor
+            # removed (AttributeError, ModuleNotFoundError).  Every such
+            # entry is a miss, never a crash.
             self.misses += 1
             return None
         if not isinstance(result, CellResult):

@@ -132,7 +132,7 @@ def run_search_experiment(
         prediction=prediction,
         oracle_sigma=oracle_sigma,
     )
-    client = OpenLoopClient([server])
+    client = OpenLoopClient(server)
     client.schedule_trace(engine, requests, qps, rngs.get("arrivals"))
     server.run_to_completion(n_requests)
     return ExperimentResult(

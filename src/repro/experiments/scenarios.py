@@ -4,11 +4,13 @@ Centralises the constants the evaluation section fixes: the QPS grid of
 Figures 4-7, the policy sets, the default workload seed, and the
 shipped target table (built once offline with Algorithm 1, exactly as
 the paper computes its table offline and distributes it to all ISNs).
+It also holds the one tiny workload recipe (and its target table) that
+the demos, the perf harness and the tests share.
 """
 
 from __future__ import annotations
 
-from ..config import PredictorConfig, SearchWorkloadConfig, TargetTableConfig
+from ..config import PredictorConfig, SearchWorkloadConfig
 from ..core.target_table import TargetTable
 from ..exec.pool import memoised_workload
 from ..exec.spec import WorkloadSpec
@@ -24,6 +26,8 @@ __all__ = [
     "default_workload",
     "default_workload_spec",
     "default_target_table",
+    "TINY_WORKLOAD_SPEC",
+    "TINY_TARGET_TABLE",
 ]
 
 #: Load grid of Figures 10-11 (requests per second, finance server).
@@ -77,6 +81,25 @@ DEFAULT_FINANCE_TARGET_TABLE = TargetTable(
 )
 
 
+#: Tiny search workload for demos, the perf harness's end-to-end cell
+#: and tests: a 3 000-document corpus that builds in about a second.
+TINY_WORKLOAD_SPEC = WorkloadSpec.search(
+    seed=11,
+    config=SearchWorkloadConfig(
+        num_documents=3_000,
+        vocabulary_size=1_500,
+        mean_doc_length=120,
+        hard_term_pool=150,
+        easy_skip_top=15,
+    ),
+    predictor_config=PredictorConfig(num_trees=60, max_depth=4),
+    pool_size=1_200,
+)
+
+#: Load-dependent target table for TP/TPC over :data:`TINY_WORKLOAD_SPEC`.
+TINY_TARGET_TABLE = TargetTable([(0, 40), (8, 65), (16, 90)])
+
+
 def default_workload(
     seed: int = DEFAULT_SEED, pool_size: int = 12_000
 ) -> SearchWorkload:
@@ -112,7 +135,3 @@ def default_target_table() -> TargetTable:
     """The shipped offline-built target table."""
     return DEFAULT_SEARCH_TARGET_TABLE
 
-
-def default_table_config() -> TargetTableConfig:
-    """Algorithm 1 inputs used to (re)build the shipped table."""
-    return TargetTableConfig()

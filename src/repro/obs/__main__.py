@@ -15,27 +15,15 @@ import argparse
 import sys
 from typing import Sequence
 
-from ..config import PredictorConfig, SearchWorkloadConfig
-from ..core.target_table import TargetTable
 from ..errors import ReproError
+from ..exec.spec import CellSpec
+from ..experiments.scenarios import TINY_TARGET_TABLE, TINY_WORKLOAD_SPEC
 from .attribution import render_tail_report
 from .export import render_timelines, write_chrome_trace
 from .observe import observe_cell
 from .spans import slowest_spans
 
 __all__ = ["main"]
-
-#: Tiny corpus sized for an interactive demo (about a second to build).
-_DEMO_SEARCH = SearchWorkloadConfig(
-    num_documents=3_000,
-    vocabulary_size=1_500,
-    mean_doc_length=120,
-    hard_term_pool=150,
-    easy_skip_top=15,
-)
-
-#: Load-dependent target table for the TPC-family policies.
-_DEMO_TABLE = TargetTable([(0, 40), (8, 65), (16, 90)])
 
 _TABLE_POLICIES = ("TP", "TPC")
 
@@ -102,25 +90,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         else (800 if args.fast else 4_000)
     )
 
-    from ..exec.spec import CellSpec, WorkloadSpec
-
-    wspec = WorkloadSpec.search(
-        seed=11,
-        config=_DEMO_SEARCH,
-        predictor_config=PredictorConfig(num_trees=60, max_depth=4),
-        pool_size=1_200,
-    )
-    table = _DEMO_TABLE if args.policy in _TABLE_POLICIES else None
-    spec = CellSpec.for_experiment(
-        wspec,
-        args.policy,
-        args.qps,
-        n_requests=n_requests,
-        seed=args.seed,
-        target_table=table,
-    )
-
+    table = TINY_TARGET_TABLE if args.policy in _TABLE_POLICIES else None
     try:
+        spec = CellSpec.for_experiment(
+            TINY_WORKLOAD_SPEC,
+            args.policy,
+            args.qps,
+            n_requests=n_requests,
+            seed=args.seed,
+            target_table=table,
+        )
         cell, obs = observe_cell(spec)
     except ReproError as exc:
         print(f"obs error: {exc}", file=sys.stderr)

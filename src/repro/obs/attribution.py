@@ -80,11 +80,6 @@ class CorrectionCheck(NamedTuple):
     #: Whether the controller scheduled another check.
     will_recheck: bool
 
-    @property
-    def fired_late(self) -> bool:
-        """Whether the trigger fired past the request's target."""
-        return self.target_ms is not None and self.elapsed_ms >= self.target_ms
-
 
 class DecisionLog:
     """Observer sink for policy decisions (see ``ParallelismPolicy.observer``).
@@ -96,8 +91,6 @@ class DecisionLog:
     def __init__(self) -> None:
         self.dispatches: list[DispatchDecision] = []
         self.checks: list[CorrectionCheck] = []
-        self._dispatch_by_rid: dict[int, DispatchDecision] = {}
-        self._checks_by_rid: dict[int, list[CorrectionCheck]] = {}
 
     def on_dispatch_decision(
         self,
@@ -107,17 +100,17 @@ class DecisionLog:
         target_ms: float | None = None,
         load: float | None = None,
     ) -> None:
-        decision = DispatchDecision(
-            rid=request.rid,
-            time_ms=server.now,
-            degree=degree,
-            predicted_ms=request.predicted_ms,
-            demand_ms=request.demand_ms,
-            target_ms=target_ms,
-            load=load,
+        self.dispatches.append(
+            DispatchDecision(
+                rid=request.rid,
+                time_ms=server.now,
+                degree=degree,
+                predicted_ms=request.predicted_ms,
+                demand_ms=request.demand_ms,
+                target_ms=target_ms,
+                load=load,
+            )
         )
-        self.dispatches.append(decision)
-        self._dispatch_by_rid[request.rid] = decision
 
     def on_correction_check(
         self,
@@ -129,38 +122,22 @@ class DecisionLog:
         new_degree: int | None,
         will_recheck: bool,
     ) -> None:
-        check = CorrectionCheck(
-            rid=request.rid,
-            time_ms=server.now,
-            elapsed_ms=elapsed_ms,
-            target_ms=target_ms,
-            spare_workers=spare_workers,
-            new_degree=new_degree,
-            will_recheck=will_recheck,
+        self.checks.append(
+            CorrectionCheck(
+                rid=request.rid,
+                time_ms=server.now,
+                elapsed_ms=elapsed_ms,
+                target_ms=target_ms,
+                spare_workers=spare_workers,
+                new_degree=new_degree,
+                will_recheck=will_recheck,
+            )
         )
-        self.checks.append(check)
-        self._checks_by_rid.setdefault(request.rid, []).append(check)
-
-    def dispatch_for(self, rid: int) -> DispatchDecision | None:
-        """The dispatch decision recorded for ``rid``, or None."""
-        return self._dispatch_by_rid.get(rid)
-
-    def checks_for(self, rid: int) -> list[CorrectionCheck]:
-        """All correction checks recorded for ``rid`` (possibly empty)."""
-        return list(self._checks_by_rid.get(rid, ()))
 
     @property
     def corrections_fired(self) -> int:
         """Checks that actually raised a degree."""
         return sum(1 for c in self.checks if c.new_degree is not None)
-
-    def misprediction_ratios(self) -> list[float]:
-        """``demand / predicted`` per dispatch (>1 = under-predicted)."""
-        return [
-            d.demand_ms / d.predicted_ms
-            for d in self.dispatches
-            if d.predicted_ms > 0
-        ]
 
 
 class RequestInfo(NamedTuple):

@@ -95,29 +95,16 @@ class _ScopeMetrics:
 
 
 class Observation:
-    """Aggregated telemetry of one (or several) observed servers.
+    """Aggregated telemetry of one (or several) observed servers."""
 
-    Parameters
-    ----------
-    capacity:
-        Optional cap on the number of trace events kept (see
-        :class:`RequestTracer`); demand info and policy decisions are
-        unaffected by the cap.
-    """
-
-    def __init__(self, capacity: int | None = None) -> None:
-        self.tracer = RequestTracer(capacity)
+    def __init__(self) -> None:
+        self.tracer = RequestTracer()
         self.decisions = DecisionLog()
         #: Per attached server: (scope name, rid -> live request).
         self._servers: list[tuple[str | None, dict[int, "Request"]]] = []
         self._registry = MetricRegistry()
         #: Event count the registry was last derived from (-1 = dirty).
         self._metrics_upto = -1
-
-    @property
-    def attached_servers(self) -> int:
-        """How many servers feed this observation."""
-        return len(self._servers)
 
     def attach(self, server: "Server", name: str | None = None) -> None:
         """Instrument one server (must be fresh; see ``attach_tracer``).
@@ -136,13 +123,6 @@ class Observation:
             server.policy.observer = self.decisions
         self._servers.append((name, requests))
         self._metrics_upto = -1
-
-    def _request_for(self, rid: int) -> "Request | None":
-        for _, requests in self._servers:
-            request = requests.get(rid)
-            if request is not None:
-                return request
-        return None
 
     def _finalize(self) -> None:
         """(Re)derive the metric registry from the recorded events."""
@@ -225,7 +205,6 @@ class Observation:
         """Scalar telemetry for ``CellResult.extras``."""
         return {
             f"{prefix}.events_traced": float(len(self.tracer)),
-            f"{prefix}.events_dropped": float(self.tracer.dropped),
             f"{prefix}.dispatch_decisions": float(
                 len(self.decisions.dispatches)
             ),

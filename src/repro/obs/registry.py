@@ -5,7 +5,7 @@ writes into: counters for monotone totals, gauges for instantaneous
 levels (with a high-water mark), histograms for millisecond samples.
 Scopes (:meth:`MetricRegistry.scope`) prefix metric names with a dotted
 path — ``isn3.queue_wait_ms`` — so a cluster run keeps per-server and
-cluster-wide metrics in one registry and one JSON dump.
+cluster-wide metrics in one registry and one snapshot.
 
 Histograms keep the full sample and compute quantiles on demand,
 which keeps the observe path to a list append — cheap enough for the
@@ -14,8 +14,7 @@ which keeps the observe path to a list append — cheap enough for the
 
 from __future__ import annotations
 
-import json
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -23,26 +22,18 @@ from ..errors import ConfigError, SimulationError
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricRegistry", "MetricScope"]
 
-#: Quantiles a histogram reports by default (matches LatencySummary).
-DEFAULT_QUANTILES = (50.0, 95.0, 99.0, 99.9)
+#: Quantiles a histogram reports (matches LatencySummary).
+QUANTILES = (50.0, 95.0, 99.0, 99.9)
 
 
 class Counter:
-    """A monotone event count.
-
-    ``value`` is public on purpose: hot observers pre-bind the counter
-    and bump ``counter.value += 1`` directly, skipping a method call.
-    """
+    """A monotone event count, bumped as ``counter.value += 1``."""
 
     __slots__ = ("name", "value")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        """Add ``n`` (default 1) to the count."""
-        self.value += n
 
     def snapshot(self) -> dict[str, float]:
         return {self.name: float(self.value)}
@@ -85,17 +76,10 @@ class Histogram:
     path pays exactly one call per sample.
     """
 
-    __slots__ = ("name", "quantiles", "observe", "_sample")
+    __slots__ = ("name", "observe", "_sample")
 
-    def __init__(
-        self,
-        name: str,
-        quantiles: Sequence[float] = DEFAULT_QUANTILES,
-    ) -> None:
-        if not quantiles:
-            raise ConfigError(f"histogram {name!r} needs at least one quantile")
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.quantiles = tuple(float(q) for q in quantiles)
         self._sample: list[float] = []
         self.observe = self._sample.append
 
@@ -141,7 +125,7 @@ class Histogram:
             out[f"{self.name}.mean"] = self.mean
             out[f"{self.name}.min"] = self.min
             out[f"{self.name}.max"] = self.max
-            for q in self.quantiles:
+            for q in QUANTILES:
                 out[f"{self.name}.p{q:g}"] = self.quantile(q)
         return out
 
@@ -180,15 +164,9 @@ class MetricRegistry:
         """Get or create the gauge ``name``."""
         return self._get_or_create(name, lambda: Gauge(name), Gauge)
 
-    def histogram(
-        self,
-        name: str,
-        quantiles: Sequence[float] = DEFAULT_QUANTILES,
-    ) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         """Get or create the histogram ``name``."""
-        return self._get_or_create(
-            name, lambda: Histogram(name, quantiles), Histogram
-        )
+        return self._get_or_create(name, lambda: Histogram(name), Histogram)
 
     def scope(self, prefix: str) -> "MetricScope":
         """A view creating metrics under ``prefix.`` (nested scopes ok)."""
@@ -211,13 +189,6 @@ class MetricRegistry:
             out.update(self._metrics[name].snapshot())
         return out
 
-    def to_json(self, extra: Mapping[str, object] | None = None) -> str:
-        """The snapshot as a sorted, indented JSON document."""
-        doc: dict[str, object] = {"metrics": self.snapshot()}
-        if extra:
-            doc.update(extra)
-        return json.dumps(doc, indent=2, sort_keys=True)
-
 
 class MetricScope:
     """A dotted-prefix view over a :class:`MetricRegistry`."""
@@ -239,12 +210,8 @@ class MetricScope:
     def gauge(self, name: str) -> Gauge:
         return self._registry.gauge(self._qualify(name))
 
-    def histogram(
-        self,
-        name: str,
-        quantiles: Sequence[float] = DEFAULT_QUANTILES,
-    ) -> Histogram:
-        return self._registry.histogram(self._qualify(name), quantiles)
+    def histogram(self, name: str) -> Histogram:
+        return self._registry.histogram(self._qualify(name))
 
     def scope(self, prefix: str) -> "MetricScope":
         return MetricScope(self._registry, self._qualify(prefix))

@@ -32,8 +32,8 @@ class SpanCause(enum.Enum):
     #: Cancelled because the other member of its hedge pair delivered
     #: the shard's result first (tied-request cancellation).
     HEDGE_SUPERSEDED = "hedge-superseded"
-    #: No terminal event in the trace (capacity truncation, or the
-    #: request was still in flight when tracing stopped).
+    #: No terminal event in the trace (the request was still in
+    #: flight when tracing stopped).
     OPEN = "open"
 
     @property

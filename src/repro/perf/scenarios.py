@@ -33,10 +33,10 @@ time varies across machines.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
-from ..config import PredictorConfig, SearchWorkloadConfig, ServerConfig
+from ..config import ServerConfig
 from ..errors import ConfigError
 
 __all__ = [
@@ -129,7 +129,7 @@ def run_hotpath_benchmark(
     server = Server(ServerConfig(), policy, engine=engine)
     if observation is not None:
         observation.attach(server)
-    client = OpenLoopClient([server])
+    client = OpenLoopClient(server)
     started = time.perf_counter()
     client.schedule_trace(engine, requests, 500.0, rngs.get("arrivals"))
     server.run_to_completion(n_requests)
@@ -255,18 +255,6 @@ def run_tracing_overhead(
     }
 
 
-#: Tiny search corpus for the end-to-end scenario: big enough to train
-#: the predictor and shape a demand distribution, small enough to build
-#: in about a second.
-_TINY_SEARCH = SearchWorkloadConfig(
-    num_documents=3_000,
-    vocabulary_size=1_500,
-    mean_doc_length=120,
-    hard_term_pool=150,
-    easy_skip_top=15,
-)
-
-
 def run_end_to_end_cell(
     size: int, seed: int = HOTPATH_SEED
 ) -> dict[str, float]:
@@ -280,24 +268,18 @@ def run_end_to_end_cell(
     ``cell_s`` the ``run_cell`` that follows on the warm memo;
     ``wall_time_s`` is their sum.
     """
-    from ..core.target_table import TargetTable
     from ..exec.pool import forget_workload, memoised_workload, run_cell
-    from ..exec.spec import CellSpec, WorkloadSpec
+    from ..exec.spec import CellSpec
+    from ..experiments.scenarios import TINY_TARGET_TABLE, TINY_WORKLOAD_SPEC
 
-    wspec = WorkloadSpec.search(
-        seed=11,
-        config=_TINY_SEARCH,
-        predictor_config=PredictorConfig(num_trees=60, max_depth=4),
-        pool_size=1_200,
-        use_workload_cache=False,
-    )
+    wspec = replace(TINY_WORKLOAD_SPEC, use_workload_cache=False)
     spec = CellSpec.for_experiment(
         wspec,
         "TPC",
         300.0,
         n_requests=size,
         seed=seed,
-        target_table=TargetTable([(0, 40), (8, 65), (16, 90)]),
+        target_table=TINY_TARGET_TABLE,
     )
     forget_workload(wspec)
     started = time.perf_counter()

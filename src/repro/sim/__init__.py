@@ -10,7 +10,7 @@ thread Xeon testbed (see DESIGN.md for the substitution argument).
 from .engine import Engine, EventHandle
 from .request import Request, RequestState
 from .server import Server
-from .client import OpenLoopClient, replay_trace
+from .client import OpenLoopClient
 from .metrics import (
     LatencyRecorder,
     ResilienceStats,
@@ -31,7 +31,6 @@ __all__ = [
     "RequestState",
     "Server",
     "OpenLoopClient",
-    "replay_trace",
     "LatencyRecorder",
     "ResilienceStats",
     "percentile",

@@ -119,7 +119,9 @@ class Server:
         #: Rate classes of the running set, keyed by effective speedup.
         self._classes: dict[float, _RateClass] = {}
         #: Caches of ``total_throughput(busy)`` and the contention
-        #: factor, refreshed whenever ``_busy_workers`` changes.  The
+        #: factor (processor-sharing slowdown of one thread: full speed
+        #: up to the physical core count, ``total_throughput(T) / T``
+        #: beyond), refreshed whenever ``_busy_workers`` changes.  The
         #: busy count never exceeds the worker pool, so both functions
         #: are tabulated once per server.
         workers = config.worker_threads
@@ -429,17 +431,6 @@ class Server:
     # ------------------------------------------------------------------
     # Fluid progress integration.
     # ------------------------------------------------------------------
-
-    def _contention_factor(self) -> float:
-        """Processor-sharing slowdown of one thread.
-
-        With ``T`` active threads the machine delivers
-        ``total_throughput(T)`` core-equivalents (full speed up to the
-        physical core count, diminished SMT-sibling speed beyond, a
-        hard ceiling past the hardware-thread count), shared equally.
-        The value is cached and refreshed when the busy count changes.
-        """
-        return self._factor
 
     def _advance(self) -> None:
         """Integrate remaining work of running requests up to ``now``.

@@ -17,7 +17,6 @@ nothing global changes), so the disabled path stays bit-identical.
 from __future__ import annotations
 
 import enum
-import warnings
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from ..errors import SimulationError
@@ -49,9 +48,9 @@ class TraceEvent(NamedTuple):
     request was withdrawn (e.g. ``"hedge-superseded"``, ``"blackout"``);
     None means the caller gave no reason.
 
-    A NamedTuple rather than a dataclass: events are built once per
-    traced lifecycle transition, so construction cost is the floor of
-    the enabled-path tracing overhead.
+    A NamedTuple so the tracer can upgrade the raw 5-tuples recorded
+    on the hot path in place (``TraceEvent._make``), lazily, on the
+    first query.
     """
 
     time_ms: float
@@ -76,17 +75,9 @@ class RequestTracer:
     first timeline query after new events arrive, so :meth:`timeline`
     is O(events of that request) amortised instead of a full scan per
     call — span assembly over large traces stays linear overall.
-
-    When ``capacity`` is set, events beyond it are dropped; the drop
-    count is exposed as :attr:`dropped` and the first drop emits a
-    one-line :class:`RuntimeWarning` so truncated traces never pass
-    silently.
     """
 
-    def __init__(self, capacity: int | None = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise SimulationError("capacity must be >= 1 or None")
-        self.capacity = capacity
+    def __init__(self) -> None:
         #: Hot-path storage.  The attach_tracer wrappers append plain
         #: 5-tuples here (field order of :class:`TraceEvent`);
         #: :meth:`_materialize` upgrades them to TraceEvent lazily, so
@@ -98,26 +89,10 @@ class RequestTracer:
         self._indexed = 0
         #: Number of events known to be materialized TraceEvents.
         self._materialized = 0
-        self._dropped = 0
 
     def __len__(self) -> int:
-        """Number of recorded (kept) events."""
+        """Number of recorded events."""
         return len(self._events)
-
-    @property
-    def dropped(self) -> int:
-        """Events discarded because :attr:`capacity` was reached."""
-        return self._dropped
-
-    def _note_drop(self) -> None:
-        self._dropped += 1
-        if self._dropped == 1:
-            warnings.warn(
-                f"RequestTracer capacity ({self.capacity}) reached; "
-                "dropping further trace events (see tracer.dropped)",
-                RuntimeWarning,
-                stacklevel=4,
-            )
 
     def record(
         self,
@@ -127,15 +102,8 @@ class RequestTracer:
         degree: int,
         cause: str | None = None,
     ) -> None:
-        """Append one event (drops, counted, once capacity is reached)."""
-        self.record_event(TraceEvent(time_ms, rid, kind, degree, cause))
-
-    def record_event(self, event: TraceEvent) -> None:
-        """Append a pre-built event (the hook wrappers' entry point)."""
-        if self.capacity is not None and len(self._events) >= self.capacity:
-            self._note_drop()
-            return
-        self._events.append(event)
+        """Append one event."""
+        self._events.append(TraceEvent(time_ms, rid, kind, degree, cause))
 
     def _materialize(self) -> list[TraceEvent]:
         """Upgrade any raw event tuples to TraceEvent, in place."""
@@ -177,19 +145,6 @@ class RequestTracer:
     def requests_traced(self) -> set[int]:
         """Ids of all requests with at least one event."""
         return set(self._index())
-
-    def degree_changes(self, rid: int) -> list[tuple[float, int]]:
-        """(time, new_degree) pairs of one request's mid-flight changes."""
-        return [
-            (e.time_ms, e.degree)
-            for e in self.timeline(rid)
-            if e.kind is TraceEventKind.DEGREE_CHANGE
-        ]
-
-    def format_timeline(self, rid: int) -> str:
-        """Human-readable timeline of one request."""
-        lines = [str(e) for e in self.timeline(rid)]
-        return "\n".join(lines) if lines else f"(no events for request {rid})"
 
     def validate(self) -> None:
         """Check per-request event-order invariants.
@@ -238,19 +193,15 @@ class RequestTracer:
 
 def attach_tracer(
     server: "Server",
-    capacity: int | None = None,
     tracer: RequestTracer | None = None,
-    on_event: "Callable[[TraceEvent, Request], None] | None" = None,
     on_arrival: "Callable[[Request], None] | None" = None,
 ) -> RequestTracer:
     """Instrument a server with a tracer (wraps its lifecycle hooks).
 
     Must be called before any request is submitted.  ``tracer`` lets
     several servers of one cluster share a tracer (or lets callers
-    supply a pre-configured one).  ``on_event`` is invoked with every
-    event *and* its live request — even events the tracer drops at
-    capacity.  ``on_arrival`` is invoked once per submitted request
-    (with the live request only); it is the cheap hook
+    supply their own).  ``on_arrival`` is invoked once per submitted
+    request (with the live request only); it is the cheap hook
     :class:`repro.obs.Observation` uses to capture ground-truth demand
     info without paying a callback per event.
     """
@@ -259,7 +210,7 @@ def attach_tracer(
     if server.dispatch_callback is not None:
         raise SimulationError("server already has a dispatch_callback")
     if tracer is None:
-        tracer = RequestTracer(capacity)
+        tracer = RequestTracer()
 
     original_submit = server.submit
     original_raise = server.raise_degree
@@ -267,13 +218,11 @@ def attach_tracer(
     original_cancel = server.cancel_request
     # Pre-bound hot-path locals: the wrappers run once per lifecycle
     # transition of every request, so each saved attribute lookup counts
-    # against the enabled-path overhead budget.  An uncapped tracer
-    # records through the raw list append — no capacity check at all.
-    record_event = (
-        tracer._events.append
-        if tracer.capacity is None
-        else tracer.record_event
-    )
+    # against the enabled-path overhead budget.  Events are recorded as
+    # plain 5-tuples (TraceEvent field order) through the raw list
+    # append; the tracer materializes NamedTuples lazily on the first
+    # query, so the hot path never pays construction.
+    record_event = tracer._events.append
     engine = server.engine  # server.now is a property; engine.now is flat
     arrival_kind = TraceEventKind.ARRIVAL
     dispatch_kind = TraceEventKind.DISPATCH
@@ -281,113 +230,46 @@ def attach_tracer(
     completion_kind = TraceEventKind.COMPLETION
     cancelled_kind = TraceEventKind.CANCELLED
 
-    if on_event is None:
-        # Fast wrapper set: record plain 5-tuples (TraceEvent field
-        # order) and let the tracer materialize NamedTuples lazily on
-        # the first query — the hot path never pays construction.
-        def submit(request: "Request") -> None:
-            # Recorded before the submit call so that an immediate
-            # same-instant dispatch lands after the arrival — timelines
-            # always read arrival -> dispatch with a plain append.
-            record_event((engine.now, request.rid, arrival_kind, 0, None))
-            original_submit(request)
-            if on_arrival is not None:
-                on_arrival(request)
+    def submit(request: "Request") -> None:
+        # Recorded before the submit call so that an immediate
+        # same-instant dispatch lands after the arrival — timelines
+        # always read arrival -> dispatch with a plain append.
+        record_event((engine.now, request.rid, arrival_kind, 0, None))
+        original_submit(request)
+        if on_arrival is not None:
+            on_arrival(request)
 
-        def on_dispatch(request: "Request") -> None:
-            record_event(
-                (engine.now, request.rid, dispatch_kind, request.degree, None)
-            )
+    def on_dispatch(request: "Request") -> None:
+        record_event(
+            (engine.now, request.rid, dispatch_kind, request.degree, None)
+        )
 
-        def raise_degree(request: "Request", new_degree: int) -> int:
-            before = request.degree
-            granted = original_raise(request, new_degree)
-            if granted > before:
-                record_event(
-                    (engine.now, request.rid, change_kind, granted, None)
-                )
-            return granted
+    def raise_degree(request: "Request", new_degree: int) -> int:
+        before = request.degree
+        granted = original_raise(request, new_degree)
+        if granted > before:
+            record_event((engine.now, request.rid, change_kind, granted, None))
+        return granted
 
-        def complete(request: "Request") -> None:
-            original_complete(request)
-            record_event(
-                (
-                    engine.now,
-                    request.rid,
-                    completion_kind,
-                    request.degree,
-                    None,
-                )
-            )
+    def complete(request: "Request") -> None:
+        original_complete(request)
+        record_event(
+            (engine.now, request.rid, completion_kind, request.degree, None)
+        )
 
-        def cancel_request(
-            request: "Request", cause: str | None = None
-        ) -> float:
-            degree = request.degree
-            work_done = original_cancel(request, cause)
-            record_event(
-                (
-                    engine.now,
-                    request.rid,
-                    cancelled_kind,
-                    degree,
-                    request.cancel_cause,
-                )
-            )
-            return work_done
-
-    else:
-        # Callback wrapper set: ``on_event`` receives real TraceEvents,
-        # so they are built eagerly here.
-        def submit(request: "Request") -> None:
-            event = TraceEvent(engine.now, request.rid, arrival_kind, 0)
-            record_event(event)
-            on_event(event, request)
-            original_submit(request)
-            if on_arrival is not None:
-                on_arrival(request)
-
-        def on_dispatch(request: "Request") -> None:
-            event = TraceEvent(
-                engine.now, request.rid, dispatch_kind, request.degree
-            )
-            record_event(event)
-            on_event(event, request)
-
-        def raise_degree(request: "Request", new_degree: int) -> int:
-            before = request.degree
-            granted = original_raise(request, new_degree)
-            if granted > before:
-                event = TraceEvent(
-                    engine.now, request.rid, change_kind, granted
-                )
-                record_event(event)
-                on_event(event, request)
-            return granted
-
-        def complete(request: "Request") -> None:
-            original_complete(request)
-            event = TraceEvent(
-                engine.now, request.rid, completion_kind, request.degree
-            )
-            record_event(event)
-            on_event(event, request)
-
-        def cancel_request(
-            request: "Request", cause: str | None = None
-        ) -> float:
-            degree = request.degree
-            work_done = original_cancel(request, cause)
-            event = TraceEvent(
+    def cancel_request(request: "Request", cause: str | None = None) -> float:
+        degree = request.degree
+        work_done = original_cancel(request, cause)
+        record_event(
+            (
                 engine.now,
                 request.rid,
                 cancelled_kind,
                 degree,
                 request.cancel_cause,
             )
-            record_event(event)
-            on_event(event, request)
-            return work_done
+        )
+        return work_done
 
     server.submit = submit  # type: ignore[method-assign]
     server.dispatch_callback = on_dispatch

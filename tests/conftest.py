@@ -2,18 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.config import (
-    PredictorConfig,
-    SearchWorkloadConfig,
-    ServerConfig,
-)
+from repro.config import ServerConfig
 from repro.core.speedup import SpeedupBook, SpeedupProfile
 from repro.core.target_table import TargetTable
+from repro.experiments.scenarios import TINY_WORKLOAD_SPEC
 from repro.finance import build_finance_workload
-from repro.search import build_search_workload
 from repro.sim.request import Request
 
 
@@ -41,27 +39,11 @@ def server_config() -> ServerConfig:
 
 
 @pytest.fixture(scope="session")
-def tiny_search_config() -> SearchWorkloadConfig:
-    """A miniature corpus configuration for fast integration tests."""
-    return SearchWorkloadConfig(
-        num_documents=3_000,
-        vocabulary_size=1_500,
-        mean_doc_length=120,
-        hard_term_pool=150,
-        easy_skip_top=15,
-    )
-
-
-@pytest.fixture(scope="session")
-def tiny_search_workload(tiny_search_config):
+def tiny_search_workload():
     """A small but complete search workload (built once per session)."""
-    return build_search_workload(
-        seed=11,
-        config=tiny_search_config,
-        predictor_config=PredictorConfig(num_trees=60, max_depth=4),
-        pool_size=1_200,
-        use_cache=False,
-    )
+    return dataclasses.replace(
+        TINY_WORKLOAD_SPEC, use_workload_cache=False
+    ).build()
 
 
 @pytest.fixture(scope="session")

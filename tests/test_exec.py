@@ -22,7 +22,6 @@ from repro.config import (
     PredictorConfig,
     SearchWorkloadConfig,
 )
-from repro.core.target_table import TargetTable
 from repro.errors import ConfigError
 from repro.exec import (
     CellSpec,
@@ -35,34 +34,18 @@ from repro.exec import (
     run_sweep,
 )
 from repro.exec import pool as pool_mod
-
-
-TINY_SEARCH = SearchWorkloadConfig(
-    num_documents=3_000,
-    vocabulary_size=1_500,
-    mean_doc_length=120,
-    hard_term_pool=150,
-    easy_skip_top=15,
-)
-TINY_PREDICTOR = PredictorConfig(num_trees=60, max_depth=4)
-TINY_TABLE = TargetTable([(0, 40), (8, 65), (16, 90)])
+from repro.experiments.scenarios import TINY_TARGET_TABLE, TINY_WORKLOAD_SPEC
 
 
 def tiny_workload_spec() -> WorkloadSpec:
     """Recipe identical to the ``tiny_search_workload`` fixture."""
-    return WorkloadSpec.search(
-        seed=11,
-        config=TINY_SEARCH,
-        predictor_config=TINY_PREDICTOR,
-        pool_size=1_200,
-        use_workload_cache=False,
-    )
+    return dataclasses.replace(TINY_WORKLOAD_SPEC, use_workload_cache=False)
 
 
 def tiny_cell(policy: str = "TPC", qps: float = 300.0, **kwargs) -> CellSpec:
     return CellSpec.for_experiment(
         tiny_workload_spec(), policy, qps, n_requests=200, seed=5,
-        target_table=TINY_TABLE, **kwargs,
+        target_table=TINY_TARGET_TABLE, **kwargs,
     )
 
 
@@ -70,7 +53,7 @@ def tiny_cell(policy: str = "TPC", qps: float = 300.0, **kwargs) -> CellSpec:
 def small_sweep() -> SweepSpec:
     return SweepSpec.grid(
         tiny_workload_spec(), ["TPC", "AP"], [250.0, 450.0],
-        n_requests=200, seed=7, target_table=TINY_TABLE,
+        n_requests=200, seed=7, target_table=TINY_TARGET_TABLE,
     )
 
 
@@ -102,7 +85,9 @@ class TestSpecHash:
             dataclasses.replace(base, target_entries=((0.0, 41.0),)),
             dataclasses.replace(base, oracle_sigma=0.1),
             dataclasses.replace(
-                base, workload=WorkloadSpec.search(seed=12, config=TINY_SEARCH)
+                base, workload=WorkloadSpec.search(
+                    seed=12, config=TINY_WORKLOAD_SPEC.search_config
+                )
             ),
         ]
         hashes = {base.content_hash} | {v.content_hash for v in variants}
@@ -146,7 +131,7 @@ class TestPickleRoundTrip:
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
         assert clone.content_hash == spec.content_hash
-        assert clone.target_table.entries == TINY_TABLE.entries
+        assert clone.target_table.entries == TINY_TARGET_TABLE.entries
 
     def test_sweep_spec(self, small_sweep):
         clone = pickle.loads(pickle.dumps(small_sweep))
@@ -271,8 +256,17 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         path = cache.path_for(small_sweep.cells[0])
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(b"not a pickle")
-        assert cache.get(small_sweep.cells[0]) is None
+        corrupt = (
+            b"not a pickle",
+            # A pickle protocol newer than this interpreter's.
+            b"\x80\xff",
+            # A pickle naming a module that no longer exists.
+            b"cnosuchmodule_xyz\nThing\n.",
+        )
+        for payload in corrupt:
+            path.write_bytes(payload)
+            assert cache.get(small_sweep.cells[0]) is None, payload
+        assert cache.misses == len(corrupt)
 
     def test_cached_rerun_does_zero_simulation_work(
         self, tmp_path, small_sweep, serial_results, monkeypatch

@@ -1,20 +1,18 @@
 """Tests for the unified observability layer (repro.obs)."""
 
 import dataclasses
+import hashlib
 import io
 import json
 
 import numpy as np
 import pytest
 
-from repro.config import (
-    PredictorConfig,
-    SearchWorkloadConfig,
-    ServerConfig,
-)
+from repro.config import ServerConfig
 from repro.core.target_table import TargetTable
 from repro.errors import ConfigError, SimulationError
-from repro.exec import CellSpec, WorkloadSpec, run_cell
+from repro.exec import CellSpec, run_cell
+from repro.experiments.scenarios import TINY_TARGET_TABLE, TINY_WORKLOAD_SPEC
 from repro.obs import (
     DecisionLog,
     Histogram,
@@ -44,27 +42,12 @@ from repro.sim.tracing import attach_tracer
 from conftest import LONG_PROFILE, make_request
 from test_server import FixedDegreePolicy
 
-TINY_SEARCH = SearchWorkloadConfig(
-    num_documents=3_000,
-    vocabulary_size=1_500,
-    mean_doc_length=120,
-    hard_term_pool=150,
-    easy_skip_top=15,
-)
-TINY_TABLE = TargetTable([(0, 40), (8, 65), (16, 90)])
-
 
 def tiny_cell(policy: str = "TPC", **kwargs) -> CellSpec:
-    wspec = WorkloadSpec.search(
-        seed=11,
-        config=TINY_SEARCH,
-        predictor_config=PredictorConfig(num_trees=60, max_depth=4),
-        pool_size=1_200,
-        use_workload_cache=False,
-    )
+    wspec = dataclasses.replace(TINY_WORKLOAD_SPEC, use_workload_cache=False)
     kwargs.setdefault("n_requests", 200)
     kwargs.setdefault("seed", 5)
-    kwargs.setdefault("target_table", TINY_TABLE)
+    kwargs.setdefault("target_table", TINY_TARGET_TABLE)
     return CellSpec.for_experiment(wspec, policy, 300.0, **kwargs)
 
 
@@ -72,8 +55,7 @@ class TestRegistry:
     def test_counter_and_gauge(self):
         reg = MetricRegistry()
         c = reg.counter("hits")
-        c.inc()
-        c.inc(4)
+        c.value += 5
         assert c.value == 5
         g = reg.gauge("depth")
         g.set(3.0)
@@ -114,20 +96,13 @@ class TestRegistry:
     def test_scopes_prefix_names(self):
         reg = MetricRegistry()
         isn = reg.scope("isn3")
-        isn.counter("completions").inc()
+        isn.counter("completions").value += 1
         nested = isn.scope("disk")
         nested.gauge("util").set(0.5)
         assert reg.get("isn3.completions").value == 1
         assert reg.get("isn3.disk.util").value == 0.5
         with pytest.raises(ConfigError):
             reg.scope("")
-
-    def test_to_json_round_trips(self):
-        reg = MetricRegistry()
-        reg.counter("n").inc(3)
-        doc = json.loads(reg.to_json(extra={"policy": "TPC"}))
-        assert doc["metrics"]["n"] == 3.0
-        assert doc["policy"] == "TPC"
 
 
 class TestSpans:
@@ -276,18 +251,16 @@ class TestAttribution:
             make_request(0, 200.0, predicted_ms=10.0, profile=LONG_PROFILE)
         )
         server.run_to_completion(1)
-        decision = log.dispatch_for(0)
-        assert decision is not None
+        (decision,) = log.dispatches
+        assert decision.rid == 0
         assert decision.predicted_ms == 10.0
         assert decision.demand_ms == 200.0
         assert decision.target_ms == pytest.approx(40.0)
-        checks = log.checks_for(0)
-        assert checks, "TPC should have run a correction check"
+        assert log.checks, "TPC should have run a correction check"
+        assert all(c.rid == 0 for c in log.checks)
         assert log.corrections_fired >= 1
-        fired = [c for c in checks if c.new_degree is not None]
+        fired = [c for c in log.checks if c.new_degree is not None]
         assert fired[0].elapsed_ms == pytest.approx(40.0, abs=1.0)
-        (ratio,) = log.misprediction_ratios()
-        assert ratio == pytest.approx(20.0)
 
     def test_policy_observer_defaults_to_none(self):
         assert ParallelismPolicy.observer is None
@@ -416,7 +389,6 @@ class TestObservation:
         server.run_to_completion(1)
         snap = obs.registry.snapshot()
         assert snap["isn0.completions"] == 1.0
-        assert obs.attached_servers == 1
 
     def test_cancellation_metrics(self):
         obs = Observation()
@@ -438,7 +410,6 @@ class TestObservation:
         extras = obs.extras()
         for key in (
             "obs.events_traced",
-            "obs.events_dropped",
             "obs.dispatch_decisions",
             "obs.correction_checks",
             "obs.corrections_fired",
@@ -463,7 +434,6 @@ class TestObserveCell:
     def test_extras_and_trace_populated(self, observed_pair):
         spec, _, (observed, obs) = observed_pair
         assert observed.extras["obs.events_traced"] == len(obs.tracer)
-        assert observed.extras["obs.events_dropped"] == 0.0
         obs.tracer.validate()
         spans = obs.spans()
         assert len(spans) == spec.n_requests
@@ -473,6 +443,42 @@ class TestObserveCell:
         buf = io.StringIO()
         write_chrome_trace(buf, doc)
         json.loads(buf.getvalue())
+
+    def test_observed_outputs_pinned(self, observed_pair):
+        # sha256 of the observed path's three outputs on the tiny TPC
+        # cell: the Chrome trace, the metric snapshot and the policy
+        # decision lists.  A refactor of tracing, metrics or attribution
+        # that claims an identical observed run must leave all three
+        # unchanged.
+        _, _, (_, obs) = observed_pair
+        trace = io.StringIO()
+        write_chrome_trace(trace, obs.chrome_trace())
+        snapshot = json.dumps(obs.registry.snapshot(), sort_keys=True)
+        decisions = json.dumps(
+            [
+                [list(d) for d in obs.decisions.dispatches],
+                [list(c) for c in obs.decisions.checks],
+            ]
+        )
+        digests = {
+            name: hashlib.sha256(text.encode()).hexdigest()
+            for name, text in (
+                ("chrome_trace", trace.getvalue()),
+                ("snapshot", snapshot),
+                ("decisions", decisions),
+            )
+        }
+        assert digests == {
+            "chrome_trace": (
+                "e58588a1fdc64e4190e9aeab1611d057e3b710aaac85fc088c7687da894b8e46"
+            ),
+            "snapshot": (
+                "1dfc6273af926896ca6acff24c09d058fecd2b1880fa5acef546baeca79e5e46"
+            ),
+            "decisions": (
+                "cb4e98be839ff1031e6f7bbbcb92c1aacecdfd9b33d470c1ebdafc41589107ef"
+            ),
+        }
 
     def test_cluster_cells_rejected(self):
         class FakeClusterSpec:
@@ -523,7 +529,11 @@ class TestCli:
         from repro.obs.__main__ import main
 
         out = tmp_path / "trace.json"
-        code = main(
-            ["--policy", "NOPE", "--n-requests", "50", "--output", str(out)]
-        )
-        assert code == 2
+        for bad in (
+            ["--policy", "NOPE", "--n-requests", "50"],
+            ["--qps", "0", "--n-requests", "50"],
+            ["--n-requests", "0"],
+        ):
+            assert main(bad + ["--output", str(out)]) == 2, bad
+            assert "obs error:" in capsys.readouterr().err
+        assert not out.exists()
