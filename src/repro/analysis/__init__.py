@@ -2,9 +2,8 @@
 
 Not part of the paper's system, but the tooling a reproduction needs to
 *trust* its substrate: Little's-law and utilisation validators for the
-simulated server, plus helpers that turn latency sweeps into the
-comparative statements the paper makes ("reduces P99 by up to 40 %",
-"crossover at ~X QPS").
+simulated server, plus a helper that measures how often one policy's
+latency series dominates another's across the load range.
 """
 
 from .queueing import (
@@ -13,20 +12,12 @@ from .queueing import (
     utilisation,
     verify_littles_law,
 )
-from .comparison import (
-    relative_reduction,
-    max_relative_reduction,
-    crossover_load,
-    dominance_fraction,
-)
+from .comparison import dominance_fraction
 
 __all__ = [
     "offered_load_core_equivalents",
     "mean_concurrency",
     "utilisation",
     "verify_littles_law",
-    "relative_reduction",
-    "max_relative_reduction",
-    "crossover_load",
     "dominance_fraction",
 ]

@@ -1,9 +1,8 @@
-"""Policy-comparison helpers over latency sweeps.
+"""Policy-comparison helper over latency sweeps.
 
-Turn ``{policy: [latency per load]}`` series into the quantitative
-claims of the paper's evaluation: relative reductions, where a
-policy's advantage peaks, where two policies cross over, and how often
-one dominates another across the load range.
+Turns two ``[latency per load]`` series into one of the paper's
+evaluation claims: how often one policy dominates another across the
+load range.
 """
 
 from __future__ import annotations
@@ -12,65 +11,7 @@ from typing import Sequence
 
 from ..errors import SimulationError
 
-__all__ = [
-    "relative_reduction",
-    "max_relative_reduction",
-    "crossover_load",
-    "dominance_fraction",
-]
-
-
-def relative_reduction(baseline: float, improved: float) -> float:
-    """Fractional reduction of ``improved`` versus ``baseline``.
-
-    ``relative_reduction(100, 60) == 0.4`` — "reduces latency by 40 %".
-    Negative when ``improved`` is actually worse.
-    """
-    if baseline <= 0:
-        raise SimulationError("baseline latency must be positive")
-    return 1.0 - improved / baseline
-
-
-def max_relative_reduction(
-    baseline: Sequence[float], improved: Sequence[float]
-) -> tuple[float, int]:
-    """Largest per-load reduction and the load index where it occurs.
-
-    This is the paper's "reduces tail latency by up to X %" statement.
-    """
-    if len(baseline) != len(improved) or not baseline:
-        raise SimulationError("series must be non-empty and aligned")
-    reductions = [
-        relative_reduction(b, i) for b, i in zip(baseline, improved)
-    ]
-    best = max(range(len(reductions)), key=reductions.__getitem__)
-    return reductions[best], best
-
-
-def crossover_load(
-    loads: Sequence[float],
-    series_a: Sequence[float],
-    series_b: Sequence[float],
-) -> float | None:
-    """First load at which series A stops beating series B.
-
-    Returns the interpolated load where ``a - b`` changes sign, or
-    None when one series dominates across the whole range.  Used for
-    statements like "RampUp-5ms wins below ~X QPS".
-    """
-    if not (len(loads) == len(series_a) == len(series_b)) or len(loads) < 2:
-        raise SimulationError("need aligned series of length >= 2")
-    diffs = [a - b for a, b in zip(series_a, series_b)]
-    for i in range(1, len(diffs)):
-        if diffs[i - 1] == 0:
-            return float(loads[i - 1])
-        if diffs[i - 1] * diffs[i] < 0:
-            # Linear interpolation of the zero crossing.
-            fraction = abs(diffs[i - 1]) / (abs(diffs[i - 1]) + abs(diffs[i]))
-            return float(
-                loads[i - 1] + fraction * (loads[i] - loads[i - 1])
-            )
-    return None
+__all__ = ["dominance_fraction"]
 
 
 def dominance_fraction(

@@ -10,7 +10,7 @@ parallelism-efficiency groups of Figure 2 (<30 ms, 30-80 ms, >80 ms).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .errors import ConfigError
@@ -270,10 +270,28 @@ class TargetTableConfig:
             raise ConfigError("load_grid must be non-empty and ascending")
         if self.step_ms <= 0:
             raise ConfigError("step_ms must be > 0")
-        if len(self.measure_weights) != len(self.measure_loads_qps):
+        if not 0 < self.initial_target_ms < math.inf:
+            raise ConfigError(
+                f"initial_target_ms must be finite and > 0, got "
+                f"{self.initial_target_ms}"
+            )
+        loads, weights = self.measure_loads_qps, self.measure_weights
+        if not loads or not all(0 < q < math.inf for q in loads):
+            raise ConfigError(
+                "measure_loads_qps must be non-empty, each finite and > 0"
+            )
+        if len(weights) != len(loads):
             raise ConfigError("one weight per measurement load required")
+        if not all(0 <= w < math.inf for w in weights) or sum(weights) <= 0:
+            raise ConfigError(
+                "measure_weights must be finite and >= 0 with a positive sum"
+            )
         if not 0 < self.percentile < 100:
             raise ConfigError("percentile must be in (0, 100)")
+        if self.queries_per_measurement < 1:
+            raise ConfigError("queries_per_measurement must be >= 1")
+        if self.max_iterations < 1:
+            raise ConfigError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)

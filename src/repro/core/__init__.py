@@ -10,7 +10,7 @@ from .speedup import SpeedupProfile, SpeedupBook, demand_group
 from .target_table import TargetTable
 from .predictive import select_degree
 from .correction import CorrectionController, CorrectionDecision
-from .table_builder import build_target_table, heuristic_target_table, TableSearchResult
+from .table_builder import build_target_table, TableSearchResult
 
 __all__ = [
     "SpeedupProfile",
@@ -21,6 +21,5 @@ __all__ = [
     "CorrectionController",
     "CorrectionDecision",
     "build_target_table",
-    "heuristic_target_table",
     "TableSearchResult",
 ]

@@ -18,7 +18,7 @@ import numpy as np
 from ..config import DEFAULT_GROUP_BOUNDS_MS, validate_group_bounds
 from ..errors import ConfigError
 
-__all__ = ["SpeedupProfile", "SpeedupBook", "demand_group", "amdahl_profile"]
+__all__ = ["SpeedupProfile", "SpeedupBook", "demand_group"]
 
 
 class SpeedupProfile:
@@ -93,33 +93,6 @@ class SpeedupProfile:
     def __repr__(self) -> str:
         body = ", ".join(f"{s:.2f}" for s in self._speedups)
         return f"SpeedupProfile([{body}])"
-
-
-def amdahl_profile(
-    max_degree: int, serial_fraction: float, per_thread_loss: float = 0.0
-) -> SpeedupProfile:
-    """Build an Amdahl-style profile with an optional coordination loss.
-
-    ``S_d = 1 / (f + (1 - f) / d + c * (d - 1))`` where ``f`` is the
-    serial fraction and ``c`` a per-extra-thread synchronisation loss.
-    Used by the finance server (Section 5.1) and as a convenient
-    synthetic profile in tests.
-    """
-    if not 0 <= serial_fraction < 1:
-        raise ConfigError("serial_fraction must be in [0, 1)")
-    if per_thread_loss < 0:
-        raise ConfigError("per_thread_loss must be >= 0")
-    speedups: list[float] = []
-    best = 0.0
-    for d in range(1, max_degree + 1):
-        s = 1.0 / (
-            serial_fraction
-            + (1.0 - serial_fraction) / d
-            + per_thread_loss * (d - 1)
-        )
-        best = max(best, s)  # keep the profile monotone (never remove threads)
-        speedups.append(best)
-    return SpeedupProfile(speedups)
 
 
 def demand_group(

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 from ..errors import TargetTableError
 from .target_table import TargetTable
 
-__all__ = ["build_target_table", "heuristic_target_table", "TableSearchResult"]
+__all__ = ["build_target_table", "TableSearchResult"]
 
 
 @dataclass(frozen=True)
@@ -176,30 +176,3 @@ def build_target_table_multistart(
         history=best.history,
     )
 
-
-def heuristic_target_table(
-    load_grid: Sequence[float],
-    base_target_ms: float,
-    hardware_threads: int = 24,
-    load_sensitivity: float = 1.0,
-) -> TargetTable:
-    """A closed-form table for when a full Algorithm 1 search is overkill.
-
-    The target grows linearly with load: ``e_i = E0 * (1 + s * d_i /
-    C)``.  Rationale: at load ``d_i`` equivalent active threads, only
-    ``C - d_i`` hardware contexts remain, so meeting a tighter target
-    would require parallelism the machine cannot supply; relaxing the
-    target proportionally lets TPC reserve spare capacity for the
-    longest requests — the qualitative shape Algorithm 1 converges to.
-    """
-    if base_target_ms <= 0:
-        raise TargetTableError("base_target_ms must be > 0")
-    if hardware_threads < 1:
-        raise TargetTableError("hardware_threads must be >= 1")
-    if load_sensitivity < 0:
-        raise TargetTableError("load_sensitivity must be >= 0")
-    entries = [
-        (float(d), base_target_ms * (1.0 + load_sensitivity * d / hardware_threads))
-        for d in load_grid
-    ]
-    return TargetTable(entries)

@@ -243,6 +243,17 @@ class CellSpec:
             raise ConfigError("n_requests must be >= 1")
         if not 0 < self.qps < math.inf:
             raise ConfigError(f"qps must be finite and > 0, got {self.qps}")
+        if self.prediction not in ("model", "perfect", "oracle"):
+            raise ConfigError(f"unknown prediction mode {self.prediction!r}")
+        if not 0 <= self.oracle_sigma < math.inf:
+            raise ConfigError(
+                f"oracle_sigma must be finite and >= 0, got {self.oracle_sigma}"
+            )
+        if self.cluster_config is not None and self.oracle_sigma != 0:
+            raise ConfigError(
+                f"cluster cells take no oracle noise, got oracle_sigma="
+                f"{self.oracle_sigma}"
+            )
         if self.cluster_config is None and (
             self.fault_spec is not None or self.hedge_policy is not None
         ):

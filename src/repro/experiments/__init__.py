@@ -24,7 +24,7 @@ from .scenarios import (
     default_workload_spec,
     default_target_table,
 )
-from .report import format_table, series_to_rows
+from .report import format_table
 
 __all__ = [
     "ExperimentResult",
@@ -42,5 +42,4 @@ __all__ = [
     "default_workload_spec",
     "default_target_table",
     "format_table",
-    "series_to_rows",
 ]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-__all__ = ["format_table", "series_to_rows", "format_cdf_rows"]
+__all__ = ["format_table", "format_cdf_rows"]
 
 
 def format_table(
@@ -31,19 +31,6 @@ def format_table(
     for row in cells:
         lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def series_to_rows(
-    x_label: str,
-    x_values: Sequence[float],
-    series: Mapping[str, Sequence[float]],
-) -> tuple[list[str], list[list[object]]]:
-    """Arrange {series name: y values} into (headers, rows) by x."""
-    headers = [x_label, *series.keys()]
-    rows: list[list[object]] = []
-    for i, x in enumerate(x_values):
-        rows.append([x, *(values[i] for values in series.values())])
-    return headers, rows
 
 
 def format_cdf_rows(

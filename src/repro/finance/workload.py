@@ -16,17 +16,14 @@ runner drives both workloads unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..config import FinanceConfig
 from ..core.speedup import SpeedupBook, SpeedupProfile
 from ..errors import WorkloadError
-from ..rng import RngFactory
 from ..sim.request import Request
-from .montecarlo import MonteCarloPricer
-from .option import AsianOption
 
 __all__ = ["FinanceWorkload", "build_finance_workload", "finance_profile"]
 
@@ -78,7 +75,6 @@ class FinanceWorkload:
     group_weights: tuple[float, ...]
     short_profile: SpeedupProfile
     long_profile: SpeedupProfile
-    option: AsianOption = field(default_factory=AsianOption)
 
     @property
     def short_paths(self) -> int:
@@ -150,19 +146,6 @@ class FinanceWorkload:
             )
             for i in range(n)
         ]
-
-    def price_request(
-        self, is_long: bool, rng: np.random.Generator
-    ) -> "object":
-        """Actually run the Monte Carlo pricer for one request.
-
-        Returns the :class:`~repro.finance.montecarlo.PricingResult`;
-        used by the example application to show the substrate is real,
-        not a stub.
-        """
-        pricer = MonteCarloPricer()
-        paths = self.long_paths if is_long else self.short_paths
-        return pricer.price(self.option, paths, AVERAGING_STEPS, rng)
 
 
 def build_finance_workload(

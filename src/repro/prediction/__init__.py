@@ -13,11 +13,8 @@ from .tree import RegressionTree
 from .boosted import GradientBoostedRegressor
 from .features import QUERY_FEATURE_NAMES, query_features, query_feature_matrix
 from .predictor import ExecutionTimePredictor, PredictorReport
-from .oracle import PerfectPredictor, NoisyOraclePredictor
-from .linear import RidgeRegressionPredictor
 
 __all__ = [
-    "RidgeRegressionPredictor",
     "RegressionTree",
     "GradientBoostedRegressor",
     "QUERY_FEATURE_NAMES",
@@ -25,6 +22,4 @@ __all__ = [
     "query_feature_matrix",
     "ExecutionTimePredictor",
     "PredictorReport",
-    "PerfectPredictor",
-    "NoisyOraclePredictor",
 ]

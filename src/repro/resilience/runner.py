@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from ..exec.spec import CellResult, CellSpec
-from ..sim.metrics import LatencySummary, percentile
+from ..sim.metrics import LatencySummary
 
 __all__ = ["execute_cluster_cell"]
 
@@ -57,15 +57,7 @@ def execute_cluster_cell(spec: CellSpec) -> CellResult:
         hedge_policy=spec.hedge_policy,
     )
     latencies = np.asarray(result.aggregator_latencies_ms, dtype=np.float64)
-    summary = LatencySummary(
-        count=int(latencies.size),
-        mean_ms=float(latencies.mean()),
-        p50_ms=percentile(latencies, 50),
-        p95_ms=percentile(latencies, 95),
-        p99_ms=percentile(latencies, 99),
-        p999_ms=percentile(latencies, 99.9),
-        max_ms=float(latencies.max()),
-    )
+    summary = LatencySummary.from_latencies(latencies)
     extras: dict[str, float] = {
         "num_isns": float(result.num_isns),
         "isn_p99_ms": result.isn_percentile(99),

@@ -25,11 +25,10 @@ import numpy as np
 
 from ..config import SearchWorkloadConfig
 from .index import InvertedIndex
-from .intersection import intersect_many
 from .query import Query
 from .scoring import bm25_scores, top_k_documents
 
-__all__ = ["QueryExecution", "ConjunctiveExecution", "SearchEngine"]
+__all__ = ["QueryExecution", "SearchEngine"]
 
 
 @dataclass(frozen=True)
@@ -55,21 +54,6 @@ class QueryExecution:
     def total_units(self) -> float:
         """Total sequential work units (serial + parallelizable)."""
         return self.serial_units + self.parallel_units
-
-
-@dataclass(frozen=True)
-class ConjunctiveExecution:
-    """Outcome of strict-AND query processing (all keywords required)."""
-
-    qid: int
-    num_keywords: int
-    matched_documents: tuple[int, ...]
-    comparisons: int
-
-    @property
-    def match_count(self) -> int:
-        """Number of documents containing every keyword."""
-        return len(self.matched_documents)
 
 
 class SearchEngine:
@@ -139,26 +123,6 @@ class SearchEngine:
             scoring_units=scoring_units,
             serial_units=float(self.config.serial_work_units),
             results=results,
-        )
-
-    def execute_conjunctive(self, query: Query) -> ConjunctiveExecution:
-        """Strict-AND processing via k-way galloping intersection.
-
-        The paper's Section 2.3 singles out multi-keyword intersection
-        as a long-query mechanism; this path exposes it directly (the
-        default execution uses majority matching, a stand-in for
-        disjunctive processing with dynamic pruning).  The returned
-        ``comparisons`` count is the intersection work performed.
-        """
-        postings = [
-            self.index.postings(int(term))[0] for term in query.term_ids
-        ]
-        matched, comparisons = intersect_many(postings)
-        return ConjunctiveExecution(
-            qid=query.qid,
-            num_keywords=query.num_keywords,
-            matched_documents=tuple(int(d) for d in matched),
-            comparisons=comparisons,
         )
 
     def _score_survivors(

@@ -3,7 +3,7 @@
 The paper reports the 99th- and 99.9th-percentile of query response
 time (Section 4.1).  :class:`LatencyRecorder` collects per-request
 outcomes from a server run; the module-level helpers compute
-percentiles, CDFs and the weighted tail sum used by MeasureTail in
+percentiles and the weighted tail sum used by MeasureTail in
 Algorithm 1.
 """
 
@@ -25,7 +25,6 @@ __all__ = [
     "DistributionStats",
     "ResilienceStats",
     "percentile",
-    "cdf_points",
     "weighted_tail_latency",
     "degree_distribution",
     "distribution_stats",
@@ -40,17 +39,6 @@ def percentile(latencies_ms: Sequence[float] | np.ndarray, p: float) -> float:
     if not 0 < p < 100:
         raise SimulationError(f"percentile must be in (0, 100), got {p}")
     return float(np.percentile(arr, p))
-
-
-def cdf_points(
-    latencies_ms: Sequence[float] | np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical CDF as ``(sorted_latencies, cumulative_fraction)``."""
-    arr = np.sort(np.asarray(latencies_ms, dtype=np.float64))
-    if arr.size == 0:
-        raise SimulationError("cannot build a CDF of an empty sample")
-    fractions = np.arange(1, arr.size + 1, dtype=np.float64) / arr.size
-    return arr, fractions
 
 
 def weighted_tail_latency(
@@ -82,6 +70,24 @@ class LatencySummary:
     p99_ms: float
     p999_ms: float
     max_ms: float
+
+    @classmethod
+    def from_latencies(
+        cls, latencies_ms: Sequence[float] | np.ndarray
+    ) -> "LatencySummary":
+        """Headline statistics of a non-empty latency sample."""
+        arr = np.asarray(latencies_ms, dtype=np.float64)
+        if arr.size == 0:
+            raise SimulationError("no requests recorded")
+        return cls(
+            count=int(arr.size),
+            mean_ms=float(arr.mean()),
+            p50_ms=percentile(arr, 50),
+            p95_ms=percentile(arr, 95),
+            p99_ms=percentile(arr, 99),
+            p999_ms=percentile(arr, 99.9),
+            max_ms=float(arr.max()),
+        )
 
     def as_row(self) -> dict[str, float]:
         """Summary as a flat dict (handy for tabular reports)."""
@@ -293,18 +299,7 @@ class LatencyRecorder:
 
     def summary(self) -> LatencySummary:
         """Headline latency statistics of the run."""
-        arr = self.responses
-        if arr.size == 0:
-            raise SimulationError("no requests recorded")
-        return LatencySummary(
-            count=int(arr.size),
-            mean_ms=float(arr.mean()),
-            p50_ms=percentile(arr, 50),
-            p95_ms=percentile(arr, 95),
-            p99_ms=percentile(arr, 99),
-            p999_ms=percentile(arr, 99.9),
-            max_ms=float(arr.max()),
-        )
+        return LatencySummary.from_latencies(self.responses)
 
 
 def degree_distribution(

@@ -557,13 +557,12 @@ class Server:
 
     # ------------------------------------------------------------------
 
-    def run_to_completion(self, expected: int, max_events: int | None = None) -> None:
+    def run_to_completion(self, expected: int) -> None:
         """Drive the engine until ``expected`` requests have completed.
 
         Convenience for single-server experiments; cluster runs drive a
         shared engine externally.
         """
-        budget = max_events
         engine_step = self.engine.step
         recorder = self.recorder
         while len(recorder) < expected:
@@ -572,10 +571,6 @@ class Server:
                     f"engine drained with {self.completed_count}/{expected} "
                     "requests complete"
                 )
-            if budget is not None:
-                budget -= 1
-                if budget <= 0:
-                    raise SimulationError("event budget exhausted")
 
     def __repr__(self) -> str:
         return (

@@ -3,12 +3,8 @@
 import pytest
 
 from repro.analysis import (
-    crossover_load,
     dominance_fraction,
-    max_relative_reduction,
-    mean_concurrency,
     offered_load_core_equivalents,
-    relative_reduction,
     utilisation,
     verify_littles_law,
 )
@@ -79,37 +75,6 @@ class TestQueueingIdentities:
 
 
 class TestComparisons:
-    def test_relative_reduction(self):
-        assert relative_reduction(100.0, 60.0) == pytest.approx(0.40)
-        assert relative_reduction(100.0, 120.0) == pytest.approx(-0.20)
-
-    def test_relative_reduction_rejects_zero_baseline(self):
-        with pytest.raises(SimulationError):
-            relative_reduction(0.0, 10.0)
-
-    def test_max_relative_reduction(self):
-        baseline = [100, 100, 100]
-        improved = [90, 60, 80]
-        best, index = max_relative_reduction(baseline, improved)
-        assert best == pytest.approx(0.40)
-        assert index == 1
-
-    def test_crossover_interpolates(self):
-        loads = [100, 200, 300]
-        a = [10, 20, 40]
-        b = [20, 20, 20]
-        # a-b: -10, 0, +20 -> crossover exactly at 200.
-        assert crossover_load(loads, a, b) == pytest.approx(200.0)
-
-    def test_crossover_none_when_dominated(self):
-        assert crossover_load([1, 2], [1, 1], [5, 5]) is None
-
-    def test_crossover_fractional(self):
-        loads = [0, 100]
-        a = [-10, 30]
-        b = [0, 0]
-        assert crossover_load(loads, a, b) == pytest.approx(25.0)
-
     def test_dominance_fraction(self):
         a = [10, 20, 30, 45]
         b = [12, 20, 28, 40]
@@ -119,7 +84,3 @@ class TestComparisons:
     def test_misaligned_rejected(self):
         with pytest.raises(SimulationError):
             dominance_fraction([1], [1, 2])
-        with pytest.raises(SimulationError):
-            max_relative_reduction([], [])
-        with pytest.raises(SimulationError):
-            crossover_load([1], [1], [1])

@@ -1,10 +1,26 @@
 """Tests of the public API surface and package-level contracts."""
 
+import ast
 import importlib
-
-import pytest
+import pathlib
 
 import repro
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+#: Directories whose code counts as a caller of library code (tests do not).
+CALLER_DIRS = ("src", "benchmarks", "examples", "perfbench")
+
+#: Public library names allowed to have no caller yet, each with its reason.
+UNCALLED_ALLOWLIST = {
+    "verify_littles_law": "queueing validator the M/G/1 checks build on (ROADMAP 3(a))",
+    "utilisation": "queueing validator the M/G/1 checks build on (ROADMAP 3(a))",
+    "sample_fault_spec": "adversarial fault-spec sampler for ROADMAP 3(d)",
+    "diurnal_profile": "rate shape of the load-drift experiment (test_load_drift)",
+    "check_names": "exported gate API: the registered check names, in order",
+}
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 class TestTopLevelApi:
@@ -109,3 +125,46 @@ class TestScenarioContracts:
         names = set(policy_names())
         for policies in FIGURE_POLICIES.values():
             assert set(policies) <= names
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """``Name``/``Attribute`` names a module uses, minus self-references.
+
+    Imports and ``__all__`` strings are not ``Name`` nodes, so they do
+    not count; neither does a definition's use of its own name.
+    """
+    names: set[str] = set()
+    for stmt in tree.body:
+        used = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(stmt)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        if isinstance(stmt, _DEFS):
+            used.discard(stmt.name)
+        names |= used
+    return names
+
+
+class TestNoTestOnlyLibraryCode:
+    def test_every_public_definition_has_a_caller(self):
+        referenced: set[str] = set()
+        for directory in CALLER_DIRS:
+            for path in (REPO_ROOT / directory).rglob("*.py"):
+                referenced |= _referenced_names(ast.parse(path.read_text()))
+        defined: dict[str, str] = {}
+        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+            for stmt in ast.parse(path.read_text()).body:
+                if isinstance(stmt, _DEFS) and not stmt.name.startswith("_"):
+                    defined[stmt.name] = str(path.relative_to(REPO_ROOT))
+        uncalled = sorted(
+            f"{where}:{name}"
+            for name, where in defined.items()
+            if name not in referenced and name not in UNCALLED_ALLOWLIST
+        )
+        assert not uncalled, (
+            "public library code with no caller outside tests: "
+            + ", ".join(uncalled)
+        )
+        stale = sorted(set(UNCALLED_ALLOWLIST) - set(defined))
+        assert not stale, f"allowlisted names no longer defined: {stale}"

@@ -1,5 +1,7 @@
 """Tests for configuration validation."""
 
+import math
+
 import pytest
 
 from repro.config import (
@@ -138,6 +140,36 @@ class TestTargetTableConfig:
     def test_rejects_bad_percentile(self):
         with pytest.raises(ConfigError):
             TargetTableConfig(percentile=100.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # An empty grid would score every candidate 0.0.
+            {"measure_loads_qps": (), "measure_weights": ()},
+            {"measure_loads_qps": (0.0,), "measure_weights": (1.0,)},
+            {"measure_loads_qps": (math.inf,), "measure_weights": (1.0,)},
+            {"measure_loads_qps": (math.nan,), "measure_weights": (1.0,)},
+            # NaN weights end the search at once; negative ones maximise
+            # the tail; all-zero weights make every table tie.
+            {"measure_weights": (1.0, math.nan, 1.0)},
+            {"measure_weights": (-1.0, -1.0, -1.0)},
+            {"measure_weights": (1.0, math.inf, 1.0)},
+            {"measure_weights": (0.0, 0.0, 0.0)},
+            {"queries_per_measurement": 0},
+            {"max_iterations": 0},
+            {"max_iterations": -1},
+            {"initial_target_ms": 0.0},
+            {"initial_target_ms": math.nan},
+            {"initial_target_ms": math.inf},
+        ],
+    )
+    def test_rejects_degenerate_search(self, kwargs):
+        with pytest.raises(ConfigError):
+            TargetTableConfig(**kwargs)
+
+    def test_zero_weight_on_some_loads_allowed(self):
+        cfg = TargetTableConfig(measure_weights=(0.0, 1.0, 0.0))
+        assert sum(cfg.measure_weights) == 1.0
 
 
 class TestClusterConfig:

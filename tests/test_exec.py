@@ -12,12 +12,14 @@ The load-bearing properties:
 from __future__ import annotations
 
 import dataclasses
+import math
 import pickle
 
 import numpy as np
 import pytest
 
 from repro.config import (
+    ClusterConfig,
     FinanceConfig,
     PredictorConfig,
     SearchWorkloadConfig,
@@ -123,6 +125,23 @@ class TestSpecHash:
             )
         with pytest.raises(ConfigError):
             SweepSpec(())
+
+    def test_prediction_fields_validated_up_front(self):
+        # Each of these used to pass CellSpec and then fail at run time
+        # or, for the cluster cell, be silently ignored.
+        cluster = ClusterConfig(num_isns=2)
+        with pytest.raises(ConfigError, match="prediction mode"):
+            tiny_cell(prediction="bogus")
+        for sigma in (-1.0, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="oracle_sigma"):
+                tiny_cell(prediction="oracle", oracle_sigma=sigma)
+        with pytest.raises(ConfigError, match="oracle_sigma"):
+            tiny_cell(
+                prediction="oracle", oracle_sigma=1.5, cluster_config=cluster
+            )
+        # The valid neighbours of each rejected spec still construct.
+        tiny_cell(prediction="oracle", oracle_sigma=1.5)
+        tiny_cell(prediction="oracle", cluster_config=cluster)
 
 
 class TestPickleRoundTrip:

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.config import PolicyConfig, ServerConfig, TargetTableConfig
+from repro.config import ServerConfig, TargetTableConfig
 from repro.core.target_table import TargetTable
 from repro.errors import ConfigError
 from repro.experiments import (
@@ -14,7 +14,6 @@ from repro.experiments import (
     format_table,
     run_load_sweep,
     run_search_experiment,
-    series_to_rows,
 )
 from repro.experiments.runner import (
     build_search_target_table,
@@ -22,7 +21,6 @@ from repro.experiments.runner import (
     make_measure_tail_batch,
 )
 from repro.experiments.report import format_cdf_rows
-from repro.sim.load import LoadMetric
 
 
 class TestRunSearchExperiment:
@@ -169,13 +167,6 @@ class TestReport:
         assert lines[0] == "Fig 4"
         assert "52.1" in text
         assert "900" in text
-
-    def test_series_to_rows_pivots(self):
-        headers, rows = series_to_rows(
-            "qps", [100, 200], {"TPC": [1.0, 2.0], "AP": [3.0, 4.0]}
-        )
-        assert headers == ["qps", "TPC", "AP"]
-        assert rows == [[100, 1.0, 3.0], [200, 2.0, 4.0]]
 
     def test_format_cdf_rows(self):
         text = format_cdf_rows(

@@ -5,8 +5,8 @@ import pytest
 
 from repro.config import FinanceConfig
 from repro.errors import ConfigError, WorkloadError
-from repro.finance import AsianOption, MonteCarloPricer, build_finance_workload
-from repro.finance.workload import AVERAGING_STEPS, finance_profile
+from repro.finance import AsianOption, MonteCarloPricer
+from repro.finance.workload import finance_profile
 
 
 class TestAsianOption:
@@ -139,11 +139,6 @@ class TestFinanceWorkload:
         assert sum(finance_workload.group_weights) == pytest.approx(1.0)
         assert finance_workload.group_weights[0] == pytest.approx(0.9)
         assert finance_workload.group_weights[2] == pytest.approx(0.1)
-
-    def test_price_request_exercises_real_pricer(self, finance_workload, rng):
-        result = finance_workload.price_request(is_long=False, rng=rng)
-        assert result.price > 0
-        assert result.n_steps == AVERAGING_STEPS
 
     def test_rejects_bad_mode(self, finance_workload, rng):
         with pytest.raises(WorkloadError):

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim.metrics import (
     LatencyRecorder,
-    cdf_points,
+    LatencySummary,
     degree_distribution,
     percentile,
     weighted_tail_latency,
@@ -47,18 +47,6 @@ class TestPercentile:
             percentile([1.0], p)
 
 
-class TestCdf:
-    def test_cdf_is_sorted_and_reaches_one(self):
-        xs, fs = cdf_points([3.0, 1.0, 2.0])
-        np.testing.assert_array_equal(xs, [1.0, 2.0, 3.0])
-        assert fs[-1] == 1.0
-        assert all(b >= a for a, b in zip(fs, fs[1:]))
-
-    def test_empty_rejected(self):
-        with pytest.raises(SimulationError):
-            cdf_points([])
-
-
 class TestWeightedTail:
     def test_weighted_sum_of_percentiles(self):
         s1 = [10.0] * 100
@@ -80,6 +68,7 @@ class TestLatencyRecorder:
         assert summary.count == 3
         assert summary.mean_ms == pytest.approx(20.0)
         assert summary.max_ms == 30.0
+        assert summary == LatencySummary.from_latencies(np.array([10.0, 20.0, 30.0]))
 
     def test_queueing_separated_from_execution(self):
         rec = LatencyRecorder()

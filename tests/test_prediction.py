@@ -6,7 +6,6 @@ import pytest
 from repro.config import PredictorConfig
 from repro.errors import PredictionError
 from repro.prediction.boosted import GradientBoostedRegressor
-from repro.prediction.oracle import NoisyOraclePredictor, PerfectPredictor
 from repro.prediction.predictor import ExecutionTimePredictor
 from repro.prediction.tree import FeatureBinner, RegressionTree
 
@@ -169,31 +168,3 @@ class TestExecutionTimePredictor:
             "long_threshold_ms", "num_eval",
         }
 
-
-class TestOracles:
-    def test_perfect_predictor_returns_demands(self):
-        demands = np.array([1.0, 50.0, 200.0])
-        out = PerfectPredictor().predict_demands(demands)
-        np.testing.assert_array_equal(out, demands)
-        assert out is not demands  # defensive copy
-
-    def test_noisy_oracle_zero_sigma_is_perfect(self, rng):
-        demands = np.array([10.0, 20.0])
-        oracle = NoisyOraclePredictor(0.0, rng)
-        np.testing.assert_array_equal(oracle.predict_demands(demands), demands)
-
-    def test_noisy_oracle_perturbs_multiplicatively(self, rng):
-        demands = np.full(10_000, 100.0)
-        oracle = NoisyOraclePredictor(0.5, rng)
-        out = oracle.predict_demands(demands)
-        assert (out > 0).all()
-        ratio = np.log(out / demands)
-        assert np.std(ratio) == pytest.approx(0.5, rel=0.05)
-
-    def test_rejects_negative_sigma(self, rng):
-        with pytest.raises(PredictionError):
-            NoisyOraclePredictor(-0.1, rng)
-
-    def test_rejects_nonpositive_demands(self, rng):
-        with pytest.raises(PredictionError):
-            PerfectPredictor().predict_demands(np.array([0.0]))

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import ServerConfig
 from repro.core.predictive import select_degree
-from repro.core.speedup import SpeedupProfile, amdahl_profile, demand_group
+from repro.core.speedup import SpeedupProfile, demand_group
 from repro.core.target_table import TargetTable
 from repro.sim.engine import Engine
 from repro.sim.metrics import percentile
@@ -63,18 +63,6 @@ def test_profile_saturation_beyond_max_degree(speedups, extra):
     assert profile.speedup(profile.max_degree + extra) == profile.speedup(
         profile.max_degree
     )
-
-
-@given(
-    st.floats(min_value=0.0, max_value=0.95),
-    st.floats(min_value=0.0, max_value=0.2),
-    st.integers(min_value=1, max_value=12),
-)
-def test_amdahl_profile_always_valid(serial, loss, degree):
-    profile = amdahl_profile(degree, serial, loss)
-    assert profile.speedup(1) == 1.0
-    values = profile.speedups
-    assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -201,37 +201,3 @@ class TestScoring:
         with pytest.raises(WorkloadError):
             top_k_documents(np.array([1]), np.array([1.0]), 0)
 
-
-class TestConjunctiveExecution:
-    def test_matches_require_all_keywords(self, setup):
-        cfg, index, engine = setup
-        q = Query(0, (0, 1, 2))
-        result = engine.execute_conjunctive(q)
-        for doc in result.matched_documents[:20]:
-            for term in q.term_ids:
-                docs, _ = index.postings(term)
-                assert doc in docs
-
-    def test_conjunctive_subset_of_majority(self, setup):
-        """Strict AND can never match more documents than majority."""
-        _, _, engine = setup
-        q = Query(0, (0, 1, 2, 3))
-        conj = engine.execute_conjunctive(q)
-        majority = engine.execute(q)
-        assert conj.match_count <= majority.matched_documents
-
-    def test_more_keywords_never_increase_matches(self, setup):
-        _, _, engine = setup
-        two = engine.execute_conjunctive(Query(0, (0, 1)))
-        four = engine.execute_conjunctive(Query(1, (0, 1, 2, 3)))
-        assert four.match_count <= two.match_count
-
-    def test_comparisons_accounted(self, setup):
-        _, _, engine = setup
-        result = engine.execute_conjunctive(Query(0, (0, 1, 2)))
-        assert result.comparisons > 0
-
-    def test_single_keyword_is_whole_posting_list(self, setup):
-        _, index, engine = setup
-        result = engine.execute_conjunctive(Query(0, (7,)))
-        assert result.match_count == index.document_frequency(7)

@@ -6,7 +6,6 @@ from repro.config import DEFAULT_GROUP_BOUNDS_MS
 from repro.core.speedup import (
     SpeedupBook,
     SpeedupProfile,
-    amdahl_profile,
     demand_group,
 )
 from repro.errors import ConfigError
@@ -59,30 +58,6 @@ class TestSpeedupProfile:
         assert SpeedupProfile([1.0, 2.0]) == SpeedupProfile([1.0, 2.0])
         assert hash(SpeedupProfile([1.0, 2.0])) == hash(SpeedupProfile([1.0, 2.0]))
         assert SpeedupProfile([1.0, 2.0]) != SpeedupProfile([1.0, 1.5])
-
-
-class TestAmdahlProfile:
-    def test_zero_serial_fraction_is_linear(self):
-        profile = amdahl_profile(4, 0.0)
-        assert profile.speedup(4) == pytest.approx(4.0)
-
-    def test_serial_fraction_bounds_speedup(self):
-        profile = amdahl_profile(16, 0.25)
-        assert profile.speedup(16) < 4.0  # Amdahl limit 1/f = 4
-
-    def test_per_thread_loss_reduces_speedup(self):
-        lossless = amdahl_profile(6, 0.05)
-        lossy = amdahl_profile(6, 0.05, per_thread_loss=0.05)
-        assert lossy.speedup(6) < lossless.speedup(6)
-
-    def test_profile_is_monotone_even_with_heavy_loss(self):
-        profile = amdahl_profile(8, 0.1, per_thread_loss=0.3)
-        values = profile.speedups
-        assert all(b >= a for a, b in zip(values, values[1:]))
-
-    def test_rejects_bad_serial_fraction(self):
-        with pytest.raises(ConfigError):
-            amdahl_profile(4, 1.0)
 
 
 class TestDemandGroup:

@@ -5,7 +5,6 @@ import pytest
 from repro.core.table_builder import (
     build_target_table,
     build_target_table_multistart,
-    heuristic_target_table,
 )
 from repro.core.target_table import TargetTable
 from repro.errors import TargetTableError
@@ -127,16 +126,3 @@ class TestMultistart:
         with pytest.raises(TargetTableError):
             build_target_table_multistart([0], [], 5.0, batched(lambda t: 1.0))
 
-
-class TestHeuristicTable:
-    def test_targets_grow_linearly_with_load(self):
-        table = heuristic_target_table([0, 12, 24], 40.0, hardware_threads=24)
-        assert table.targets == (40.0, 60.0, 80.0)
-
-    def test_zero_sensitivity_is_flat(self):
-        table = heuristic_target_table([0, 12], 40.0, load_sensitivity=0.0)
-        assert table.targets == (40.0, 40.0)
-
-    def test_rejects_bad_base(self):
-        with pytest.raises(TargetTableError):
-            heuristic_target_table([0], 0.0)
