@@ -169,6 +169,27 @@ class SearchWorkloadConfig:
         for lo, hi in (self.easy_keywords, self.hard_keywords):
             if not 1 <= lo <= hi:
                 raise ConfigError("keyword ranges must satisfy 1 <= lo <= hi")
+        # The query generator samples keywords without replacement, so
+        # each mixture needs at least as many drawable terms as its
+        # longest query. A hard pool above the vocabulary is clipped.
+        if not 0 <= self.easy_skip_top < self.vocabulary_size:
+            raise ConfigError("easy_skip_top must be in [0, vocabulary_size)")
+        if self.easy_keywords[1] > self.vocabulary_size - self.easy_skip_top:
+            raise ConfigError(
+                "easy_keywords[1] must be <= vocabulary_size - easy_skip_top"
+            )
+        if self.hard_term_pool < 1:
+            raise ConfigError("hard_term_pool must be >= 1")
+        for name in ("zipf_exponent", "query_zipf_exponent"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0")
+        if self.mean_doc_length < 1:
+            raise ConfigError("mean_doc_length must be >= 1")
+        for name in ("doc_length_sigma", "hidden_cost_sigma", "surprise_sigma"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0")
+        if not 0 <= self.surprise_fraction <= 1:
+            raise ConfigError("surprise_fraction must be in [0, 1]")
         if self.task_grain_units <= 0:
             raise ConfigError("task_grain_units must be > 0")
 

@@ -17,6 +17,9 @@ from ..errors import WorkloadError
 
 __all__ = ["Corpus", "build_corpus", "zipf_probabilities"]
 
+#: Uniforms drawn per step of the corpus draw (8 MB of float64).
+_DRAW_CHUNK = 1 << 20
+
 
 def zipf_probabilities(vocabulary_size: int, exponent: float) -> np.ndarray:
     """Normalised Zipf probabilities over ranks ``1..V``."""
@@ -27,6 +30,81 @@ def zipf_probabilities(vocabulary_size: int, exponent: float) -> np.ndarray:
     ranks = np.arange(1, vocabulary_size + 1, dtype=np.float64)
     weights = ranks ** (-exponent)
     return weights / weights.sum()
+
+
+# ``Generator.choice``, re-implemented once for the corpus draw (with
+# replacement) and query sampling (without): same stream, same output,
+# less transient memory and no per-call validation.
+
+
+def _choice_cdf(probs: np.ndarray) -> np.ndarray:
+    """The CDF ``Generator.choice`` searches for a probability vector.
+
+    Same float operations as numpy's own (``cumsum``, then divide by
+    the last entry in place), so searching it reproduces ``choice``'s
+    draws exactly.
+    """
+    cdf = np.cumsum(probs, dtype=np.float64)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw_with_replacement(
+    rng: np.random.Generator, cdf: np.ndarray, size: int
+) -> np.ndarray:
+    """``rng.choice(len(cdf), size, p=...)`` as int32, drawn in chunks.
+
+    ``choice`` materialises all ``size`` uniforms as float64 and their
+    indices as int64. Drawing the uniforms ``_DRAW_CHUNK`` at a time
+    consumes the same stream, so the tokens and the generator state
+    afterwards are identical while the transient arrays stay
+    chunk-sized.
+    """
+    chunk = _DRAW_CHUNK
+    out = np.empty(size, dtype=np.int32)
+    uniforms = np.empty(min(chunk, size), dtype=np.float64)
+    for start in range(0, size, chunk):
+        stop = min(start + chunk, size)
+        draw = uniforms[: stop - start]
+        rng.random(out=draw)
+        out[start:stop] = cdf.searchsorted(draw, side="right")
+    return out
+
+
+def _choice_without_replacement(
+    rng: np.random.Generator, probs: np.ndarray, cdf: np.ndarray, k: int
+) -> np.ndarray:
+    """``rng.choice(len(probs), k, replace=False, p=probs)``, bit for bit.
+
+    Runs numpy's own rejection loop: draw the missing count of
+    uniforms, search the CDF, keep the new distinct terms in order of
+    first occurrence, and on the next round zero the terms found so far
+    and rebuild the CDF. ``cdf`` must be ``_choice_cdf(probs)``; it
+    serves the first round, which is usually the only one, so the
+    per-call validation and CDF build over every term are skipped. The
+    loop ends because every round finds at least one new term; when the
+    non-zero terms run out first it raises ``WorkloadError``, where
+    ``choice`` raises ``ValueError`` before drawing.
+    """
+    found = np.empty(k, dtype=np.int64)
+    n_found = 0
+    while n_found < k:
+        uniforms = rng.random(k - n_found)
+        if n_found:
+            remaining = probs.copy()
+            remaining[found[:n_found]] = 0
+            if not remaining.any():
+                raise WorkloadError(
+                    f"fewer than {k} terms have non-zero probability"
+                )
+            cdf = _choice_cdf(remaining)
+        new = cdf.searchsorted(uniforms, side="right")
+        _, first = np.unique(new, return_index=True)
+        first.sort()
+        new = new.take(first)
+        found[n_found : n_found + new.size] = new
+        n_found += new.size
+    return found
 
 
 @dataclass(frozen=True)
@@ -85,10 +163,9 @@ def build_corpus(
     )
     offsets = np.zeros(config.num_documents + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
-    total = int(offsets[-1])
-    tokens = rng.choice(
-        config.vocabulary_size, size=total, p=probs
-    ).astype(np.int32)
+    tokens = _draw_with_replacement(
+        rng, _choice_cdf(probs), int(offsets[-1])
+    )
     return Corpus(
         doc_term_ids=tokens,
         doc_offsets=offsets,

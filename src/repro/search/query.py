@@ -20,7 +20,11 @@ import numpy as np
 
 from ..config import SearchWorkloadConfig
 from ..errors import WorkloadError
-from .corpus import zipf_probabilities
+from .corpus import (
+    _choice_cdf,
+    _choice_without_replacement,
+    zipf_probabilities,
+)
 
 __all__ = ["Query", "QueryGenerator"]
 
@@ -53,11 +57,10 @@ class QueryGenerator:
         # Query-side term popularity is flatter than corpus frequency
         # and skips the stopword head: users rarely search bare
         # stopwords, and mid-frequency terms dominate real query logs.
-        skip = min(config.easy_skip_top, config.vocabulary_size - 1)
-        easy_size = config.vocabulary_size - skip
-        self._easy_offset = skip
+        self._easy_offset = config.easy_skip_top
         self._easy_probs = zipf_probabilities(
-            easy_size, config.query_zipf_exponent
+            config.vocabulary_size - config.easy_skip_top,
+            config.query_zipf_exponent,
         )
         # Hard queries draw from the most popular ranks, whose long
         # posting lists make traversal expensive (corpus-Zipf weighted).
@@ -65,6 +68,9 @@ class QueryGenerator:
         hard_weights = zipf_probabilities(config.vocabulary_size, config.zipf_exponent)[:pool]
         self._hard_probs = hard_weights / hard_weights.sum()
         self._hard_pool = pool
+        # First-round CDFs, built once instead of once per query.
+        self._easy_cdf = _choice_cdf(self._easy_probs)
+        self._hard_cdf = _choice_cdf(self._hard_probs)
         self._next_qid = 0
 
     def generate(self, n: int) -> list[Query]:
@@ -83,15 +89,16 @@ class QueryGenerator:
             lo, hi = cfg.hard_keywords
             k = int(self._rng.integers(lo, hi + 1))
             k = min(k, self._hard_pool)
-            terms = self._rng.choice(
-                self._hard_pool, size=k, replace=False, p=self._hard_probs
+            terms = _choice_without_replacement(
+                self._rng, self._hard_probs, self._hard_cdf, k
             )
         else:
             lo, hi = cfg.easy_keywords
             k = int(self._rng.integers(lo, hi + 1))
-            terms = self._easy_offset + self._rng.choice(
-                len(self._easy_probs), size=k, replace=False, p=self._easy_probs
+            terms = self._easy_offset + _choice_without_replacement(
+                self._rng, self._easy_probs, self._easy_cdf, k
             )
         query = Query(self._next_qid, tuple(int(t) for t in sorted(terms)))
         self._next_qid += 1
         return query
+

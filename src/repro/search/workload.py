@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -250,10 +251,31 @@ def _measured_pool(
 
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = cache_path.with_suffix(".tmp.npz")
-        np.savez_compressed(tmp, units=units, features=features)
-        os.replace(tmp, cache_path)
+        # Each write gets a temp file of its own: concurrent writers of
+        # one entry (sweep workers on a cold cache) must never rename
+        # or overwrite each other's file. mkstemp creates it owner-only;
+        # the entry gets the umask mode a plain open would give it, so
+        # a shared cache directory stays readable. A writer killed
+        # mid-write leaves its dot-file behind; deleting it is safe.
+        fd, tmp = tempfile.mkstemp(
+            prefix=f".{cache_path.stem}-", suffix=".npz", dir=cache_path.parent
+        )
+        try:
+            os.fchmod(fd, 0o666 & ~_umask())
+            with os.fdopen(fd, "wb") as fh:
+                np.savez_compressed(fh, units=units, features=features)
+            os.replace(tmp, cache_path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return units, features
+
+
+def _umask() -> int:
+    """The process umask (reading it means setting it, so set it back)."""
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
 
 
 def _cache_path(

@@ -81,6 +81,58 @@ class TestSearchWorkloadConfig:
         with pytest.raises(ConfigError):
             SearchWorkloadConfig(task_grain_units=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # Easy queries sample without replacement from the ranks
+            # past easy_skip_top: too few of them for the longest easy
+            # query, or a negative skip that yields term id -5.
+            {"vocabulary_size": 20, "easy_skip_top": 18},
+            {"vocabulary_size": 20, "easy_skip_top": 20},
+            {"vocabulary_size": 20, "easy_skip_top": 25},
+            {"easy_skip_top": -5},
+            {"hard_term_pool": 0},
+            {"hard_term_pool": -1},
+            {"zipf_exponent": 0.0},
+            {"zipf_exponent": -1.1},
+            {"zipf_exponent": math.nan},
+            {"zipf_exponent": math.inf},
+            {"query_zipf_exponent": 0.0},
+            {"query_zipf_exponent": math.nan},
+            {"query_zipf_exponent": math.inf},
+            # A zero mean length builds an all-minimum-length corpus.
+            {"mean_doc_length": 0},
+            {"mean_doc_length": -10},
+            {"doc_length_sigma": -0.1},
+            {"doc_length_sigma": math.nan},
+            {"hidden_cost_sigma": -0.1},
+            {"hidden_cost_sigma": math.inf},
+            {"surprise_sigma": -1.5},
+            {"surprise_sigma": math.nan},
+            # Above 1 every query would be marked surprised.
+            {"surprise_fraction": 2.0},
+            {"surprise_fraction": -0.1},
+            {"surprise_fraction": math.nan},
+        ],
+    )
+    def test_rejects_values_the_build_cannot_honour(self, kwargs):
+        with pytest.raises(ConfigError):
+            SearchWorkloadConfig(**kwargs)
+
+    def test_boundary_values_allowed(self):
+        # Exactly enough easy terms for the longest easy query, a pool
+        # clipped to the vocabulary, no skip and zero noise are legal.
+        SearchWorkloadConfig(vocabulary_size=20, easy_skip_top=16)
+        SearchWorkloadConfig(vocabulary_size=80, hard_term_pool=300)
+        SearchWorkloadConfig(
+            easy_skip_top=0,
+            mean_doc_length=1,
+            doc_length_sigma=0.0,
+            hidden_cost_sigma=0.0,
+            surprise_sigma=0.0,
+            surprise_fraction=1.0,
+        )
+
 
 class TestPredictorConfig:
     def test_defaults_valid(self):

@@ -1,13 +1,16 @@
 """Tests for the search-workload disk cache and report formatting."""
 
 import os
+import stat
 
 import numpy as np
 import pytest
 
 from repro.config import PredictorConfig, SearchWorkloadConfig
 from repro.experiments.report import format_table
+from repro.rng import RngFactory
 from repro.search import build_search_workload
+from repro.search.workload import _measured_pool
 
 
 @pytest.fixture()
@@ -59,6 +62,44 @@ class TestDiskCache:
             pool_size=300, use_cache=True,
         )
         assert len(list(tmp_path.glob("search-pool-*.npz"))) == 2
+
+    def test_nested_writer_does_not_steal_the_temp_file(
+        self, tiny_cfg, tmp_path, monkeypatch
+    ):
+        # Two processes filling one entry on a cold cache: the second
+        # writer runs to completion while the first is still writing.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        real_save = np.savez_compressed
+        raced = []
+
+        def save_then_race(file, *args, **kwargs):
+            real_save(file, *args, **kwargs)
+            if not raced:
+                raced.append(None)
+                raced[0] = _measured_pool(
+                    3, tiny_cfg, 300, True, RngFactory(3)
+                )
+
+        monkeypatch.setattr(np, "savez_compressed", save_then_race)
+        umask = os.umask(0o022)
+        try:
+            units, features = _measured_pool(
+                3, tiny_cfg, 300, True, RngFactory(3)
+            )
+        finally:
+            os.umask(umask)
+        assert len(raced) == 1
+        entries = list(tmp_path.iterdir())
+        assert [p.name for p in entries] == [
+            p.name for p in tmp_path.glob("search-pool-*.npz")
+        ]
+        assert len(entries) == 1
+        # The umask mode, as a plain open gives, not mkstemp's 0600.
+        assert stat.S_IMODE(entries[0].stat().st_mode) == 0o644
+        data = np.load(entries[0])
+        np.testing.assert_array_equal(data["units"], units)
+        np.testing.assert_array_equal(data["features"], features)
+        np.testing.assert_array_equal(raced[0][0], units)
 
     def test_use_cache_false_writes_nothing(self, tiny_cfg, fast_predictor,
                                             tmp_path, monkeypatch):
