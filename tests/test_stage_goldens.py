@@ -18,6 +18,7 @@ import pytest
 from repro.config import SearchWorkloadConfig
 from repro.rng import RngFactory
 from repro.search import InvertedIndex, QueryGenerator, build_corpus
+from repro.search.workload import _measured_pool
 
 _TINY_SEARCH = SearchWorkloadConfig(
     num_documents=3_000,
@@ -98,3 +99,20 @@ def stage_digests(config: SearchWorkloadConfig, seed: int) -> dict[str, str]:
 def test_stage_golden_digests(name):
     config, seed, expected = STAGES[name]
     assert stage_digests(config, seed) == expected
+
+
+#: Digests of the canonical pool's ``units`` and ``features`` arrays.
+CANONICAL_POOL = {
+    "units": "65ddecc1760201cac1a10f7d4dcf40022c681597fc4a3f62ac3ea6382fd21a89",
+    "features": "198a5f4a871ea2629470fbb61814ecc8344db87248aa1b7616d4376ea7bccb3c",
+}
+
+
+def test_canonical_pool_golden_digests():
+    units, features = _measured_pool(
+        2016, SearchWorkloadConfig(), 12_000, False, RngFactory(2016)
+    )
+    assert units.shape == (12_000,)
+    assert features.shape == (12_000, 8)
+    got = {"units": _array_sha(units), "features": _array_sha(features)}
+    assert got == CANONICAL_POOL
