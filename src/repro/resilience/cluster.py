@@ -327,46 +327,44 @@ def run_shared_resilient(
 
     # -- fan-out --------------------------------------------------------
 
-    for request, at, jitter in zip(logical, arrivals, jitters):
-        at_ms = float(at)
-        replicas: list[Request | None] = []
+    # Each query's replicas are built when it arrives, so only the
+    # in-flight queries' replicas are alive at once, not the whole run's.
+
+    def fan_out(at_ms: float, request: Request, jitter: np.ndarray) -> None:
+        qid = request.rid
+        aggregator.begin(qid, at_ms)
+        reps: list[Request | None] = []
         for isn in range(num_isns):
             if blackouts and fspec.is_blacked_out(isn, at_ms):
-                replicas.append(None)
+                reps.append(None)
+                stats["dropped_replicas"] += 1
                 continue
             demand = request.demand_ms * jitter[isn]
             if slowdowns:
                 demand *= fspec.demand_multiplier(isn, at_ms)
-            replicas.append(
-                Request(
-                    rid=request.rid,
-                    demand_ms=float(demand),
-                    predicted_ms=request.predicted_ms,
-                    speedup=request.speedup,
-                )
+            replica = Request(
+                rid=qid,
+                demand_ms=float(demand),
+                predicted_ms=request.predicted_ms,
+                speedup=request.speedup,
             )
+            reps.append(replica)
+            if node_live is not None:
+                node_live[isn][qid] = replica
+            servers[isn].submit(replica)
+        if hedging:
+            _arm_hedge_timer(request, jitter, reps, at_ms)
+            if rearm is not None:
+                rearm[qid] = (request, jitter, reps)
 
-        def fan_out(
-            at_ms: float = at_ms,
-            reps: list[Request | None] = replicas,
-            request: Request = request,
-            jitter: np.ndarray = jitter,
-        ) -> None:
-            qid = request.rid
-            aggregator.begin(qid, at_ms)
-            for isn, replica in enumerate(reps):
-                if replica is None:
-                    stats["dropped_replicas"] += 1
-                    continue
-                if node_live is not None:
-                    node_live[isn][qid] = replica
-                servers[isn].submit(replica)
-            if hedging:
-                _arm_hedge_timer(request, jitter, reps, at_ms)
-                if rearm is not None:
-                    rearm[qid] = (request, jitter, reps)
-
-        engine.schedule_at(at_ms, fan_out)
+    for request, at, jitter in zip(logical, arrivals, jitters):
+        at_ms = float(at)
+        engine.schedule_at(
+            at_ms,
+            lambda at_ms=at_ms, request=request, jitter=jitter: fan_out(
+                at_ms, request, jitter
+            ),
+        )
 
     # -- drive ----------------------------------------------------------
 

@@ -391,6 +391,43 @@ class TestResilientCluster:
         assert result.resilience.dropped_replicas > 0
         assert result.resilience.hedge_wins > 0
 
+    def test_replicas_built_when_their_query_arrives(
+        self, tiny_search_workload, target_table, monkeypatch
+    ):
+        # Fan-out creates a query's replica Requests at its arrival, so
+        # none exists yet when the engine takes its first step.
+        import repro.resilience.cluster as resilient
+        from repro.sim.request import Request
+
+        created = []
+
+        class CountingRequest(Request):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                created.append(None)
+                super().__init__(*args, **kwargs)
+
+        at_first_step = []
+        step = Engine.step
+
+        def counting_step(engine):
+            if not at_first_step:
+                at_first_step.append(len(created))
+            return step(engine)
+
+        monkeypatch.setattr(resilient, "Request", CountingRequest)
+        monkeypatch.setattr(Engine, "step", counting_step)
+        result = run_cluster_experiment(
+            tiny_search_workload, "TPC", qps=200.0, n_queries=120, seed=5,
+            cluster_config=ClusterConfig(num_isns=4),
+            target_table=target_table,
+            fault_spec=FaultSpec.straggler(0, 2.0, t0_ms=0.0, t1_ms=1e7),
+        )
+        assert len(result.aggregator_latencies_ms) == 120
+        assert at_first_step == [0]
+        assert len(created) == 4 * 120
+
     def test_hedged_rolling_blackout_terminates(self, tiny_search_workload):
         # A replica killed after its query's hedge timer fired used to
         # leave the shard unserved: "engine drained with 399/400".
