@@ -11,10 +11,12 @@ phase's cost: that gap is the structural source of prediction error.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from ..search.index import InvertedIndex
-from ..search.query import Query
+from ..search.query import Query, keyword_groups
 
 __all__ = ["QUERY_FEATURE_NAMES", "query_features", "query_feature_matrix"]
 
@@ -33,29 +35,30 @@ QUERY_FEATURE_NAMES: tuple[str, ...] = (
 
 def query_features(query: Query, index: InvertedIndex) -> np.ndarray:
     """Feature vector of one query (see :data:`QUERY_FEATURE_NAMES`)."""
-    term_ids = np.asarray(query.term_ids, dtype=np.int64)
-    dfs = index.document_frequencies[term_ids].astype(np.float64)
-    idfs = index.idf_array(term_ids)
-    sorted_dfs = np.sort(dfs)[::-1]
-    second_max = sorted_dfs[1] if len(sorted_dfs) > 1 else sorted_dfs[0]
-    return np.array(
-        [
-            float(len(term_ids)),
-            float(np.log1p(dfs.sum())),
-            float(np.log1p(dfs.min())),
-            float(np.log1p(dfs.max())),
-            float(np.log1p(second_max)),
-            float(idfs.mean()),
-            float(idfs.min()),
-            float(idfs.sum()),
-        ]
-    )
+    return query_feature_matrix([query], index)[0]
 
 
-def query_feature_matrix(
-    queries: list[Query], index: InvertedIndex
-) -> np.ndarray:
-    """Stacked feature matrix for a query list."""
-    if not queries:
-        return np.empty((0, len(QUERY_FEATURE_NAMES)))
-    return np.vstack([query_features(q, index) for q in queries])
+def query_feature_matrix(queries: Sequence[Query], index: InvertedIndex) -> np.ndarray:
+    """Stacked feature matrix for a query list, one row per query.
+
+    Computed per keyword-count group on its (queries, k) term matrix.
+    The row reductions run along the contiguous term axis, where numpy
+    sums each row as it sums a lone 1-D array, so every value equals
+    the one-query computation bit for bit.
+    """
+    features = np.empty((len(queries), len(QUERY_FEATURE_NAMES)))
+    for rows, terms in keyword_groups(queries):
+        k = terms.shape[1]
+        idfs = index.idf_array(terms)
+        dfs = index.df_array(terms).astype(np.float64)
+        sorted_dfs = np.sort(dfs, axis=1)
+        features[rows, 0] = float(k)
+        features[rows, 1] = np.log1p(dfs.sum(axis=1))
+        features[rows, 2] = np.log1p(sorted_dfs[:, 0])
+        features[rows, 3] = np.log1p(sorted_dfs[:, -1])
+        # The second-largest df; a one-keyword query repeats its only one.
+        features[rows, 4] = np.log1p(sorted_dfs[:, max(k - 2, 0)])
+        features[rows, 5] = idfs.mean(axis=1)
+        features[rows, 6] = idfs.min(axis=1)
+        features[rows, 7] = idfs.sum(axis=1)
+    return features

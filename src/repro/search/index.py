@@ -99,12 +99,17 @@ class InvertedIndex:
             np.log1p((self._num_documents - df + 0.5) / (df + 0.5))
         )
 
-    def idf_array(self, term_ids: np.ndarray | list[int]) -> np.ndarray:
-        """Vectorised IDF for several terms."""
+    def df_array(self, term_ids: np.ndarray | list[int]) -> np.ndarray:
+        """Vectorised document frequencies, in the shape of ``term_ids``."""
         ids = np.asarray(term_ids, dtype=np.int64)
+        # Fancy indexing would wrap a negative id round silently.
         if ids.size and (ids.min() < 0 or ids.max() >= self._vocabulary_size):
             raise WorkloadError("term id out of range")
-        df = self._document_frequencies[ids].astype(np.float64)
+        return self._document_frequencies[ids]
+
+    def idf_array(self, term_ids: np.ndarray | list[int]) -> np.ndarray:
+        """Vectorised IDF for several terms."""
+        df = self.df_array(term_ids).astype(np.float64)
         return np.log1p((self._num_documents - df + 0.5) / (df + 0.5))
 
     def postings(self, term_id: int) -> tuple[np.ndarray, np.ndarray]:
@@ -114,10 +119,13 @@ class InvertedIndex:
         hi = self._term_offsets[term_id + 1]
         return self._posting_docs[lo:hi], self._posting_tfs[lo:hi]
 
+    def posting_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(term id, doc id) of every posting, sorted by term, then doc."""
+        return self._posting_terms, self._posting_docs
+
     def total_postings(self, term_ids: np.ndarray | list[int]) -> int:
         """Sum of posting-list lengths (the traversal cost driver)."""
-        ids = np.asarray(term_ids, dtype=np.int64)
-        return int(self._document_frequencies[ids].sum())
+        return int(self.df_array(term_ids).sum())
 
     def _check_term(self, term_id: int) -> None:
         if not 0 <= term_id < self._vocabulary_size:

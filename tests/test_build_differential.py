@@ -8,20 +8,31 @@ These tests hold them to it against the originals: ``Generator.choice``
 itself, and the ``lexsort`` index build kept verbatim below. If numpy
 ever changes how ``choice`` consumes its stream, they fail loudly here
 rather than as an unexplained golden mismatch.
+
+Pool metering gets the same treatment: the bit-sliced counter behind
+``SearchEngine.execute_batch`` and ``execute`` and the grouped
+``query_feature_matrix`` are compared with the per-query ``bincount``
+counter and feature function they replaced, both kept verbatim below.
 """
 
 import numpy as np
 import pytest
 
+from repro.config import SearchWorkloadConfig
 from repro.errors import WorkloadError
+from repro.prediction.features import query_feature_matrix, query_features
 from repro.search.corpus import (
     Corpus,
     _choice_cdf,
     _choice_without_replacement,
     _draw_with_replacement,
+    build_corpus,
     zipf_probabilities,
 )
+from repro.search.engine import SearchEngine
 from repro.search.index import InvertedIndex
+from repro.search.query import Query, QueryGenerator
+from repro.search.scoring import bm25_scores, top_k_documents
 
 
 def _random_probs(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -197,3 +208,251 @@ class TestFusedKeyIndex:
         monkeypatch.setattr("repro.search.index._KEY_CHUNK", 37)
         rng = np.random.default_rng(7)
         _assert_same_postings(_random_corpus(rng, 90, 70, 25))
+
+
+def _reference_execute(
+    index: InvertedIndex,
+    config: SearchWorkloadConfig,
+    query: Query,
+    compute_results: bool = False,
+) -> dict:
+    """The ``bincount`` counter the bit-sliced one replaced, verbatim."""
+    term_ids = np.asarray(query.term_ids, dtype=np.int64)
+    k = len(term_ids)
+    min_match = 1 if k == 1 else (k + 1) // 2
+
+    posting_docs = []
+    posting_tfs = []
+    for term in term_ids:
+        docs, tfs = index.postings(int(term))
+        posting_docs.append(docs)
+        posting_tfs.append(tfs)
+    all_docs = (
+        np.concatenate(posting_docs) if posting_docs else np.empty(0, np.int32)
+    )
+    total_postings = int(all_docs.size)
+
+    # Per-document keyword counts; integer counts are exact.
+    hits = np.bincount(all_docs)
+    keep = hits >= min_match
+    matched = int(np.count_nonzero(keep))
+    scored_hits = int(hits @ keep)
+
+    results = None
+    if compute_results:
+        results = ()
+        if matched:
+            order = np.argsort(all_docs, kind="stable")
+            sorted_docs = all_docs[order]
+            posting_terms = [
+                np.full(len(docs), term, dtype=np.int64)
+                for docs, term in zip(posting_docs, term_ids)
+            ]
+            all_tfs = np.concatenate(posting_tfs)[order]
+            all_terms = np.concatenate(posting_terms)[order]
+            hit_mask = keep[sorted_docs]
+            docs = sorted_docs[hit_mask]
+            tfs = all_tfs[hit_mask]
+            terms = all_terms[hit_mask]
+            idfs = index.idf_array(terms)
+            lengths = index.doc_lengths[docs].astype(np.float64)
+            scores = bm25_scores(tfs, idfs, lengths, index.avg_doc_length)
+            results = tuple(top_k_documents(docs, scores, config.top_k))
+
+    traversal_units = float(total_postings)
+    scoring_units = float(scored_hits) * config.score_cost_per_hit
+    serial_units = float(config.serial_work_units)
+    return {
+        "total_postings": total_postings,
+        "matched_documents": matched,
+        "scored_hits": scored_hits,
+        "total_units": serial_units + (traversal_units + scoring_units),
+        "results": results,
+    }
+
+
+def _reference_features(query: Query, index: InvertedIndex) -> np.ndarray:
+    """The per-query feature function the grouped one replaced, verbatim."""
+    term_ids = np.asarray(query.term_ids, dtype=np.int64)
+    dfs = index.document_frequencies[term_ids].astype(np.float64)
+    idfs = index.idf_array(term_ids)
+    sorted_dfs = np.sort(dfs)[::-1]
+    second_max = sorted_dfs[1] if len(sorted_dfs) > 1 else sorted_dfs[0]
+    return np.array(
+        [
+            float(len(term_ids)),
+            float(np.log1p(dfs.sum())),
+            float(np.log1p(dfs.min())),
+            float(np.log1p(dfs.max())),
+            float(np.log1p(second_max)),
+            float(idfs.mean()),
+            float(idfs.min()),
+            float(idfs.sum()),
+        ]
+    )
+
+
+_METERED = ("total_postings", "matched_documents", "scored_hits", "total_units")
+
+
+def _assert_same_metering(
+    index: InvertedIndex, config: SearchWorkloadConfig, queries: list[Query]
+) -> None:
+    """Bulk, single and reference metering and features agree exactly."""
+    engine = SearchEngine(index, config)
+    want = [_reference_execute(index, config, q, compute_results=True) for q in queries]
+    batch = engine.execute_batch(queries)
+    for name in _METERED:
+        expected = np.array([w[name] for w in want])
+        got = getattr(batch, name)
+        assert got.dtype == expected.dtype, name
+        assert got.tobytes() == expected.tobytes(), name
+    for query, expected in zip(queries, want):
+        single = engine.execute(query, compute_results=True)
+        assert {name: getattr(single, name) for name in _METERED} == {
+            name: expected[name] for name in _METERED
+        }
+        assert single.results == expected["results"]
+        assert engine.execute(query).results is None
+    reference = [_reference_features(q, index) for q in queries]
+    matrix = query_feature_matrix(queries, index)
+    assert matrix.dtype == np.float64
+    assert matrix.tobytes() == np.vstack(reference).tobytes()
+    for query, expected in zip(queries, reference):
+        assert query_features(query, index).tobytes() == expected.tobytes()
+
+
+def _random_queries(
+    rng: np.random.Generator, vocabulary: int, count: int, max_k: int = 20
+) -> list[Query]:
+    """Uniform term ids, so duplicates within one query occur too."""
+    queries = []
+    for qid in range(count):
+        k = int(rng.integers(1, max_k + 1))
+        terms = rng.integers(0, vocabulary, size=k)
+        queries.append(Query(qid, tuple(int(t) for t in terms)))
+    return queries
+
+
+_SMALL_CONFIG = SearchWorkloadConfig(
+    num_documents=500,
+    vocabulary_size=300,
+    mean_doc_length=60,
+    hard_term_pool=40,
+    easy_skip_top=10,
+)
+
+
+class TestBitSlicedMetering:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_corpora(self, seed):
+        # Document counts below 64, at and around multiples of 64, and
+        # vocabularies with many df = 0 terms.
+        rng = np.random.default_rng([seed, 3])
+        num_docs = int(rng.choice([1, 5, 63, 64, 65, 127, 128, 130, 200, 333]))
+        corpus = _random_corpus(
+            rng,
+            num_docs=num_docs,
+            vocabulary=int(rng.integers(1, 120)),
+            max_len=int(rng.integers(0, 40)),
+        )
+        index = InvertedIndex(corpus)
+        queries = _random_queries(rng, corpus.vocabulary_size, 150)
+        _assert_same_metering(index, _SMALL_CONFIG, queries)
+
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_every_keyword_count(self, k):
+        rng = np.random.default_rng([k, 4])
+        corpus = _random_corpus(rng, num_docs=150, vocabulary=25, max_len=30)
+        queries = [
+            Query(i, tuple(int(t) for t in rng.integers(0, 25, size=k)))
+            for i in range(40)
+        ]
+        _assert_same_metering(InvertedIndex(corpus), _SMALL_CONFIG, queries)
+
+    def test_generated_queries(self):
+        corpus = build_corpus(_SMALL_CONFIG, np.random.default_rng(12))
+        queries = QueryGenerator(_SMALL_CONFIG, np.random.default_rng(13)).generate(
+            600
+        )
+        _assert_same_metering(InvertedIndex(corpus), _SMALL_CONFIG, queries)
+
+    def test_duplicate_terms_count_twice(self):
+        rng = np.random.default_rng(5)
+        index = InvertedIndex(_random_corpus(rng, 90, 12, 20))
+        queries = [
+            Query(0, (3, 3)),
+            Query(1, (3, 3, 3)),
+            Query(2, (1, 1, 2)),
+            Query(3, (0, 0, 0, 0, 5)),
+            Query(4, (7,) * 20),
+        ]
+        _assert_same_metering(index, _SMALL_CONFIG, queries)
+        doubled = SearchEngine(index, _SMALL_CONFIG).execute(Query(0, (3, 3)))
+        assert doubled.total_postings == 2 * index.document_frequency(3)
+        assert doubled.scored_hits == 2 * doubled.matched_documents
+
+    def test_terms_absent_from_the_corpus(self):
+        # Only the first ten of 40 terms ever occur: the rest have df 0.
+        rng = np.random.default_rng(8)
+        corpus = _random_corpus(rng, 100, 10, 15)
+        corpus = Corpus(
+            doc_term_ids=corpus.doc_term_ids,
+            doc_offsets=corpus.doc_offsets,
+            vocabulary_size=40,
+            term_probabilities=np.full(40, 1.0 / 40),
+        )
+        index = InvertedIndex(corpus)
+        queries = [Query(0, (30,)), Query(1, (30, 31, 39)), Query(2, (2, 35))]
+        queries += _random_queries(rng, 40, 100)
+        _assert_same_metering(index, _SMALL_CONFIG, queries)
+        absent = SearchEngine(index, _SMALL_CONFIG).execute(queries[1], True)
+        assert absent.total_postings == 0
+        assert absent.results == ()
+
+    def test_no_document_reaches_min_match(self):
+        # Every document holds one distinct term: three or more distinct
+        # terms never meet in a document, so nothing survives.
+        corpus = Corpus(
+            doc_term_ids=np.arange(70, dtype=np.int32),
+            doc_offsets=np.arange(71, dtype=np.int64),
+            vocabulary_size=70,
+            term_probabilities=np.full(70, 1.0 / 70),
+        )
+        index = InvertedIndex(corpus)
+        queries = [Query(i, tuple(range(i, i + 3 + i % 9))) for i in range(40)]
+        _assert_same_metering(index, _SMALL_CONFIG, queries)
+        batch = SearchEngine(index, _SMALL_CONFIG).execute_batch(queries)
+        assert not batch.matched_documents.any()
+        assert not batch.scored_hits.any()
+
+    def test_ragged_chunks(self, monkeypatch):
+        # Tiny chunks: metering chunks end mid-group and bitset packing
+        # cuts word runs across chunk boundaries.
+        monkeypatch.setattr("repro.search.engine._CHUNK_WORDS", 7)
+        monkeypatch.setattr("repro.search.engine._PACK_CHUNK", 13)
+        rng = np.random.default_rng(21)
+        index = InvertedIndex(_random_corpus(rng, 700, 60, 40))
+        _assert_same_metering(index, _SMALL_CONFIG, _random_queries(rng, 60, 120))
+
+    def test_empty_batch(self):
+        index = InvertedIndex(_random_corpus(np.random.default_rng(1), 10, 5, 5))
+        batch = SearchEngine(index, _SMALL_CONFIG).execute_batch([])
+        assert batch.total_units.shape == (0,)
+        assert query_feature_matrix([], index).shape == (0, 8)
+
+    @pytest.mark.parametrize("bad", [-1, -7, 50, 10**6])
+    def test_out_of_range_terms_raise(self, bad):
+        index = InvertedIndex(_random_corpus(np.random.default_rng(2), 40, 50, 10))
+        engine = SearchEngine(index, _SMALL_CONFIG)
+        queries = [Query(0, (1, 2)), Query(1, (3, bad, 4))]
+        with pytest.raises(WorkloadError):
+            engine.execute(queries[1])
+        with pytest.raises(WorkloadError):
+            engine.execute(queries[1], compute_results=True)
+        with pytest.raises(WorkloadError):
+            engine.execute_batch(queries)
+        with pytest.raises(WorkloadError):
+            query_features(queries[1], index)
+        with pytest.raises(WorkloadError):
+            query_feature_matrix(queries, index)

@@ -94,12 +94,34 @@ class TestDiskCache:
             p.name for p in tmp_path.glob("search-pool-*.npz")
         ]
         assert len(entries) == 1
-        # The umask mode, as a plain open gives, not mkstemp's 0600.
+        # The umask mode, as a plain open gives, not an owner-only 0600.
         assert stat.S_IMODE(entries[0].stat().st_mode) == 0o644
         data = np.load(entries[0])
         np.testing.assert_array_equal(data["units"], units)
         np.testing.assert_array_equal(data["features"], features)
         np.testing.assert_array_equal(raced[0][0], units)
+
+    def test_writer_leaves_the_umask_alone(self, tiny_cfg, tmp_path, monkeypatch):
+        # Reading the umask means setting it process-wide, which races
+        # with other threads' file creation; the kernel applies it.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        real_umask = os.umask
+
+        def no_umask(mask):
+            raise AssertionError("the pool-cache writer set the umask")
+
+        previous = real_umask(0o027)
+        monkeypatch.setattr(os, "umask", no_umask)
+        try:
+            units, _ = _measured_pool(3, tiny_cfg, 300, True, RngFactory(3))
+        finally:
+            real_umask(previous)
+        entries = list(tmp_path.iterdir())
+        assert [p.name for p in entries] == [
+            p.name for p in tmp_path.glob("search-pool-*.npz")
+        ]
+        assert stat.S_IMODE(entries[0].stat().st_mode) == 0o640
+        np.testing.assert_array_equal(np.load(entries[0])["units"], units)
 
     def test_use_cache_false_writes_nothing(self, tiny_cfg, fast_predictor,
                                             tmp_path, monkeypatch):
