@@ -15,32 +15,12 @@ Not paper artifacts; these quantify choices the paper makes implicitly:
 
 import numpy as np
 
-from conftest import BENCH_SEED, bench_queries, emit, qps_grid
+from conftest import bench_cell, emit, exec_kwargs, qps_grid, run_tpc_variant
 from repro.analysis import dominance_fraction
-from repro.config import PolicyConfig, ServerConfig
-from repro.experiments import run_search_experiment
+from repro.config import ServerConfig
+from repro.exec import run_sweep
 from repro.experiments.report import format_table
 from repro.policies.tpc import TPCPolicy
-from repro.sim.engine import Engine
-from repro.sim.client import OpenLoopClient
-from repro.sim.server import Server
-from repro.rng import RngFactory
-
-
-def _run_tpc_variant(workload, search_table, qps, make_policy_fn,
-                     server_config=None):
-    """Run a hand-built TPC variant (bypasses the registry)."""
-    rngs = RngFactory(BENCH_SEED)
-    cfg = server_config if server_config is not None else ServerConfig()
-    policy = make_policy_fn()
-    engine = Engine()
-    server = Server(cfg, policy, engine=engine)
-    requests = workload.make_requests(bench_queries(), rngs.get("trace"))
-    OpenLoopClient(server).schedule_trace(
-        engine, requests, qps, rngs.get("arrivals")
-    )
-    server.run_to_completion(len(requests))
-    return server.recorder
 
 
 def test_ablation_correction_timing(benchmark, workload, search_table):
@@ -53,13 +33,13 @@ def test_ablation_correction_timing(benchmark, workload, search_table):
         table = {}
         for factor in factors:
             table[factor] = [
-                _run_tpc_variant(
-                    workload, search_table, qps,
-                    lambda f=factor: TPCPolicy(
+                run_tpc_variant(
+                    workload, qps,
+                    TPCPolicy(
                         search_table, workload.speedup_book,
-                        correction_delay_factor=f,
+                        correction_delay_factor=factor,
                     ),
-                ).percentile(99.9)
+                ).p999_ms
                 for qps in loads
             ]
         return table
@@ -90,13 +70,13 @@ def test_ablation_resource_signal(benchmark, workload, search_table):
         out = {}
         for signal in ("idle_workers", "idle_hardware"):
             out[signal] = [
-                _run_tpc_variant(
-                    workload, search_table, qps,
-                    lambda s=signal: TPCPolicy(
+                run_tpc_variant(
+                    workload, qps,
+                    TPCPolicy(
                         search_table, workload.speedup_book,
-                        resource_signal=s,
+                        resource_signal=signal,
                     ),
-                ).percentile(99.9)
+                ).p999_ms
                 for qps in loads
             ]
         return out
@@ -119,22 +99,25 @@ def test_ablation_resource_signal(benchmark, workload, search_table):
         assert 0.7 < ratio < 1.3  # same ballpark; neither pathological
 
 
-def test_ablation_rampup_penalty(benchmark, workload, search_table):
+def test_ablation_rampup_penalty(benchmark, search_table):
     """Sensitivity to the mid-flight degree-increase penalty: results
     should degrade gracefully, not cliff, as the penalty grows."""
     penalties = (0.0, 0.5, 2.0)
     qps = 600.0
 
     def run():
-        out = {}
-        for penalty in penalties:
-            result = run_search_experiment(
-                workload, "TPC", qps, bench_queries(), BENCH_SEED,
-                target_table=search_table,
+        cells = [
+            bench_cell(
+                "TPC", qps, target_table=search_table,
                 server_config=ServerConfig(rampup_penalty_ms=penalty),
             )
-            out[penalty] = (result.p99_ms, result.p999_ms)
-        return out
+            for penalty in penalties
+        ]
+        results = run_sweep(cells, **exec_kwargs())
+        return {
+            penalty: (r.summary.p99_ms, r.summary.p999_ms)
+            for penalty, r in zip(penalties, results)
+        }
 
     out = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = [
@@ -153,31 +136,33 @@ def test_ablation_rampup_penalty(benchmark, workload, search_table):
     assert out[2.0][1] <= out[0.0][1] * 1.5  # ... and 2 ms doesn't cliff
 
 
-def test_ablation_smt_model(benchmark, workload, search_table):
+def test_ablation_smt_model(benchmark, search_table):
     """Replace 12-core-SMT with 24 full cores: everyone gets faster
     (the SMT ceiling is what creates the paper's high-load saturation),
     and — notably — TPC benefits *more* than AP, because AP's high-load
     problem is not only contention but also the poor degrees it gives
     long queries."""
     qps = 750.0
+    models = (
+        ("12 cores + SMT (paper)", ServerConfig()),
+        (
+            "24 full cores",
+            ServerConfig(physical_cores=24, smt_marginal_throughput=0.0),
+        ),
+    )
+    policies = ("AP", "TPC")
 
     def run():
-        out = {}
-        for label, cfg in (
-            ("12 cores + SMT (paper)", ServerConfig()),
-            (
-                "24 full cores",
-                ServerConfig(physical_cores=24, smt_marginal_throughput=0.0),
-            ),
-        ):
-            out[label] = {
-                policy: run_search_experiment(
-                    workload, policy, qps, bench_queries(), BENCH_SEED,
-                    target_table=search_table, server_config=cfg,
-                ).p99_ms
-                for policy in ("AP", "TPC")
-            }
-        return out
+        cells = [
+            bench_cell(policy, qps, target_table=search_table, server_config=cfg)
+            for _, cfg in models
+            for policy in policies
+        ]
+        results = iter(run_sweep(cells, **exec_kwargs()))
+        return {
+            label: {policy: next(results).summary.p99_ms for policy in policies}
+            for label, _ in models
+        }
 
     out = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = [
@@ -203,26 +188,16 @@ def test_ablation_smt_model(benchmark, workload, search_table):
     assert smt["TPC"] < smt["AP"]
 
 
-def test_ablation_adaptive_rampup(benchmark, workload, search_table):
+def test_ablation_adaptive_rampup(benchmark, search_table):
     """Section 4.4's closing claim: even load-aware RampUp (best
     interval per load) stays behind TPC across the load range."""
     grid = qps_grid()
 
     def run():
-        tpc = [
-            run_search_experiment(
-                workload, "TPC", qps, bench_queries(), BENCH_SEED,
-                target_table=search_table,
-            ).p99_ms
-            for qps in grid
-        ]
-        adaptive = [
-            run_search_experiment(
-                workload, "RampUp-Adaptive", qps, bench_queries(), BENCH_SEED,
-            ).p99_ms
-            for qps in grid
-        ]
-        return tpc, adaptive
+        cells = [bench_cell("TPC", qps, target_table=search_table) for qps in grid]
+        cells += [bench_cell("RampUp-Adaptive", qps) for qps in grid]
+        p99 = [r.summary.p99_ms for r in run_sweep(cells, **exec_kwargs())]
+        return p99[: len(grid)], p99[len(grid) :]
 
     tpc, adaptive = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = [

@@ -60,7 +60,7 @@ def test_fig10_finance_p99(benchmark, finance, finance_table,
         iterations=1,
     )
     rows = [
-        [int(rps)] + [round(results[p][i].p99_ms, 1) for p in POLICIES]
+        [int(rps)] + [round(results[p][i].summary.p99_ms, 1) for p in POLICIES]
         for i, rps in enumerate(DEFAULT_RPS_GRID_FINANCE)
     ]
     emit(
@@ -73,17 +73,17 @@ def test_fig10_finance_p99(benchmark, finance, finance_table,
     )
 
     for i, rps in enumerate(DEFAULT_RPS_GRID_FINANCE):
-        best_prior = min(results[p][i].p99_ms for p in POLICIES[:-1])
+        best_prior = min(results[p][i].summary.p99_ms for p in POLICIES[:-1])
         # TPC at or below the best prior policy at every load.
-        assert results["TPC"][i].p99_ms <= best_prior * 1.10, f"rps={rps}"
+        assert results["TPC"][i].summary.p99_ms <= best_prior * 1.10, f"rps={rps}"
         # TPC always clearly better than Sequential.
-        assert results["TPC"][i].p99_ms < results["Sequential"][i].p99_ms * 0.7
+        assert results["TPC"][i].summary.p99_ms < results["Sequential"][i].summary.p99_ms * 0.7
     # TPC beats Pred substantially at light/moderate load (paper: 40 %).
     i200 = DEFAULT_RPS_GRID_FINANCE.index(200)
-    assert results["TPC"][i200].p99_ms < results["Pred"][i200].p99_ms * 0.85
+    assert results["TPC"][i200].summary.p99_ms < results["Pred"][i200].summary.p99_ms * 0.85
     # TPC beats AP by a large margin at high load (paper: up to 50 %).
     top = len(DEFAULT_RPS_GRID_FINANCE) - 1
-    assert results["TPC"][top].p99_ms < results["AP"][top].p99_ms * 0.7
+    assert results["TPC"][top].summary.p99_ms < results["AP"][top].summary.p99_ms * 0.7
     # TPC reduces P99 over Sequential by ~half at 200 RPS (paper: 52 %).
-    reduction = 1 - results["TPC"][i200].p99_ms / results["Sequential"][i200].p99_ms
+    reduction = 1 - results["TPC"][i200].summary.p99_ms / results["Sequential"][i200].summary.p99_ms
     assert reduction > 0.45

@@ -6,8 +6,7 @@ above P99 for TPC (paper: P99 = 37 ms, P99.9 = 41 ms at 200 RPS) and
 dynamic correction never fires at the paper's operating loads.
 """
 
-from conftest import BENCH_SEED, bench_queries, emit
-from repro.experiments import run_search_experiment
+from conftest import emit
 from repro.experiments.report import format_table
 from repro.experiments.scenarios import DEFAULT_RPS_GRID_FINANCE
 
@@ -25,7 +24,7 @@ def test_fig11_finance_p999(benchmark, finance, finance_table,
         iterations=1,
     )
     rows = [
-        [int(rps)] + [round(results[p][i].p999_ms, 1) for p in POLICIES]
+        [int(rps)] + [round(results[p][i].summary.p999_ms, 1) for p in POLICIES]
         for i, rps in enumerate(DEFAULT_RPS_GRID_FINANCE)
     ]
     emit(
@@ -41,14 +40,14 @@ def test_fig11_finance_p999(benchmark, finance, finance_table,
     tpc200 = results["TPC"][i200]
     # P99.9 close to P99: accurate structural prediction leaves no
     # misprediction tail (paper: 37 vs 41 ms).
-    assert tpc200.p999_ms < tpc200.p99_ms * 1.5
+    assert tpc200.summary.p999_ms < tpc200.summary.p99_ms * 1.5
     # Dynamic correction (nearly) never fires at the paper's loads —
     # the structural estimate is accurate (Section 5.1).
-    assert tpc200.recorder.correction_rate() < 0.01
+    assert tpc200.corrected.mean() < 0.01
     # Same winner ordering as Figure 10 at moderate load.
     assert (
-        tpc200.p999_ms
-        <= min(results[p][i200].p999_ms for p in POLICIES[:-1]) * 1.10
+        tpc200.summary.p999_ms
+        <= min(results[p][i200].summary.p999_ms for p in POLICIES[:-1]) * 1.10
     )
 
 

@@ -17,7 +17,7 @@ def test_fig4_p99_vs_load(benchmark, main_sweep):
     sweep = benchmark.pedantic(lambda: main_sweep, rounds=1, iterations=1)
     grid = qps_grid()
     rows = [
-        [int(qps)] + [round(sweep[p][i].p99_ms, 1) for p in POLICIES]
+        [int(qps)] + [round(sweep[p][i].summary.p99_ms, 1) for p in POLICIES]
         for i, qps in enumerate(grid)
     ]
     emit(
@@ -32,14 +32,14 @@ def test_fig4_p99_vs_load(benchmark, main_sweep):
     mid = len(grid) // 2  # a moderate-load index
     # TPC within the best prior work at every load (small tolerance).
     for i in range(len(grid)):
-        best_prior = min(sweep[p][i].p99_ms for p in POLICIES[:-1])
-        assert sweep["TPC"][i].p99_ms <= best_prior * 1.10, f"load index {i}"
+        best_prior = min(sweep[p][i].summary.p99_ms for p in POLICIES[:-1])
+        assert sweep["TPC"][i].summary.p99_ms <= best_prior * 1.10, f"load index {i}"
     # Load-ignoring Pred loses to TPC at low/moderate load.
-    assert sweep["TPC"][0].p99_ms < sweep["Pred"][0].p99_ms
-    assert sweep["TPC"][mid].p99_ms < sweep["Pred"][mid].p99_ms
+    assert sweep["TPC"][0].summary.p99_ms < sweep["Pred"][0].summary.p99_ms
+    assert sweep["TPC"][mid].summary.p99_ms < sweep["Pred"][mid].summary.p99_ms
     # Prediction-free policies degrade sharply by the top load.
     top = len(grid) - 1
-    assert sweep["AP"][top].p99_ms > sweep["TPC"][top].p99_ms * 1.3
+    assert sweep["AP"][top].summary.p99_ms > sweep["TPC"][top].summary.p99_ms * 1.3
     # Sequential is far worse than TPC everywhere.
     for i in range(len(grid)):
-        assert sweep["Sequential"][i].p99_ms > sweep["TPC"][i].p99_ms * 1.5
+        assert sweep["Sequential"][i].summary.p99_ms > sweep["TPC"][i].summary.p99_ms * 1.5

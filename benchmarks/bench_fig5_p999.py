@@ -17,7 +17,7 @@ def test_fig5_p999_vs_load(benchmark, main_sweep):
     sweep = benchmark.pedantic(lambda: main_sweep, rounds=1, iterations=1)
     grid = qps_grid()
     rows = [
-        [int(qps)] + [round(sweep[p][i].p999_ms, 1) for p in POLICIES]
+        [int(qps)] + [round(sweep[p][i].summary.p999_ms, 1) for p in POLICIES]
         for i, qps in enumerate(grid)
     ]
     emit(
@@ -31,12 +31,12 @@ def test_fig5_p999_vs_load(benchmark, main_sweep):
 
     for i in range(len(grid)):
         # TPC holds the lowest (or tied-lowest) P99.9 at every load.
-        best_prior = min(sweep[p][i].p999_ms for p in POLICIES[:-1])
-        assert sweep["TPC"][i].p999_ms <= best_prior * 1.10, f"load index {i}"
+        best_prior = min(sweep[p][i].summary.p999_ms for p in POLICIES[:-1])
+        assert sweep["TPC"][i].summary.p999_ms <= best_prior * 1.10, f"load index {i}"
         # Pred is much worse than TPC at P99.9 — the mispredicted-long
         # effect prediction alone cannot fix.
-        assert sweep["Pred"][i].p999_ms > sweep["TPC"][i].p999_ms * 1.25
+        assert sweep["Pred"][i].summary.p999_ms > sweep["TPC"][i].summary.p999_ms * 1.25
     # Pred's P99.9 approaches Sequential's (same mechanism: the
     # mispredicted long queries run sequentially).
     mid = len(grid) // 2
-    assert sweep["Pred"][mid].p999_ms > sweep["Sequential"][mid].p999_ms * 0.5
+    assert sweep["Pred"][mid].summary.p999_ms > sweep["Sequential"][mid].summary.p999_ms * 0.5

@@ -6,7 +6,7 @@ lower P99.9 — the paper reports 40-65 ms.  Correction also lifts the
 fraction of long queries reaching high degrees.
 """
 
-from conftest import emit, qps_grid
+from conftest import degrees_by_class, emit, qps_grid
 from repro.experiments.report import format_table
 
 
@@ -16,10 +16,10 @@ def test_fig6_tp_vs_tpc(benchmark, main_sweep):
     rows = [
         [
             int(qps),
-            round(sweep["TP"][i].p99_ms, 1),
-            round(sweep["TPC"][i].p99_ms, 1),
-            round(sweep["TP"][i].p999_ms, 1),
-            round(sweep["TPC"][i].p999_ms, 1),
+            round(sweep["TP"][i].summary.p99_ms, 1),
+            round(sweep["TPC"][i].summary.p99_ms, 1),
+            round(sweep["TP"][i].summary.p999_ms, 1),
+            round(sweep["TPC"][i].summary.p999_ms, 1),
         ]
         for i, qps in enumerate(grid)
     ]
@@ -35,10 +35,10 @@ def test_fig6_tp_vs_tpc(benchmark, main_sweep):
     p99_gaps = []
     p999_gaps = []
     for i in range(len(grid)):
-        p99_gaps.append(sweep["TP"][i].p99_ms - sweep["TPC"][i].p99_ms)
-        p999_gaps.append(sweep["TP"][i].p999_ms - sweep["TPC"][i].p999_ms)
+        p99_gaps.append(sweep["TP"][i].summary.p99_ms - sweep["TPC"][i].summary.p99_ms)
+        p999_gaps.append(sweep["TP"][i].summary.p999_ms - sweep["TPC"][i].summary.p999_ms)
         # TPC never loses to TP (correction can only help).
-        assert sweep["TPC"][i].p999_ms <= sweep["TP"][i].p999_ms * 1.05
+        assert sweep["TPC"][i].summary.p999_ms <= sweep["TP"][i].summary.p999_ms * 1.05
     # P99.9 improvement is substantial somewhere in the load range
     # (paper: 40-65 ms).
     assert max(p999_gaps) > 15.0
@@ -53,8 +53,8 @@ def test_correction_raises_long_query_degrees(benchmark, main_sweep):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     grid = qps_grid()
     mid = len(grid) // 2
-    tp = main_sweep["TP"][mid].degree_distribution()
-    tpc = main_sweep["TPC"][mid].degree_distribution()
+    tp = degrees_by_class(main_sweep["TP"][mid])
+    tpc = degrees_by_class(main_sweep["TPC"][mid])
     high_tp = sum(tp["long"][3:])
     high_tpc = sum(tpc["long"][3:])
     assert high_tpc >= high_tp

@@ -22,7 +22,7 @@ def _run(workload, search_table):
         target_table=search_table,
         **exec_kwargs(),
     )
-    series = {"TPC": [r.p99_ms for r in tpc["TPC"]]}
+    series = {"TPC": [r.summary.p99_ms for r in tpc["TPC"]]}
     for interval in INTERVALS:
         sweep = run_load_sweep(
             workload, ["RampUp"], grid,
@@ -30,7 +30,7 @@ def _run(workload, search_table):
             policy_config=PolicyConfig(rampup_interval_ms=interval),
             **exec_kwargs(),
         )
-        series[f"RampUp-{interval:g}ms"] = [r.p99_ms for r in sweep["RampUp"]]
+        series[f"RampUp-{interval:g}ms"] = [r.summary.p99_ms for r in sweep["RampUp"]]
     return series
 
 

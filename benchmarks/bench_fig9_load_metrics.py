@@ -29,7 +29,7 @@ def _run(workload, search_table):
             target_table=search_table, load_metric=metric,
             **exec_kwargs(),
         )
-        series[name] = [r.p99_ms for r in sweep["TPC"]]
+        series[name] = [r.summary.p99_ms for r in sweep["TPC"]]
     return series
 
 

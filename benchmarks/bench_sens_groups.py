@@ -8,18 +8,16 @@ A single-group book (treating all queries alike) does cost latency.
 
 import numpy as np
 
-from conftest import BENCH_SEED, bench_queries, emit, qps_grid
+from conftest import emit, qps_grid, run_tpc_variant
 from repro.core.speedup import SpeedupBook
-from repro.experiments import run_search_experiment
 from repro.experiments.report import format_table
+from repro.policies.tpc import TPCPolicy
 
 
 def _sweep(workload, search_table, book):
+    """TPC P99 per load with its own speedup book (not spec data)."""
     return [
-        run_search_experiment(
-            workload, "TPC", qps, bench_queries(), BENCH_SEED,
-            target_table=search_table, speedup_book=book,
-        ).p99_ms
+        run_tpc_variant(workload, qps, TPCPolicy(search_table, book)).p99_ms
         for qps in qps_grid()
     ]
 

@@ -9,36 +9,40 @@ prediction error.
 
 import numpy as np
 
-from conftest import BENCH_SEED, bench_queries, emit, qps_grid
-from repro.experiments import run_search_experiment
+from conftest import bench_cell, emit, exec_kwargs, qps_grid
+from repro.exec import run_sweep
 from repro.experiments.report import format_table
 
-
-def _series(workload, search_table, policy, prediction):
-    return [
-        run_search_experiment(
-            workload, policy, qps, bench_queries(), BENCH_SEED,
-            target_table=search_table, prediction=prediction,
-        )
-        for qps in qps_grid()
-    ]
+SERIES = {
+    "TPC(real)": ("TPC", "model"),
+    "TPC(perfect)": ("TPC", "perfect"),
+    "TP(real)": ("TP", "model"),
+    "TP(perfect)": ("TP", "perfect"),
+}
 
 
-def test_predictor_accuracy_sensitivity(benchmark, workload, search_table):
+def test_predictor_accuracy_sensitivity(benchmark, search_table):
     def run():
+        grid = qps_grid()
+        cells = [
+            bench_cell(
+                policy, qps, target_table=search_table, prediction=prediction
+            )
+            for policy, prediction in SERIES.values()
+            for qps in grid
+        ]
+        results = run_sweep(cells, **exec_kwargs())
         return {
-            "TPC(real)": _series(workload, search_table, "TPC", "model"),
-            "TPC(perfect)": _series(workload, search_table, "TPC", "perfect"),
-            "TP(real)": _series(workload, search_table, "TP", "model"),
-            "TP(perfect)": _series(workload, search_table, "TP", "perfect"),
+            name: results[k * len(grid) : (k + 1) * len(grid)]
+            for k, name in enumerate(SERIES)
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     grid = qps_grid()
     rows = [
         [int(qps)]
-        + [round(results[k][i].p99_ms, 1) for k in results]
-        + [round(results[k][i].p999_ms, 1) for k in results]
+        + [round(results[k][i].summary.p99_ms, 1) for k in results]
+        + [round(results[k][i].summary.p999_ms, 1) for k in results]
         for i, qps in enumerate(grid)
     ]
     emit(
@@ -56,7 +60,7 @@ def test_predictor_accuracy_sensitivity(benchmark, workload, search_table):
         return float(
             np.mean(
                 [
-                    getattr(x, attr) / getattr(y, attr) - 1.0
+                    getattr(x.summary, attr) / getattr(y.summary, attr) - 1.0
                     for x, y in zip(results[a], results[b])
                 ]
             )
@@ -73,24 +77,28 @@ def test_predictor_accuracy_sensitivity(benchmark, workload, search_table):
     assert tp_gap > tpc_gap * 1.5
 
 
-def test_oracle_noise_sweep(benchmark, workload, search_table):
+def test_oracle_noise_sweep(benchmark, search_table):
     """Extension: degrade the predictor smoothly and watch TPC's P99.9
     stay flat (correction compensates) while TP's grows."""
     sigmas = (0.0, 0.25, 0.5, 1.0)
     qps = 450.0
 
+    policies = ("TP", "TPC")
+
     def run():
-        table = {}
-        for policy in ("TP", "TPC"):
-            table[policy] = [
-                run_search_experiment(
-                    workload, policy, qps, bench_queries(), BENCH_SEED,
-                    target_table=search_table,
-                    prediction="oracle", oracle_sigma=s,
-                ).p999_ms
-                for s in sigmas
-            ]
-        return table
+        cells = [
+            bench_cell(
+                policy, qps, target_table=search_table,
+                prediction="oracle", oracle_sigma=s,
+            )
+            for policy in policies
+            for s in sigmas
+        ]
+        p999 = [r.summary.p999_ms for r in run_sweep(cells, **exec_kwargs())]
+        return {
+            policy: p999[k * len(sigmas) : (k + 1) * len(sigmas)]
+            for k, policy in enumerate(policies)
+        }
 
     table = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = [

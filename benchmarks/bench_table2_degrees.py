@@ -8,36 +8,34 @@ degree and collapses toward 1-2T at 600 QPS; Pred is load-insensitive
 mispredicted to 1T).
 """
 
-from conftest import BENCH_SEED, bench_queries, emit
-from repro.experiments import run_search_experiment
+from conftest import bench_cell, degrees_by_class, emit, exec_kwargs
+from repro.exec import run_sweep
 from repro.experiments.report import format_table
 
 LOADS = (150.0, 600.0)
 POLICIES = ("TPC", "AP", "Pred")
 
 
-def _distribution_rows(workload, search_table):
+def _distribution_rows(search_table):
+    keys = [(qps, policy) for qps in LOADS for policy in POLICIES]
+    cells = [
+        bench_cell(policy, qps, target_table=search_table)
+        for qps, policy in keys
+    ]
+    results = dict(zip(keys, run_sweep(cells, **exec_kwargs())))
     rows = []
-    results = {}
-    for qps in LOADS:
-        for policy in POLICIES:
-            result = run_search_experiment(
-                workload, policy, qps, bench_queries(), BENCH_SEED,
-                target_table=search_table,
+    for (qps, policy), result in results.items():
+        dist = degrees_by_class(result)
+        for group in ("short", "long"):
+            rows.append(
+                [int(qps), policy, group] + [round(x, 1) for x in dist[group]]
             )
-            results[(qps, policy)] = result
-            dist = result.degree_distribution()
-            for group in ("short", "long"):
-                rows.append(
-                    [int(qps), policy, group]
-                    + [round(x, 1) for x in dist[group]]
-                )
     return rows, results
 
 
-def test_table2_degree_distribution(benchmark, workload, search_table):
+def test_table2_degree_distribution(benchmark, search_table):
     rows, results = benchmark.pedantic(
-        lambda: _distribution_rows(workload, search_table),
+        lambda: _distribution_rows(search_table),
         rounds=1,
         iterations=1,
     )
@@ -51,7 +49,7 @@ def test_table2_degree_distribution(benchmark, workload, search_table):
     )
 
     def dist(qps, policy):
-        return results[(qps, policy)].degree_distribution()
+        return degrees_by_class(results[(qps, policy)])
 
     # TPC: short queries almost always sequential at both loads.
     assert dist(150, "TPC")["short"][0] > 85.0
@@ -59,11 +57,11 @@ def test_table2_degree_distribution(benchmark, workload, search_table):
     # TPC: long queries predominantly at high degrees when idle.
     assert sum(dist(150, "TPC")["long"][3:]) > 60.0
     # AP: same degree for short and long (no per-query information).
-    ap150 = results[(150, "AP")].degree_distribution(use_max_degree=False)
+    ap150 = degrees_by_class(results[(150, "AP")], use_max_degree=False)
     for s, l in zip(ap150["short"], ap150["long"]):
         assert abs(s - l) < 12.0
     # AP: degrees collapse at 600 QPS versus 150 QPS.
-    ap600 = results[(600, "AP")].degree_distribution(use_max_degree=False)
+    ap600 = degrees_by_class(results[(600, "AP")], use_max_degree=False)
     mean150 = sum((i + 1) * p for i, p in enumerate(ap150["long"])) / 100
     mean600 = sum((i + 1) * p for i, p in enumerate(ap600["long"])) / 100
     assert mean600 < mean150

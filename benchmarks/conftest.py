@@ -4,9 +4,15 @@ Every benchmark regenerates one paper artifact (figure or table),
 prints it in the paper's row/series format, and writes the rendered
 text to ``benchmarks/output/`` so EXPERIMENTS.md can cite it.
 
-Sweeps are declared as :mod:`repro.exec` specs and executed through
-the process pool, so independent (policy, load) cells run concurrently
-and long runs report per-cell liveness instead of sitting silent.
+Every (policy, load) cell is declared as a :mod:`repro.exec`
+:class:`~repro.exec.spec.CellSpec` and executed through ``run_sweep``
+(or a forwarder such as ``run_load_sweep``) with :func:`exec_kwargs`,
+so independent cells run concurrently, long runs report per-cell
+liveness instead of sitting silent, every result is a
+:class:`~repro.exec.spec.CellResult`, and ``REPRO_EXEC_CACHE=1`` makes a
+repeated run read them from disk.  The one exception is
+:func:`run_tpc_variant`: a hand-built TPC policy is a live object, not
+spec data, so those few cells run directly and are never cached.
 
 Scale knobs (environment variables):
 
@@ -37,15 +43,22 @@ from pathlib import Path
 import pytest
 
 from repro.config import PolicyConfig, ServerConfig
-from repro.exec import default_cache, log_progress
+from repro.exec import CellSpec, log_progress
 from repro.experiments import (
     DEFAULT_FINANCE_TARGET_TABLE,
     DEFAULT_QPS_GRID,
     DEFAULT_SEARCH_TARGET_TABLE,
     default_workload,
+    default_workload_spec,
     run_load_sweep,
 )
 from repro.finance import build_finance_workload
+from repro.policies.tpc import TPCPolicy
+from repro.rng import RngFactory
+from repro.sim.client import OpenLoopClient
+from repro.sim.engine import Engine
+from repro.sim.metrics import LatencySummary, degree_distribution
+from repro.sim.server import Server
 
 OUTPUT_DIR = Path(__file__).parent / "output"
 
@@ -81,17 +94,58 @@ def exec_kwargs() -> dict:
     """Execution-layer knobs shared by every benchmark sweep.
 
     Worker count resolution happens inside the pool (argument, then
-    ``REPRO_BENCH_WORKERS``, then cpu count); the result cache is
-    opt-in via ``REPRO_EXEC_CACHE=1``.
+    ``REPRO_BENCH_WORKERS``, then cpu count).  ``cache`` is left out, so
+    the exec layer's default applies: opt-in via ``REPRO_EXEC_CACHE=1``.
     """
-    return {
-        "workers": None,
-        "cache": default_cache(),
-        "progress": log_progress,
-    }
+    return {"workers": None, "progress": log_progress}
 
 
 BENCH_SEED = 71
+
+
+def bench_cell(policy_name: str, qps: float, **kwargs) -> CellSpec:
+    """One declared cell over the canonical workload at benchmark scale.
+
+    ``kwargs`` are further :meth:`CellSpec.for_experiment` arguments
+    (``target_table``, ``server_config``, ``prediction``, ...).
+    """
+    return CellSpec.for_experiment(
+        default_workload_spec(), policy_name, qps, bench_queries(),
+        BENCH_SEED, **kwargs,
+    )
+
+
+def degrees_by_class(result, use_max_degree: bool = True) -> dict:
+    """Table 2 split of one cell's degrees, by true demand class.
+
+    Percent of short and of long (true demand > 80 ms) queries run at
+    degree 1-6: the highest degree reached (dynamic correction
+    included), or the initial one with ``use_max_degree=False``.
+    """
+    degrees = result.max_degrees if use_max_degree else result.initial_degrees
+    return degree_distribution(result.demands_ms, degrees, 80.0, 6)
+
+
+def run_tpc_variant(workload, qps: float, policy: TPCPolicy) -> LatencySummary:
+    """Run one cell whose policy is a hand-built TPC variant.
+
+    The one direct path past :mod:`repro.exec`: a policy built with
+    knobs the registry does not expose (correction timing, resource
+    signal) or with its own speedup book cannot be declared as a
+    ``CellSpec``, so it is neither pooled nor cached.  The cell expands
+    exactly as a declared one does — ``BENCH_SEED`` trace and arrivals,
+    default server, ``bench_queries()`` requests — so a variant built
+    with the registry's defaults reproduces the declared TPC cell.
+    """
+    rngs = RngFactory(BENCH_SEED)
+    engine = Engine()
+    server = Server(ServerConfig(), policy, engine=engine)
+    requests = workload.make_requests(bench_queries(), rngs.get("trace"))
+    OpenLoopClient(server).schedule_trace(
+        engine, requests, qps, rngs.get("arrivals")
+    )
+    server.run_to_completion(len(requests))
+    return server.recorder.summary()
 
 
 @pytest.fixture(scope="session")

@@ -14,9 +14,10 @@ Run:  python examples/finance_pricing.py
 import numpy as np
 
 from repro.config import PolicyConfig, ServerConfig
-from repro.experiments import DEFAULT_FINANCE_TARGET_TABLE, run_search_experiment
+from repro.exec import CellSpec, WorkloadSpec, memoised_workload, run_cell
+from repro.experiments import DEFAULT_FINANCE_TARGET_TABLE
 from repro.experiments.report import format_table
-from repro.finance import AsianOption, MonteCarloPricer, build_finance_workload
+from repro.finance import AsianOption, MonteCarloPricer
 
 
 def price_some_options() -> None:
@@ -40,7 +41,8 @@ def price_some_options() -> None:
 
 
 def compare_policies() -> None:
-    workload = build_finance_workload()
+    wspec = WorkloadSpec.finance()
+    workload = memoised_workload(wspec)
     server_cfg = ServerConfig(max_parallelism=workload.config.max_parallelism)
     policy_cfg = PolicyConfig(
         pred_fixed_degree=workload.config.pred_fixed_degree
@@ -56,13 +58,15 @@ def compare_policies() -> None:
     for rps in (100.0, 200.0, 400.0, 600.0):
         row = [int(rps)]
         for policy in ("Sequential", "AP", "Pred", "TPC"):
-            result = run_search_experiment(
-                workload, policy, rps, 15_000, seed=5,
-                target_table=DEFAULT_FINANCE_TARGET_TABLE,
-                server_config=server_cfg,
-                policy_config=policy_cfg,
+            result = run_cell(
+                CellSpec.for_experiment(
+                    wspec, policy, rps, 15_000, seed=5,
+                    target_table=DEFAULT_FINANCE_TARGET_TABLE,
+                    server_config=server_cfg,
+                    policy_config=policy_cfg,
+                )
             )
-            row.append(round(result.p99_ms, 1))
+            row.append(round(result.summary.p99_ms, 1))
         rows.append(row)
     print()
     print(

@@ -9,7 +9,13 @@ parallelism policies and prints their tail latencies.
 Run:  python examples/quickstart.py
 """
 
-from repro import default_target_table, default_workload, run_search_experiment
+from repro import (
+    CellSpec,
+    default_target_table,
+    default_workload,
+    default_workload_spec,
+    run_cell,
+)
 from repro.experiments.report import format_table
 
 
@@ -34,8 +40,11 @@ def main() -> None:
 
     rows = []
     for policy in ("Sequential", "AP", "Pred", "TPC"):
-        result = run_search_experiment(
-            workload, policy, qps, n_requests, seed=1, target_table=table
+        result = run_cell(
+            CellSpec.for_experiment(
+                default_workload_spec(), policy, qps, n_requests, seed=1,
+                target_table=table,
+            )
         )
         summary = result.summary
         rows.append(
@@ -45,7 +54,7 @@ def main() -> None:
                 round(summary.p95_ms, 1),
                 round(summary.p99_ms, 1),
                 round(summary.p999_ms, 1),
-                f"{100 * result.recorder.correction_rate():.2f}%",
+                f"{100 * result.corrected.mean():.2f}%",
             ]
         )
     print()

@@ -26,13 +26,13 @@ depends on (see DESIGN.md):
 
 Quickstart
 ----------
->>> from repro import default_workload, run_search_experiment
->>> from repro import default_target_table
->>> workload = default_workload()                       # offline pipeline
->>> result = run_search_experiment(
-...     workload, "TPC", qps=450, n_requests=5000, seed=1,
+>>> from repro import CellSpec, run_cell
+>>> from repro import default_target_table, default_workload_spec
+>>> spec = CellSpec.for_experiment(
+...     default_workload_spec(), "TPC", qps=450, n_requests=5000, seed=1,
 ...     target_table=default_target_table())
->>> result.p99_ms < 150                                  # doctest: +SKIP
+>>> result = run_cell(spec)                   # builds the workload once
+>>> result.summary.p99_ms < 150                          # doctest: +SKIP
 True
 """
 
@@ -60,13 +60,14 @@ from .exec import (
     ResultCache,
     SweepSpec,
     WorkloadSpec,
+    run_cell,
     run_sweep,
 )
 from .experiments import (
     default_target_table,
     default_workload,
+    default_workload_spec,
     run_load_sweep,
-    run_search_experiment,
 )
 from .policies import make_policy, policy_names
 from .search import build_search_workload
@@ -98,8 +99,8 @@ __all__ = [
     "build_search_workload",
     "build_finance_workload",
     "default_workload",
+    "default_workload_spec",
     "default_target_table",
-    "run_search_experiment",
     "run_load_sweep",
     "run_cluster_experiment",
     # resilience
@@ -111,6 +112,7 @@ __all__ = [
     "SweepSpec",
     "WorkloadSpec",
     "ResultCache",
+    "run_cell",
     "run_sweep",
     # policies
     "make_policy",

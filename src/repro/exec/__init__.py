@@ -3,13 +3,15 @@
 ``repro.exec`` separates *what* an experiment is from *how* it runs.
 Sweeps are declared as frozen :class:`CellSpec`/:class:`SweepSpec`
 values, executed inline or across a process pool (:func:`run_sweep`),
-and optionally memoised on disk by content hash (:class:`ResultCache`).
+and optionally memoised on disk by content hash (:class:`ResultCache`;
+an omitted ``cache`` is :func:`default_cache`, opt-in through
+``REPRO_EXEC_CACHE=1``).
 The layers above — the experiment runner, the Algorithm 1 table
 builder, the cluster harness and the benchmarks — all route their
 independent simulation cells through this module.
 """
 
-from .cache import ResultCache, default_cache
+from .cache import ENV_CACHE, ResultCache, default_cache
 from .pool import (
     ProgressEvent,
     log_progress,
@@ -29,6 +31,7 @@ __all__ = [
     "spec_hash",
     "ResultCache",
     "default_cache",
+    "ENV_CACHE",
     "ProgressEvent",
     "log_progress",
     "forget_workload",

@@ -8,20 +8,30 @@ turns those repeats into a file read.
 The cache is **opt-in**: pass a :class:`ResultCache` to the pool
 runner, or set ``REPRO_EXEC_CACHE=1`` to let :func:`default_cache`
 supply one rooted at ``REPRO_EXEC_CACHE_DIR`` (default
-``~/.cache/repro-tpc/exec``).  Entries are pickled
-:class:`~repro.exec.spec.CellResult` payloads written atomically;
-corrupt or unreadable entries degrade to cache misses.
+``~/.cache/repro-tpc/exec``).  Every ``cache=`` parameter defaults to
+:data:`ENV_CACHE`, which :func:`repro.exec.run_sweep` resolves through
+:func:`default_cache`; an explicit ``cache=None`` is a cold run.
+Entries are pickled :class:`~repro.exec.spec.CellResult` payloads
+written atomically; corrupt or unreadable entries degrade to cache
+misses.
 """
 
 from __future__ import annotations
 
+import enum
 import os
 import pickle
 from pathlib import Path
 
 from .spec import CellResult, CellSpec
 
-__all__ = ["ResultCache", "default_cache", "DEFAULT_CACHE_DIR"]
+__all__ = [
+    "ResultCache",
+    "default_cache",
+    "ENV_CACHE",
+    "CacheArg",
+    "DEFAULT_CACHE_DIR",
+]
 
 #: Default cache root (override with ``REPRO_EXEC_CACHE_DIR``).
 DEFAULT_CACHE_DIR = os.path.join(
@@ -107,3 +117,19 @@ def default_cache() -> ResultCache | None:
     if os.environ.get("REPRO_EXEC_CACHE", "0") != "1":
         return None
     return ResultCache()
+
+
+class _Default(enum.Enum):
+    """Marker type of :data:`ENV_CACHE`."""
+
+    CACHE = "the environment-selected cache"
+
+
+#: Default of every ``cache=`` parameter: "use :func:`default_cache`",
+#: resolved once, by :func:`repro.exec.run_sweep`.  Forwarders pass it
+#: through unchanged, so one place decides whether a cell is cached.
+ENV_CACHE = _Default.CACHE
+
+#: Type of every ``cache=`` parameter: a cache, ``None`` for a cold
+#: run, or :data:`ENV_CACHE`.
+CacheArg = ResultCache | None | _Default

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from ..errors import ConfigError
-from .cache import ResultCache
+from .cache import ENV_CACHE, CacheArg, default_cache
 from .spec import CellResult, CellSpec, SweepSpec, WorkloadSpec
 
 __all__ = [
@@ -141,48 +141,40 @@ def _execute_cell(spec: CellSpec, observation: Any = None) -> CellResult:
 
     started = time.perf_counter()
     workload = memoised_workload(spec.workload)
-    result = run_search_experiment(
-        workload,
-        spec.policy_name,
-        spec.qps,
-        spec.n_requests,
-        spec.seed,
-        target_table=spec.target_table,
-        server_config=spec.server_config,
-        policy_config=spec.policy_config,
-        load_metric=spec.load_metric,
-        prediction=spec.prediction,
-        oracle_sigma=spec.oracle_sigma,
-        observation=observation,
-    )
+    server = run_search_experiment(workload, spec, observation)
     return CellResult.from_recorder(
         spec,
-        result.policy_name,
-        result.recorder,
+        server.policy.name,
+        server.recorder,
         wall_time_s=time.perf_counter() - started,
         extras=observation.extras() if observation is not None else None,
     )
 
 
-def run_cell(spec: CellSpec, cache: ResultCache | None = None) -> CellResult:
-    """Execute one cell inline, consulting the cache if given."""
+def run_cell(spec: CellSpec, cache: CacheArg = ENV_CACHE) -> CellResult:
+    """Execute one cell inline (``cache`` as in :func:`run_sweep`)."""
     return run_sweep([spec], workers=1, cache=cache)[0]
 
 
 def run_sweep(
     sweep: SweepSpec | Sequence[CellSpec],
     workers: int | None = None,
-    cache: ResultCache | None = None,
+    cache: CacheArg = ENV_CACHE,
     progress: Callable[[ProgressEvent], None] | None = None,
 ) -> list[CellResult]:
     """Execute every cell of a sweep; results in spec order.
 
-    Cached cells are answered without any simulation work.  The
-    remaining cells run inline when the effective worker count is 1 (or
-    only one cell is missing), otherwise across a process pool.  The
+    ``cache`` is a :class:`~repro.exec.cache.ResultCache`, ``None`` for
+    a cold run, or — when omitted — :func:`default_cache`, the one
+    place that reads ``REPRO_EXEC_CACHE``.  Cached cells are answered
+    without any simulation work.  The remaining cells run inline when
+    the effective worker count is 1 (or only one cell is missing),
+    otherwise across a process pool.  The
     ``progress`` callback fires once per completed cell, in completion
     order, with cells-completed / total and per-cell wall time.
     """
+    if cache is ENV_CACHE:
+        cache = default_cache()
     cells = tuple(sweep)
     total = len(cells)
     results: list[CellResult | None] = [None] * total

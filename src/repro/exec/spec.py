@@ -43,7 +43,6 @@ from ..sim.load import LoadMetric
 from ..sim.metrics import LatencyRecorder, LatencySummary
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..experiments.runner import ExperimentResult
     from ..resilience.faults import FaultSpec
     from ..resilience.hedging import HedgePolicy
 
@@ -395,28 +394,4 @@ class CellResult:
             corrected=np.asarray(recorder.corrected, dtype=bool),
             wall_time_s=wall_time_s,
             extras=extras if extras is not None else {},
-        )
-
-    def recorder(self) -> LatencyRecorder:
-        """Rebuild a :class:`LatencyRecorder` view of this result."""
-        return LatencyRecorder(
-            responses_ms=self.responses_ms.tolist(),
-            queueing_ms=self.queueing_ms.tolist(),
-            executions_ms=self.executions_ms.tolist(),
-            demands_ms=self.demands_ms.tolist(),
-            predictions_ms=self.predictions_ms.tolist(),
-            initial_degrees=self.initial_degrees.tolist(),
-            max_degrees=self.max_degrees.tolist(),
-            corrected=self.corrected.tolist(),
-        )
-
-    def to_experiment_result(self) -> "ExperimentResult":
-        """Adapt to the :class:`ExperimentResult` the figure code reads."""
-        from ..experiments.runner import ExperimentResult
-
-        return ExperimentResult(
-            policy_name=self.policy_name,
-            qps=self.qps,
-            recorder=self.recorder(),
-            summary=self.summary,
         )

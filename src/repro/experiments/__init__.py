@@ -1,14 +1,13 @@
 """Experiment harness: single-ISN runs, sweeps, MeasureTail, reports.
 
 Ties the workload substrate, policies and simulator into the paper's
-experiments.  ``runner`` executes one (policy, load) cell or a sweep;
+experiments.  ``runner`` expands one (policy, load) cell for the exec
+layer and declares sweeps and MeasureTail over it;
 ``scenarios`` holds the canonical configurations of every figure and
 table; ``report`` renders results as the rows the paper prints.
 """
 
 from .runner import (
-    ExperimentResult,
-    run_search_experiment,
     run_load_sweep,
     make_measure_tail,
     make_measure_tail_batch,
@@ -27,8 +26,6 @@ from .scenarios import (
 from .report import format_table
 
 __all__ = [
-    "ExperimentResult",
-    "run_search_experiment",
     "run_load_sweep",
     "make_measure_tail",
     "make_measure_tail_batch",

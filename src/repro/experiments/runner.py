@@ -1,48 +1,47 @@
 """Single-ISN experiment runner.
 
-``run_search_experiment`` executes one (policy, load) cell: sample a
-request trace from the workload pool, replay it through a simulated
-server under the chosen policy, and collect latency and degree
-statistics.  ``run_load_sweep`` produces the series behind Figures 4-7;
-``make_measure_tail`` packages a predefined multi-load experiment as
-the MeasureTail procedure of Algorithm 1.
+``run_search_experiment`` expands one declared (policy, load) cell:
+sample a request trace from the workload pool, replay it through a
+simulated server under the chosen policy, and return the finished
+server.  Its only caller is :func:`repro.exec.pool._execute_cell`, so
+every cell runs, caches and reads as a
+:class:`~repro.exec.spec.CellResult`.  ``run_load_sweep`` produces the
+series behind Figures 4-7; ``make_measure_tail`` packages a predefined
+multi-load experiment as the MeasureTail procedure of Algorithm 1.
 
 Sweeps and MeasureTail route their independent cells through the
 :mod:`repro.exec` layer: cells are declared as specs, optionally fanned
 out across a process pool (``workers`` / ``REPRO_BENCH_WORKERS``) and
-optionally memoised on disk (``cache``).  Parallel execution is
-bit-identical to the serial path — every cell is deterministically
-seeded and simulated in isolation either way.
+memoised on disk (``cache``; omitted means the exec layer's
+environment-selected cache).  Parallel execution is bit-identical to
+the serial path — every cell is deterministically seeded and simulated
+in isolation either way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from ..config import PolicyConfig, ServerConfig, TargetTableConfig
+from ..config import ServerConfig, TargetTableConfig
 from ..core.table_builder import TableSearchResult, build_target_table
 from ..core.target_table import TargetTable
 from ..errors import ConfigError
-from ..exec.cache import ResultCache
+from ..exec.cache import ENV_CACHE, CacheArg
 from ..exec.pool import ProgressEvent, run_sweep
-from ..exec.spec import CellSpec, SweepSpec, WorkloadSpec
+from ..exec.spec import CellResult, CellSpec, SweepSpec, WorkloadSpec
 from ..policies.registry import make_policy
 from ..rng import RngFactory
 from ..search.workload import SearchWorkload
 from ..sim.engine import Engine
 from ..sim.load import LoadMetric
-from ..sim.metrics import (
-    LatencyRecorder,
-    LatencySummary,
-    degree_distribution,
-    weighted_tail_latency,
-)
+from ..sim.metrics import weighted_tail_latency
 from ..sim.server import Server
 from ..sim.client import OpenLoopClient
 
+if TYPE_CHECKING:  # pragma: no cover
+    from ..obs.observe import Observation
+
 __all__ = [
-    "ExperimentResult",
     "run_search_experiment",
     "run_load_sweep",
     "make_measure_tail",
@@ -51,96 +50,49 @@ __all__ = [
 ]
 
 
-@dataclass
-class ExperimentResult:
-    """Outcome of one (policy, load) experiment cell."""
-
-    policy_name: str
-    qps: float
-    recorder: LatencyRecorder
-    summary: LatencySummary
-
-    @property
-    def p99_ms(self) -> float:
-        """99th-percentile response time."""
-        return self.summary.p99_ms
-
-    @property
-    def p999_ms(self) -> float:
-        """99.9th-percentile response time."""
-        return self.summary.p999_ms
-
-    def degree_distribution(
-        self,
-        long_threshold_ms: float = 80.0,
-        max_degree: int = 6,
-        use_max_degree: bool = True,
-    ) -> dict[str, list[float]]:
-        """Table 2-style degree distribution of this run."""
-        return degree_distribution(
-            self.recorder, long_threshold_ms, max_degree, use_max_degree
-        )
-
-
 def run_search_experiment(
     workload: SearchWorkload,
-    policy_name: str,
-    qps: float,
-    n_requests: int,
-    seed: int,
-    target_table: TargetTable | None = None,
-    server_config: ServerConfig | None = None,
-    policy_config: PolicyConfig | None = None,
-    load_metric: LoadMetric = LoadMetric.LONG_THREADS,
-    prediction: str = "model",
-    oracle_sigma: float = 0.0,
-    speedup_book=None,
-    observation=None,
-) -> ExperimentResult:
-    """Run one policy at one load over a freshly sampled trace.
+    spec: CellSpec,
+    observation: Observation | None = None,
+) -> Server:
+    """Expand one single-server cell over its built workload and run it.
 
-    ``seed`` controls both the trace sample and the arrival process, so
-    different policies at the same ``(seed, qps)`` see the *same*
-    request sequence and arrival times — paired comparisons, like
-    replaying one query log against every policy.
+    ``spec.seed`` controls both the trace sample and the arrival
+    process, so different policies at the same ``(seed, qps)`` see the
+    *same* request sequence and arrival times — paired comparisons,
+    like replaying one query log against every policy.
 
-    ``observation`` (a :class:`repro.obs.Observation`) attaches the
-    observability layer — request spans, metrics, policy-decision
-    attribution — to the server before any request is submitted.  The
-    latency results are bit-identical with or without it.
+    ``observation`` attaches the observability layer — request spans,
+    metrics, policy-decision attribution — to the server before any
+    request is submitted.  The latency results are bit-identical with
+    or without it.
     """
-    if n_requests < 1:
-        raise ConfigError("n_requests must be >= 1")
-    rngs = RngFactory(seed)
-    server_cfg = server_config if server_config is not None else ServerConfig()
-    book = speedup_book if speedup_book is not None else workload.speedup_book
+    rngs = RngFactory(spec.seed)
+    server_cfg = (
+        spec.server_config if spec.server_config is not None else ServerConfig()
+    )
     policy = make_policy(
-        policy_name,
-        speedup_book=book,
+        spec.policy_name,
+        speedup_book=workload.speedup_book,
         group_weights=workload.group_weights,
-        target_table=target_table,
-        policy_config=policy_config,
-        load_metric=load_metric,
+        target_table=spec.target_table,
+        policy_config=spec.policy_config,
+        load_metric=spec.load_metric,
     )
     engine = Engine()
     server = Server(server_cfg, policy, engine=engine)
     if observation is not None:
         observation.attach(server)
     requests = workload.make_requests(
-        n_requests,
+        spec.n_requests,
         rngs.get("trace"),
-        prediction=prediction,
-        oracle_sigma=oracle_sigma,
+        prediction=spec.prediction,
+        oracle_sigma=spec.oracle_sigma,
     )
     client = OpenLoopClient(server)
-    client.schedule_trace(engine, requests, qps, rngs.get("arrivals"))
-    server.run_to_completion(n_requests)
-    return ExperimentResult(
-        policy_name=policy.name,
-        qps=qps,
-        recorder=server.recorder,
-        summary=server.recorder.summary(),
-    )
+    client.schedule_trace(engine, requests, spec.qps, rngs.get("arrivals"))
+    server.run_to_completion(spec.n_requests)
+    return server
 
 
 def _workload_spec(workload: SearchWorkload) -> WorkloadSpec:
@@ -162,10 +114,10 @@ def run_load_sweep(
     seed: int,
     target_table: TargetTable | None = None,
     workers: int | None = None,
-    cache: ResultCache | None = None,
+    cache: CacheArg = ENV_CACHE,
     progress: Callable[[ProgressEvent], None] | None = None,
     **kwargs,
-) -> dict[str, list[ExperimentResult]]:
+) -> dict[str, list[CellResult]]:
     """All (policy, load) cells: ``{policy: [result per QPS]}``.
 
     The cells are declared as specs and executed through
@@ -180,12 +132,11 @@ def run_load_sweep(
         target_table=target_table, **kwargs,
     )
     cell_results = run_sweep(sweep, workers=workers, cache=cache, progress=progress)
-    results: dict[str, list[ExperimentResult]] = {}
     per_policy = len(qps_grid)
-    for p, name in enumerate(policy_names):
-        series = cell_results[p * per_policy : (p + 1) * per_policy]
-        results[name] = [r.to_experiment_result() for r in series]
-    return results
+    return {
+        name: cell_results[p * per_policy : (p + 1) * per_policy]
+        for p, name in enumerate(policy_names)
+    }
 
 
 def _measure_cells(
@@ -218,7 +169,7 @@ def make_measure_tail(
     server_config: ServerConfig | None = None,
     load_metric: LoadMetric = LoadMetric.LONG_THREADS,
     workers: int | None = None,
-    cache: ResultCache | None = None,
+    cache: CacheArg = ENV_CACHE,
 ) -> Callable[[TargetTable], float]:
     """The MeasureTail procedure of Algorithm 1.
 
@@ -251,7 +202,7 @@ def make_measure_tail_batch(
     server_config: ServerConfig | None = None,
     load_metric: LoadMetric = LoadMetric.LONG_THREADS,
     workers: int | None = None,
-    cache: ResultCache | None = None,
+    cache: CacheArg = ENV_CACHE,
 ) -> Callable[[Sequence[TargetTable]], list[float]]:
     """Batched MeasureTail: evaluate several candidate tables at once.
 
@@ -291,7 +242,7 @@ def build_search_target_table(
     table_config: TargetTableConfig | None = None,
     seed: int = 1234,
     workers: int | None = None,
-    cache: ResultCache | None = None,
+    cache: CacheArg = ENV_CACHE,
     **measure_kwargs,
 ) -> TableSearchResult:
     """Run Algorithm 1 end-to-end for a search workload.

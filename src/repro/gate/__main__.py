@@ -3,6 +3,11 @@
 Exit status: 0 when every check passes, 1 on any band violation, 2 on
 usage errors or a check that crashed.  The JSON artifact is written
 regardless of the verdict so CI can upload it from failing runs.
+
+The exec result cache is *on* by default here (``--cache-dir``, else
+``REPRO_EXEC_CACHE_DIR``), unlike the library and the benchmarks,
+because a warm gate must be near-free; ``--no-cache`` forces a cold
+run.
 """
 
 from __future__ import annotations
@@ -159,10 +164,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             if name.strip()
         ]
 
-    cache = None
-    use_cache = not args.no_cache
-    if use_cache and args.cache_dir is not None:
-        cache = ResultCache(args.cache_dir)
+    cache = None if args.no_cache else ResultCache(args.cache_dir)
 
     try:
         perturb = _parse_perturb(args.perturb)
@@ -171,7 +173,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             only=only,
             workers=args.workers,
             cache=cache,
-            use_cache=use_cache,
             baselines_path=args.baselines,
             perturb=perturb or None,
             progress=None if args.quiet else log_progress,

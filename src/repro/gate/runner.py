@@ -3,10 +3,9 @@
 :func:`run_gate` is the single entry point behind the CLI and the
 tests.  It collects every cell the enabled checks declare, dedupes
 them by content hash, executes the union through
-:func:`repro.exec.run_sweep` (process pool + on-disk cache — the
-cache is *on* by default for the gate, unlike the benchmarks, because
-a warm gate must be near-free), then hands each check a
-:class:`GateContext` to reduce its results to banded measurements.
+:func:`repro.exec.run_sweep` (process pool + on-disk cache), then
+hands each check a :class:`GateContext` to reduce its results to
+banded measurements.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 
 from ..artifacts import artifact_header
 from ..errors import ConfigError
-from ..exec.cache import ResultCache
+from ..exec.cache import ENV_CACHE, CacheArg
 from ..exec.pool import ProgressEvent, run_sweep
 from ..exec.spec import CellResult, CellSpec
 from .bands import EvaluatedMeasurement, Measurement, evaluate_measurement
@@ -61,8 +60,7 @@ def run_gate(
     mode: str = "fast",
     only: Sequence[str] | None = None,
     workers: int | None = None,
-    cache: ResultCache | None = None,
-    use_cache: bool = True,
+    cache: CacheArg = ENV_CACHE,
     baselines: Mapping[str, float] | None = None,
     baselines_path: str | None = None,
     perturb: Mapping[str, float] | None = None,
@@ -79,10 +77,10 @@ def run_gate(
     workers:
         Process-pool width for cell execution (None = the
         ``REPRO_BENCH_WORKERS`` / cpu-count default of the exec layer).
-    cache, use_cache:
-        An explicit :class:`ResultCache`, or — when ``use_cache`` is
-        true and no cache is given — the default on-disk cache.  Pass
-        ``use_cache=False`` for a guaranteed-cold run.
+    cache:
+        An explicit :class:`~repro.exec.cache.ResultCache`, ``None``
+        for a guaranteed-cold run, or — when omitted — the exec layer's
+        environment-selected cache (``REPRO_EXEC_CACHE=1``).
     baselines, baselines_path:
         Explicit baseline metrics, or a path to the baseline JSON
         (default ``benchmarks/baselines/gate_baseline.json``).  Missing
@@ -95,8 +93,6 @@ def run_gate(
     started = time.perf_counter()
     scale = scale_for_mode(mode)
     checks = select_checks(only)
-    if cache is None and use_cache:
-        cache = ResultCache()
     if baselines is None:
         baselines = load_baselines(baselines_path, mode=mode)
 

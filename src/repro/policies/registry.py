@@ -7,7 +7,7 @@ benchmarks, and records the information-use matrix of Table 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from ..config import PolicyConfig
 from ..core.speedup import SpeedupBook

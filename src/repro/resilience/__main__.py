@@ -15,7 +15,7 @@ from typing import Sequence
 
 from ..artifacts import write_json
 from ..errors import ReproError
-from ..exec.cache import ResultCache, default_cache
+from ..exec.cache import ENV_CACHE, ResultCache
 from ..exec.pool import log_progress
 from .report import build_report, render_summary
 from .scenarios import SCENARIOS, list_scenarios, run_scenario
@@ -99,13 +99,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     names = args.scenario if args.scenario else list(SCENARIOS)
-    cache = None
-    if not args.no_cache:
-        cache = (
-            ResultCache(args.cache_dir)
-            if args.cache_dir is not None
-            else default_cache()
-        )
+    if args.no_cache:
+        cache = None
+    elif args.cache_dir is not None:
+        cache = ResultCache(args.cache_dir)
+    else:
+        cache = ENV_CACHE
 
     try:
         results = [

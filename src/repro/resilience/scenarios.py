@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 from ..config import ClusterConfig
 from ..core.target_table import TargetTable
 from ..errors import ConfigError
-from ..exec.cache import ResultCache
+from ..exec.cache import ENV_CACHE, CacheArg
 from ..exec.pool import ProgressEvent, run_sweep
 from ..exec.spec import CellResult, CellSpec, WorkloadSpec
 from ..experiments.scenarios import (
@@ -143,7 +143,7 @@ def run_scenario(
     scenario: Scenario | str,
     fast: bool = False,
     workers: int | None = None,
-    cache: ResultCache | None = None,
+    cache: CacheArg = ENV_CACHE,
     progress: Callable[[ProgressEvent], None] | None = None,
     workload_spec: WorkloadSpec | None = None,
     target_table: TargetTable | None = None,

@@ -303,21 +303,20 @@ class LatencyRecorder:
 
 
 def degree_distribution(
-    recorder: LatencyRecorder,
+    demands_ms: Sequence[float] | np.ndarray,
+    degrees: Sequence[int] | np.ndarray,
     long_threshold_ms: float,
     max_degree: int,
-    use_max_degree: bool = True,
 ) -> dict[str, list[float]]:
     """Parallelism-degree distribution by true demand class (Table 2).
 
     Returns ``{"short": [...], "long": [...]}`` where each list holds
     the percentage of that class executed at degree 1..max_degree.
-    ``use_max_degree`` counts the highest degree a request attained
-    (capturing dynamic correction); set False for the initial degree.
+    Pass a run's maximum degrees to count the highest degree a request
+    attained (capturing dynamic correction), or its initial degrees.
     """
-    degrees = recorder.max_degrees if use_max_degree else recorder.initial_degrees
     counts = {"short": [0] * max_degree, "long": [0] * max_degree}
-    for demand, degree in zip(recorder.demands_ms, degrees):
+    for demand, degree in zip(demands_ms, degrees):
         key = "long" if demand > long_threshold_ms else "short"
         counts[key][min(degree, max_degree) - 1] += 1
     result: dict[str, list[float]] = {}

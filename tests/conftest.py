@@ -10,6 +10,7 @@ import pytest
 from repro.config import ServerConfig
 from repro.core.speedup import SpeedupBook, SpeedupProfile
 from repro.core.target_table import TargetTable
+from repro.exec import WorkloadSpec, memoised_workload
 from repro.experiments.scenarios import TINY_WORKLOAD_SPEC
 from repro.finance import build_finance_workload
 from repro.sim.request import Request
@@ -39,11 +40,16 @@ def server_config() -> ServerConfig:
 
 
 @pytest.fixture(scope="session")
-def tiny_search_workload():
-    """A small but complete search workload (built once per session)."""
-    return dataclasses.replace(
-        TINY_WORKLOAD_SPEC, use_workload_cache=False
-    ).build()
+def tiny_workload_spec() -> WorkloadSpec:
+    """Recipe of :func:`tiny_search_workload` (no on-disk build cache)."""
+    return dataclasses.replace(TINY_WORKLOAD_SPEC, use_workload_cache=False)
+
+
+@pytest.fixture(scope="session")
+def tiny_search_workload(tiny_workload_spec):
+    """A small but complete search workload: the exec memo's copy, so
+    cells declared on :func:`tiny_workload_spec` reuse it."""
+    return memoised_workload(tiny_workload_spec)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ HEADER_KEYS = {"schema_version", "generated_by", "git_sha", "mode", "environment
 
 
 def test_every_report_carries_the_header(tmp_path):
-    gate = run_gate(mode="fast", only=["perf_budget"], use_cache=False)
+    gate = run_gate(mode="fast", only=["perf_budget"], cache=None)
     perf = build_perf_report(
         [run_scenario(scenario("engine_only"), 500, repeats=1)], fast=True
     )

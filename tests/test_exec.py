@@ -23,7 +23,9 @@ from repro.config import (
     FinanceConfig,
     PredictorConfig,
     SearchWorkloadConfig,
+    TargetTableConfig,
 )
+from repro.core.target_table import TargetTable
 from repro.errors import ConfigError
 from repro.exec import (
     CellSpec,
@@ -36,7 +38,9 @@ from repro.exec import (
     run_sweep,
 )
 from repro.exec import pool as pool_mod
+from repro.experiments.runner import make_measure_tail_batch
 from repro.experiments.scenarios import TINY_TARGET_TABLE, TINY_WORKLOAD_SPEC
+from repro.sim.server import Server
 
 
 def tiny_workload_spec() -> WorkloadSpec:
@@ -234,11 +238,6 @@ class TestRunSweep:
         assert all(e.wall_time_s > 0.0 for e in events)
         assert {e.spec for e in events} == set(small_sweep.cells)
 
-    def test_result_adapts_to_experiment_result(self, serial_results):
-        adapted = serial_results[0].to_experiment_result()
-        assert adapted.summary == serial_results[0].summary
-        assert len(adapted.recorder) == len(serial_results[0].responses_ms)
-
 
 class TestResultCache:
     def test_miss_then_hit(self, tmp_path, small_sweep, serial_results):
@@ -340,3 +339,63 @@ class TestResultCache:
         cache = default_cache()
         assert cache is not None
         assert cache.directory == tmp_path
+
+
+class TestOmittedCache:
+    """An omitted ``cache`` is decided once, in ``run_sweep``: the
+    environment's cache, which forwarders such as MeasureTail pass
+    through; an explicit ``None`` is always a cold run."""
+
+    CONFIG = TargetTableConfig(
+        measure_loads_qps=(150.0, 300.0),
+        measure_weights=(1.0, 1.0),
+        queries_per_measurement=200,
+    )
+
+    def measure(self, workload, **kwargs):
+        batch = make_measure_tail_batch(
+            workload, self.CONFIG, seed=3, workers=1, **kwargs
+        )
+        return batch([TINY_TARGET_TABLE, TargetTable.constant(40.0)])
+
+    def test_measure_tail_rerun_is_served_from_the_env_cache(
+        self, tiny_search_workload, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_EXEC_CACHE", "1")
+        monkeypatch.setenv("REPRO_EXEC_CACHE_DIR", str(tmp_path))
+        cold = self.measure(tiny_search_workload)
+        entries = sorted(tmp_path.glob("cell-*.pkl"))
+        assert len(entries) == 4  # 2 tables x 2 measure loads
+
+        lookups = []
+        get = ResultCache.get
+
+        def counting_get(cache, spec):
+            hit = get(cache, spec)
+            lookups.append(hit is not None)
+            return hit
+
+        def no_simulation(server, *args, **kwargs):
+            raise AssertionError("a fully cached re-run simulated a cell")
+
+        monkeypatch.setattr(ResultCache, "get", counting_get)
+        monkeypatch.setattr(Server, "run_to_completion", no_simulation)
+        assert self.measure(tiny_search_workload) == cold
+        assert lookups == [True] * 4
+        assert sorted(tmp_path.glob("cell-*.pkl")) == entries
+
+    def test_omitted_cache_writes_nothing_without_the_variable(
+        self, tiny_search_workload, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_EXEC_CACHE", raising=False)
+        monkeypatch.setenv("REPRO_EXEC_CACHE_DIR", str(tmp_path))
+        self.measure(tiny_search_workload)
+        assert not any(tmp_path.iterdir())
+
+    def test_explicit_none_writes_nothing_with_the_variable_set(
+        self, tiny_search_workload, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_EXEC_CACHE", "1")
+        monkeypatch.setenv("REPRO_EXEC_CACHE_DIR", str(tmp_path))
+        self.measure(tiny_search_workload, cache=None)
+        assert not any(tmp_path.iterdir())

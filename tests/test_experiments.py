@@ -8,12 +8,12 @@ import pytest
 from repro.config import ServerConfig, TargetTableConfig
 from repro.core.target_table import TargetTable
 from repro.errors import ConfigError
+from repro.exec import CellSpec, run_cell
 from repro.experiments import (
     DEFAULT_QPS_GRID,
     FIGURE_POLICIES,
     format_table,
     run_load_sweep,
-    run_search_experiment,
 )
 from repro.experiments.runner import (
     build_search_target_table,
@@ -21,68 +21,72 @@ from repro.experiments.runner import (
     make_measure_tail_batch,
 )
 from repro.experiments.report import format_cdf_rows
+from repro.sim.metrics import degree_distribution
 
 
 class TestRunSearchExperiment:
-    def test_basic_run_completes_all(self, tiny_search_workload, target_table):
-        result = run_search_experiment(
-            tiny_search_workload, "TPC", qps=200.0, n_requests=1500,
+    """One declared single-server cell, run through the exec layer."""
+
+    def test_basic_run_completes_all(self, tiny_workload_spec, target_table):
+        result = run_cell(CellSpec.for_experiment(
+            tiny_workload_spec, "TPC", qps=200.0, n_requests=1500,
             seed=2, target_table=target_table,
-        )
+        ))
         assert result.summary.count == 1500
-        assert result.p99_ms > result.summary.p50_ms
-        assert result.p999_ms >= result.p99_ms
+        assert result.summary.p99_ms > result.summary.p50_ms
+        assert result.summary.p999_ms >= result.summary.p99_ms
 
-    def test_same_seed_is_reproducible(self, tiny_search_workload, target_table):
-        kwargs = dict(qps=300.0, n_requests=800, seed=5, target_table=target_table)
-        a = run_search_experiment(tiny_search_workload, "TPC", **kwargs)
-        b = run_search_experiment(tiny_search_workload, "TPC", **kwargs)
-        np.testing.assert_array_equal(
-            a.recorder.responses, b.recorder.responses
+    def test_same_seed_is_reproducible(self, tiny_workload_spec, target_table):
+        spec = CellSpec.for_experiment(
+            tiny_workload_spec, "TPC", qps=300.0, n_requests=800, seed=5,
+            target_table=target_table,
         )
+        a = run_cell(spec, cache=None)
+        b = run_cell(spec, cache=None)
+        np.testing.assert_array_equal(a.responses_ms, b.responses_ms)
 
-    def test_policies_see_identical_traces(self, tiny_search_workload, target_table):
+    def test_policies_see_identical_traces(self, tiny_workload_spec, target_table):
         """Paired comparison: same (seed, qps) -> same demands."""
-        a = run_search_experiment(
-            tiny_search_workload, "Sequential", 200.0, 500, 7,
+        a = run_cell(CellSpec.for_experiment(
+            tiny_workload_spec, "Sequential", 200.0, 500, 7,
             target_table=target_table,
-        )
-        b = run_search_experiment(
-            tiny_search_workload, "TPC", 200.0, 500, 7,
+        ))
+        b = run_cell(CellSpec.for_experiment(
+            tiny_workload_spec, "TPC", 200.0, 500, 7,
             target_table=target_table,
-        )
-        assert sorted(a.recorder.demands_ms) == sorted(b.recorder.demands_ms)
+        ))
+        assert sorted(a.demands_ms) == sorted(b.demands_ms)
 
-    def test_perfect_prediction_mode(self, tiny_search_workload, target_table):
-        result = run_search_experiment(
-            tiny_search_workload, "Pred", 200.0, 500, 3,
+    def test_perfect_prediction_mode(self, tiny_workload_spec, target_table):
+        result = run_cell(CellSpec.for_experiment(
+            tiny_workload_spec, "Pred", 200.0, 500, 3,
             target_table=target_table, prediction="perfect",
-        )
-        np.testing.assert_allclose(
-            result.recorder.predictions_ms, result.recorder.demands_ms
-        )
+        ))
+        np.testing.assert_allclose(result.predictions_ms, result.demands_ms)
 
-    def test_server_config_override(self, tiny_search_workload, target_table):
-        result = run_search_experiment(
-            tiny_search_workload, "TPC", 100.0, 300, 3,
+    def test_server_config_override(self, tiny_workload_spec, target_table):
+        result = run_cell(CellSpec.for_experiment(
+            tiny_workload_spec, "TPC", 100.0, 300, 3,
             target_table=target_table,
             server_config=ServerConfig(max_parallelism=2),
-        )
-        assert max(result.recorder.max_degrees) <= 2
+        ))
+        assert max(result.max_degrees) <= 2
 
-    def test_degree_distribution_reachable(self, tiny_search_workload, target_table):
-        result = run_search_experiment(
-            tiny_search_workload, "TPC", 200.0, 800, 3,
+    def test_degree_distribution_reachable(self, tiny_workload_spec, target_table):
+        result = run_cell(CellSpec.for_experiment(
+            tiny_workload_spec, "TPC", 200.0, 800, 3,
             target_table=target_table,
+        ))
+        dist = degree_distribution(
+            result.demands_ms, result.max_degrees, 80.0, 6
         )
-        dist = result.degree_distribution()
         assert set(dist) == {"short", "long"}
         assert len(dist["short"]) == 6
 
-    def test_rejects_zero_requests(self, tiny_search_workload, target_table):
+    def test_rejects_zero_requests(self, tiny_workload_spec, target_table):
         with pytest.raises(ConfigError):
-            run_search_experiment(
-                tiny_search_workload, "TPC", 100.0, 0, 1,
+            CellSpec.for_experiment(
+                tiny_workload_spec, "TPC", 100.0, 0, 1,
                 target_table=target_table,
             )
 

@@ -105,7 +105,9 @@ class TestDegreeDistribution:
         rec.record(completed_request(1, 12.0, degree=1))
         rec.record(completed_request(2, 14.0, degree=2))
         rec.record(completed_request(3, 150.0, degree=6))
-        dist = degree_distribution(rec, long_threshold_ms=80.0, max_degree=6)
+        dist = degree_distribution(
+            rec.demands_ms, rec.max_degrees, long_threshold_ms=80.0, max_degree=6
+        )
         assert dist["short"][0] == pytest.approx(100 * 2 / 3)
         assert dist["short"][1] == pytest.approx(100 / 3)
         assert dist["long"][5] == pytest.approx(100.0)
@@ -114,21 +116,23 @@ class TestDegreeDistribution:
         rec = LatencyRecorder()
         for i in range(10):
             rec.record(completed_request(i, 10.0 + i * 20, degree=(i % 6) + 1))
-        dist = degree_distribution(rec, 80.0, 6)
+        dist = degree_distribution(rec.demands_ms, rec.max_degrees, 80.0, 6)
         assert sum(dist["short"]) == pytest.approx(100.0)
         assert sum(dist["long"]) == pytest.approx(100.0)
 
     def test_max_degree_mode_captures_correction(self):
         rec = LatencyRecorder()
         rec.record(completed_request(0, 150.0, degree=1, max_degree=6))
-        by_max = degree_distribution(rec, 80.0, 6, use_max_degree=True)
-        by_initial = degree_distribution(rec, 80.0, 6, use_max_degree=False)
+        by_max = degree_distribution(rec.demands_ms, rec.max_degrees, 80.0, 6)
+        by_initial = degree_distribution(
+            rec.demands_ms, rec.initial_degrees, 80.0, 6
+        )
         assert by_max["long"][5] == 100.0
         assert by_initial["long"][0] == 100.0
 
     def test_empty_class_yields_zero_row(self):
         rec = LatencyRecorder()
         rec.record(completed_request(0, 10.0, degree=1))
-        dist = degree_distribution(rec, 80.0, 6)
+        dist = degree_distribution(rec.demands_ms, rec.max_degrees, 80.0, 6)
         assert sum(dist["long"]) == 0.0
 

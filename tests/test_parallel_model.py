@@ -5,7 +5,6 @@ import pytest
 from repro.errors import CalibrationError
 from repro.search.parallel import (
     FIGURE2_TARGETS,
-    ParallelExecutionModel,
     fit_parallel_model,
 )
 

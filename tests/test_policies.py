@@ -17,9 +17,7 @@ from repro.policies import (
 )
 from repro.policies.ap import average_profile
 from repro.policies.registry import POLICY_INFO
-from repro.core.target_table import TargetTable
 from repro.sim.engine import Engine
-from repro.sim.load import LoadMetric
 from repro.sim.server import Server
 
 from conftest import LONG_PROFILE, make_request

@@ -7,7 +7,6 @@ from repro.errors import ConfigError
 from repro.policies import AdaptiveRampUpPolicy, TPCPolicy, make_policy
 from repro.policies.registry import POLICY_INFO
 from repro.sim.engine import Engine
-from repro.sim.load import LoadMetric
 from repro.sim.server import Server
 
 from conftest import LONG_PROFILE, make_request

@@ -9,7 +9,6 @@ from repro.errors import ConfigError, SimulationError
 from repro.exec.cache import ResultCache
 from repro.exec.pool import run_cell, run_sweep
 from repro.exec.spec import CellSpec, WorkloadSpec
-from repro.experiments.runner import run_search_experiment
 from repro.resilience import (
     FaultKind,
     FaultSpec,
@@ -253,7 +252,7 @@ class TestServerResilienceHooks:
 
 class TestResilientCluster:
     def test_single_isn_cluster_matches_plain_experiment(
-        self, tiny_search_workload, target_table
+        self, tiny_search_workload, tiny_workload_spec, target_table
     ):
         # One ISN, zero jitter, zero network overhead, no faults: the
         # cluster run degenerates to the plain single-server experiment.
@@ -264,17 +263,17 @@ class TestResilientCluster:
             ),
             target_table=target_table,
         )
-        plain = run_search_experiment(
-            tiny_search_workload, "TPC", qps=200.0, n_requests=400, seed=31,
+        plain = run_cell(CellSpec.for_experiment(
+            tiny_workload_spec, "TPC", qps=200.0, n_requests=400, seed=31,
             target_table=target_table,
-        )
+        ))
         np.testing.assert_array_equal(
             np.asarray(cluster.isn_recorders[0].responses_ms),
-            np.asarray(plain.recorder.responses_ms),
+            plain.responses_ms,
         )
         np.testing.assert_array_equal(
             np.sort(cluster.isn_latencies_ms),
-            np.sort(plain.recorder.responses),
+            np.sort(plain.responses_ms),
         )
 
     def test_straggler_hedging_improves_p999(

@@ -8,10 +8,10 @@ from repro.core.speedup import SpeedupProfile
 from repro.errors import SchedulingError, SimulationError
 from repro.policies.base import ParallelismPolicy
 from repro.sim.engine import Engine
-from repro.sim.request import Request, RequestState
+from repro.sim.request import RequestState
 from repro.sim.server import Server
 
-from conftest import LONG_PROFILE, make_request
+from conftest import make_request
 
 
 class FixedDegreePolicy(ParallelismPolicy):

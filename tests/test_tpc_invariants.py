@@ -1,7 +1,6 @@
 """End-to-end invariants of the TPC policy under randomized workloads."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import ServerConfig
