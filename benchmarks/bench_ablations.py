@@ -15,36 +15,43 @@ Not paper artifacts; these quantify choices the paper makes implicitly:
 
 import numpy as np
 
-from conftest import bench_cell, emit, exec_kwargs, qps_grid, run_tpc_variant
+from conftest import bench_cell, emit, exec_kwargs, qps_grid
 from repro.analysis import dominance_fraction
-from repro.config import ServerConfig
+from repro.config import PolicyConfig, ServerConfig
 from repro.exec import run_sweep
 from repro.experiments.report import format_table
-from repro.policies.tpc import TPCPolicy
 
 
-def test_ablation_correction_timing(benchmark, workload, search_table):
+def _tpc_p999(search_table, loads, variants):
+    """TPC P99.9 per load for each ``PolicyConfig`` variant (``None`` is
+    the canonical TPC cell)."""
+    cells = [
+        bench_cell(
+            "TPC", qps, target_table=search_table, policy_config=config
+        )
+        for config in variants.values()
+        for qps in loads
+    ]
+    results = iter(run_sweep(cells, **exec_kwargs()))
+    return {
+        key: [next(results).summary.p999_ms for _ in loads]
+        for key in variants
+    }
+
+
+def test_ablation_correction_timing(benchmark, search_table):
     """Firing correction at exactly E beats firing late; firing late
     approaches TP as the factor grows."""
-    factors = (1.0, 1.5, 3.0)
     loads = (450.0, 750.0)
+    variants = {
+        1.0: None,
+        1.5: PolicyConfig(correction_delay_factor=1.5),
+        3.0: PolicyConfig(correction_delay_factor=3.0),
+    }
 
-    def run():
-        table = {}
-        for factor in factors:
-            table[factor] = [
-                run_tpc_variant(
-                    workload, qps,
-                    TPCPolicy(
-                        search_table, workload.speedup_book,
-                        correction_delay_factor=factor,
-                    ),
-                ).p999_ms
-                for qps in loads
-            ]
-        return table
-
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+    table = benchmark.pedantic(
+        _tpc_p999, args=(search_table, loads, variants), rounds=1, iterations=1
+    )
     rows = [
         [f"{factor:g} x E"] + [round(v, 1) for v in values]
         for factor, values in table.items()
@@ -61,27 +68,20 @@ def test_ablation_correction_timing(benchmark, workload, search_table):
         assert table[1.0][i] <= table[3.0][i] * 1.02
 
 
-def test_ablation_resource_signal(benchmark, workload, search_table):
+def test_ablation_resource_signal(benchmark, search_table):
     """Idle workers vs idle hardware contexts as the correction budget:
     both work; the paper's idle-worker signal is never worse here."""
     loads = (450.0, 750.0)
+    variants = {
+        "idle_workers": None,
+        "idle_hardware": PolicyConfig(
+            correction_resource_signal="idle_hardware"
+        ),
+    }
 
-    def run():
-        out = {}
-        for signal in ("idle_workers", "idle_hardware"):
-            out[signal] = [
-                run_tpc_variant(
-                    workload, qps,
-                    TPCPolicy(
-                        search_table, workload.speedup_book,
-                        resource_signal=signal,
-                    ),
-                ).p999_ms
-                for qps in loads
-            ]
-        return out
-
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
+    out = benchmark.pedantic(
+        _tpc_p999, args=(search_table, loads, variants), rounds=1, iterations=1
+    )
     rows = [
         [signal] + [round(v, 1) for v in values]
         for signal, values in out.items()

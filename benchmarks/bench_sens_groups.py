@@ -4,41 +4,50 @@ The paper moves from 3 to 6 parallelism-efficiency groups (halving
 each group) and observes at most 0.65 % improvement across loads —
 neighbouring groups' speedup profiles are too similar to matter.
 A single-group book (treating all queries alike) does cost latency.
+
+The group count is workload spec data: each variant rebuilds the
+canonical workload with other group bounds, so every group's profile
+is averaged from its own measured queries.
 """
+
+import dataclasses
 
 import numpy as np
 
-from conftest import emit, qps_grid, run_tpc_variant
-from repro.core.speedup import SpeedupBook
+from conftest import bench_cell, emit, exec_kwargs, qps_grid
+from repro.exec import run_sweep
+from repro.experiments import default_workload_spec
 from repro.experiments.report import format_table
-from repro.policies.tpc import TPCPolicy
+
+#: Group bounds (ms) per variant; ``None`` keeps the canonical three
+#: groups, and the six-group bounds halve each of them.
+GROUP_BOUNDS = {
+    "1 group": (),
+    "3 groups": None,
+    "6 groups": (15.0, 30.0, 55.0, 80.0, 160.0),
+}
 
 
-def _sweep(workload, search_table, book):
-    """TPC P99 per load with its own speedup book (not spec data)."""
-    return [
-        run_tpc_variant(workload, qps, TPCPolicy(search_table, book)).p99_ms
-        for qps in qps_grid()
-    ]
+def test_group_count_sensitivity(benchmark, search_table):
+    grid = qps_grid()
 
-
-def test_group_count_sensitivity(benchmark, workload, search_table):
     def run():
-        three = workload.speedup_book
-        six = three.split_groups()
-        # Single group: everything uses the average profile.
-        from repro.policies.ap import average_profile
-
-        avg = average_profile(three, list(workload.group_weights))
-        one = SpeedupBook([avg] * 3, three.bounds_ms)
+        workloads = [
+            dataclasses.replace(default_workload_spec(), group_bounds_ms=bounds)
+            for bounds in GROUP_BOUNDS.values()
+        ]
+        cells = [
+            bench_cell("TPC", qps, workload=w, target_table=search_table)
+            for w in workloads
+            for qps in grid
+        ]
+        results = iter(run_sweep(cells, **exec_kwargs()))
         return {
-            "1 group": _sweep(workload, search_table, one),
-            "3 groups": _sweep(workload, search_table, three),
-            "6 groups": _sweep(workload, search_table, six),
+            label: [next(results).summary.p99_ms for _ in grid]
+            for label in GROUP_BOUNDS
         }
 
     series = benchmark.pedantic(run, rounds=1, iterations=1)
-    grid = qps_grid()
     rows = [
         [int(qps)] + [round(series[k][i], 1) for k in series]
         for i, qps in enumerate(grid)

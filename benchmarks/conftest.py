@@ -10,9 +10,7 @@ Every (policy, load) cell is declared as a :mod:`repro.exec`
 so independent cells run concurrently, long runs report per-cell
 liveness instead of sitting silent, every result is a
 :class:`~repro.exec.spec.CellResult`, and ``REPRO_EXEC_CACHE=1`` makes a
-repeated run read them from disk.  The one exception is
-:func:`run_tpc_variant`: a hand-built TPC policy is a live object, not
-spec data, so those few cells run directly and are never cached.
+repeated run read them from disk.
 
 Scale knobs (environment variables):
 
@@ -43,7 +41,7 @@ from pathlib import Path
 import pytest
 
 from repro.config import PolicyConfig, ServerConfig
-from repro.exec import CellSpec, log_progress
+from repro.exec import CellSpec, WorkloadSpec, log_progress
 from repro.experiments import (
     DEFAULT_FINANCE_TARGET_TABLE,
     DEFAULT_QPS_GRID,
@@ -53,12 +51,7 @@ from repro.experiments import (
     run_load_sweep,
 )
 from repro.finance import build_finance_workload
-from repro.policies.tpc import TPCPolicy
-from repro.rng import RngFactory
-from repro.sim.client import OpenLoopClient
-from repro.sim.engine import Engine
-from repro.sim.metrics import LatencySummary, degree_distribution
-from repro.sim.server import Server
+from repro.sim.metrics import degree_distribution
 
 OUTPUT_DIR = Path(__file__).parent / "output"
 
@@ -103,15 +96,21 @@ def exec_kwargs() -> dict:
 BENCH_SEED = 71
 
 
-def bench_cell(policy_name: str, qps: float, **kwargs) -> CellSpec:
-    """One declared cell over the canonical workload at benchmark scale.
+def bench_cell(
+    policy_name: str,
+    qps: float,
+    workload: WorkloadSpec | None = None,
+    **kwargs,
+) -> CellSpec:
+    """One declared cell at benchmark scale, over the canonical workload
+    unless ``workload`` names another spec.
 
     ``kwargs`` are further :meth:`CellSpec.for_experiment` arguments
-    (``target_table``, ``server_config``, ``prediction``, ...).
+    (``target_table``, ``server_config``, ``policy_config``, ...).
     """
     return CellSpec.for_experiment(
-        default_workload_spec(), policy_name, qps, bench_queries(),
-        BENCH_SEED, **kwargs,
+        workload if workload is not None else default_workload_spec(),
+        policy_name, qps, bench_queries(), BENCH_SEED, **kwargs,
     )
 
 
@@ -124,28 +123,6 @@ def degrees_by_class(result, use_max_degree: bool = True) -> dict:
     """
     degrees = result.max_degrees if use_max_degree else result.initial_degrees
     return degree_distribution(result.demands_ms, degrees, 80.0, 6)
-
-
-def run_tpc_variant(workload, qps: float, policy: TPCPolicy) -> LatencySummary:
-    """Run one cell whose policy is a hand-built TPC variant.
-
-    The one direct path past :mod:`repro.exec`: a policy built with
-    knobs the registry does not expose (correction timing, resource
-    signal) or with its own speedup book cannot be declared as a
-    ``CellSpec``, so it is neither pooled nor cached.  The cell expands
-    exactly as a declared one does — ``BENCH_SEED`` trace and arrivals,
-    default server, ``bench_queries()`` requests — so a variant built
-    with the registry's defaults reproduces the declared TPC cell.
-    """
-    rngs = RngFactory(BENCH_SEED)
-    engine = Engine()
-    server = Server(ServerConfig(), policy, engine=engine)
-    requests = workload.make_requests(bench_queries(), rngs.get("trace"))
-    OpenLoopClient(server).schedule_trace(
-        engine, requests, qps, rngs.get("arrivals")
-    )
-    server.run_to_completion(len(requests))
-    return server.recorder.summary()
 
 
 @pytest.fixture(scope="session")

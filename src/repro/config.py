@@ -10,7 +10,7 @@ parallelism-efficiency groups of Figure 2 (<30 ms, 30-80 ms, >80 ms).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ConfigError
@@ -28,6 +28,9 @@ __all__ = [
 
 #: Group boundaries of Figure 2: short (<30 ms), mid (30-80 ms), long (>80 ms).
 DEFAULT_GROUP_BOUNDS_MS: tuple[float, ...] = (30.0, 80.0)
+
+#: Spare-capacity signals TPC's correction may ramp into (Section 3.2).
+CORRECTION_RESOURCE_SIGNALS: tuple[str, ...] = ("idle_workers", "idle_hardware")
 
 
 @dataclass(frozen=True)
@@ -80,10 +83,6 @@ class ServerConfig:
             raise ConfigError("cpu_sample_interval_ms must be > 0")
         if not 0 < self.cpu_ema_alpha <= 1:
             raise ConfigError("cpu_ema_alpha must be in (0, 1]")
-
-    def with_(self, **kwargs: object) -> "ServerConfig":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **kwargs)
 
     def total_throughput(self, active_threads: int) -> float:
         """Aggregate execution rate (core-equivalents) of ``active_threads``.
@@ -246,6 +245,11 @@ class PolicyConfig:
     #: TPC: how often (ms) dynamic correction re-checks an over-target
     #: request that could not yet be ramped to the maximum degree.
     correction_recheck_ms: float = 5.0
+    #: TPC: correction fires after ``factor * E`` of execution (paper: 1).
+    correction_delay_factor: float = 1.0
+    #: TPC: spare capacity a correction may use — ``"idle_workers"`` (the
+    #: paper) or ``"idle_hardware"`` (idle hardware contexts, §3.2).
+    correction_resource_signal: str = "idle_workers"
 
     def __post_init__(self) -> None:
         if self.long_threshold_ms <= 0:
@@ -258,6 +262,16 @@ class PolicyConfig:
             raise ConfigError("wq_linear_beta must be > 0")
         if self.correction_recheck_ms <= 0:
             raise ConfigError("correction_recheck_ms must be > 0")
+        if not 0 < self.correction_delay_factor < math.inf:
+            raise ConfigError(
+                f"correction_delay_factor must be finite and > 0, got "
+                f"{self.correction_delay_factor}"
+            )
+        if self.correction_resource_signal not in CORRECTION_RESOURCE_SIGNALS:
+            raise ConfigError(
+                f"unknown correction resource signal "
+                f"{self.correction_resource_signal!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -204,27 +204,6 @@ class SpeedupBook:
             group_profiles.append(SpeedupProfile(mean.tolist()))
         return cls(group_profiles, bounds)
 
-    def split_groups(self) -> "SpeedupBook":
-        """Double the group count by halving every group (Section 4.6).
-
-        Each group splits into two subgroups that share the parent's
-        profile; used by the group-count sensitivity study where the
-        paper observes <1 % improvement from 3 -> 6 groups.
-        """
-        new_bounds: list[float] = []
-        new_profiles: list[SpeedupProfile] = []
-        previous = 0.0
-        for bound, profile in zip(self._bounds, self._profiles):
-            mid = (previous + bound) / 2.0
-            new_bounds.extend([mid, bound])
-            new_profiles.extend([profile, profile])
-            previous = bound
-        # The open-ended longest group splits at 2x its lower bound.
-        last_profile = self._profiles[-1]
-        new_bounds.append(previous * 2.0)
-        new_profiles.extend([last_profile, last_profile])
-        return SpeedupBook(new_profiles, new_bounds)
-
     def __repr__(self) -> str:
         return (
             f"SpeedupBook(groups={self.num_groups}, bounds={self._bounds}, "

@@ -106,6 +106,8 @@ def make_policy(
             speedup_book,
             load_metric,
             correction_recheck_ms=cfg.correction_recheck_ms,
+            correction_delay_factor=cfg.correction_delay_factor,
+            resource_signal=cfg.correction_resource_signal,
         )
     raise ConfigError(
         f"unknown policy {name!r}; known: {', '.join(POLICY_INFO)}"

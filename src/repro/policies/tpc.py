@@ -12,11 +12,14 @@ completes or reaches the maximum degree.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
+from ..config import CORRECTION_RESOURCE_SIGNALS
 from ..core.correction import CorrectionController
 from ..core.speedup import SpeedupBook
 from ..core.target_table import TargetTable
+from ..errors import ConfigError
 from ..sim.load import LoadMetric
 from .tp import TPPolicy
 
@@ -30,18 +33,10 @@ __all__ = ["TPCPolicy"]
 class TPCPolicy(TPPolicy):
     """Predictive parallelism plus dynamic correction (the full TPC).
 
-    Ablation knobs (defaults reproduce the paper):
-
-    ``correction_delay_factor``
-        Correction fires after ``factor * E`` of execution instead of
-        exactly ``E``.  Firing late (>1) lets mispredicted requests run
-        longer before help arrives; firing very early approaches
-        load-blind ramp-up.  Section 3 argues E itself is the right
-        trigger; the ablation benchmark quantifies that.
-    ``resource_signal``
-        What counts as spare capacity when ramping: ``"idle_workers"``
-        (the paper's choice) or ``"idle_hardware"`` (idle hardware
-        contexts), the alternative Section 3.2 mentions.
+    The correction knobs (re-check interval, trigger factor on E and
+    spare-resource signal) are :class:`~repro.config.PolicyConfig`'s
+    ``correction_*`` fields, documented there; the defaults reproduce
+    the paper.
     """
 
     name = "TPC"
@@ -56,10 +51,13 @@ class TPCPolicy(TPPolicy):
         resource_signal: str = "idle_workers",
     ) -> None:
         super().__init__(target_table, speedup_book, load_metric)
-        if correction_delay_factor <= 0:
-            raise ValueError("correction_delay_factor must be > 0")
-        if resource_signal not in ("idle_workers", "idle_hardware"):
-            raise ValueError(f"unknown resource signal {resource_signal!r}")
+        if not 0 < correction_delay_factor < math.inf:
+            raise ConfigError(
+                f"correction_delay_factor must be finite and > 0, got "
+                f"{correction_delay_factor}"
+            )
+        if resource_signal not in CORRECTION_RESOURCE_SIGNALS:
+            raise ConfigError(f"unknown resource signal {resource_signal!r}")
         self._recheck_ms = float(correction_recheck_ms)
         self._delay_factor = float(correction_delay_factor)
         self._resource_signal = resource_signal

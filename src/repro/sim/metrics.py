@@ -287,16 +287,6 @@ class LatencyRecorder:
         """Response times as a numpy array."""
         return np.asarray(self.responses_ms, dtype=np.float64)
 
-    def percentile(self, p: float) -> float:
-        """The ``p``-th percentile of response time."""
-        return percentile(self.responses_ms, p)
-
-    def correction_rate(self) -> float:
-        """Fraction of requests whose degree was raised by correction."""
-        if not self.corrected:
-            return 0.0
-        return sum(self.corrected) / len(self.corrected)
-
     def summary(self) -> LatencySummary:
         """Headline latency statistics of the run."""
         return LatencySummary.from_latencies(self.responses)

@@ -1,5 +1,6 @@
 """Tests for configuration validation."""
 
+import dataclasses
 import math
 
 import pytest
@@ -39,7 +40,7 @@ class TestServerConfig:
 
     def test_with_returns_modified_copy(self):
         cfg = ServerConfig()
-        other = cfg.with_(max_parallelism=4)
+        other = dataclasses.replace(cfg, max_parallelism=4)
         assert other.max_parallelism == 4
         assert cfg.max_parallelism == 6
 
@@ -167,6 +168,9 @@ class TestPolicyConfig:
             {"rampup_interval_ms": 0},
             {"wq_linear_beta": 0},
             {"correction_recheck_ms": 0},
+            {"correction_delay_factor": 0},
+            {"correction_delay_factor": math.nan},
+            {"correction_resource_signal": "magic"},
         ],
     )
     def test_rejects_invalid(self, kwargs):

@@ -21,6 +21,7 @@ import pytest
 from repro.config import (
     ClusterConfig,
     FinanceConfig,
+    PolicyConfig,
     PredictorConfig,
     SearchWorkloadConfig,
     TargetTableConfig,
@@ -94,6 +95,13 @@ class TestSpecHash:
                 base, workload=WorkloadSpec.search(
                     seed=12, config=TINY_WORKLOAD_SPEC.search_config
                 )
+            ),
+            dataclasses.replace(
+                base, policy_config=PolicyConfig(correction_delay_factor=1.5)
+            ),
+            dataclasses.replace(
+                base,
+                workload=dataclasses.replace(base.workload, group_bounds_ms=()),
             ),
         ]
         hashes = {base.content_hash} | {v.content_hash for v in variants}

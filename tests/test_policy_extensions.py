@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import ServerConfig
+from repro.config import PolicyConfig, ServerConfig
 from repro.errors import ConfigError
 from repro.policies import AdaptiveRampUpPolicy, TPCPolicy, make_policy
 from repro.policies.registry import POLICY_INFO
@@ -99,7 +99,7 @@ class TestTPCCorrectionDelayFactor:
         assert run(1.0) < run(2.0) < run(4.0)
 
     def test_rejects_nonpositive_factor(self, speedup_book, target_table):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             TPCPolicy(target_table, speedup_book, correction_delay_factor=0)
 
 
@@ -126,5 +126,23 @@ class TestTPCResourceSignal:
         assert policy._spare_resources(server) == server.idle_workers
 
     def test_rejects_unknown_signal(self, speedup_book, target_table):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             TPCPolicy(target_table, speedup_book, resource_signal="magic")
+
+    def test_registry_forwards_correction_knobs(
+        self, speedup_book, target_table
+    ):
+        policy = make_policy(
+            "TPC", speedup_book, [1, 0, 0], target_table,
+            policy_config=PolicyConfig(
+                correction_delay_factor=2.0,
+                correction_resource_signal="idle_hardware",
+            ),
+        )
+        server = make_server(policy)
+        req = make_request(0, 200.0, predicted_ms=10.0)
+        req.target_ms = 40.0
+        req.degree = 1
+        assert policy.first_check_delay(req, server) == 80.0
+        # An idle machine has 24 hardware threads but 28 idle workers.
+        assert policy._spare_resources(server) == 24

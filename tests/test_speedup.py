@@ -1,5 +1,9 @@
 """Tests for speedup profiles and the grouped speedup book."""
 
+import dataclasses
+import itertools
+
+import numpy as np
 import pytest
 
 from repro.config import DEFAULT_GROUP_BOUNDS_MS
@@ -9,6 +13,7 @@ from repro.core.speedup import (
     demand_group,
 )
 from repro.errors import ConfigError
+from repro.policies.ap import average_profile
 
 from conftest import LONG_PROFILE, MID_PROFILE, SHORT_PROFILE
 
@@ -120,14 +125,34 @@ class TestSpeedupBook:
         with pytest.raises(ConfigError):
             SpeedupBook.from_samples([1.0, 2.0], [SpeedupProfile([1.0])])
 
-    def test_split_groups_doubles_count(self, speedup_book):
-        split = speedup_book.split_groups()
-        assert split.num_groups == 6
-        # Sub-groups inherit the parent profile.
-        assert split.profile_for(10.0) == speedup_book.profile_for(10.0)
-        assert split.profile_for(150.0) == speedup_book.profile_for(150.0)
+    def test_group_bounds_give_each_group_its_measured_profile(
+        self, tiny_workload_spec, tiny_search_workload
+    ):
+        """Section 4.6's group count is workload spec data: six groups
+        each average their own samples, and one group is the
+        workload-average profile AP uses."""
 
-    def test_split_groups_preserves_lookup_semantics(self, speedup_book):
-        split = speedup_book.split_groups()
-        for demand in (5.0, 25.0, 45.0, 70.0, 120.0, 400.0):
-            assert split.profile_for(demand) == speedup_book.profile_for(demand)
+        def speedups(profile):
+            return np.array([profile.speedup(d) for d in range(1, 7)])
+
+        def book(bounds):
+            spec = dataclasses.replace(
+                tiny_workload_spec, group_bounds_ms=bounds
+            )
+            return spec.build().speedup_book
+
+        six = book((15.0, 30.0, 55.0, 80.0, 160.0)).profiles
+        six = [speedups(p) for p in six]
+        assert len(six) == 6
+        assert all(
+            not np.array_equal(a, b) for a, b in itertools.combinations(six, 2)
+        )
+        one = book(()).profiles
+        avg = average_profile(
+            tiny_search_workload.speedup_book,
+            list(tiny_search_workload.group_weights),
+        )
+        assert len(one) == 1
+        np.testing.assert_allclose(
+            speedups(one[0]), speedups(avg), rtol=0, atol=1e-12
+        )
