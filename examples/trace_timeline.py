@@ -65,7 +65,7 @@ def main() -> None:
     )
     server.run_to_completion(N_REQUESTS)
 
-    snap = obs.registry.snapshot()
+    snap = obs.metrics()
     print("metrics:")
     for name in (
         "completions",

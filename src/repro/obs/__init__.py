@@ -7,9 +7,6 @@ it always did — goldens and gate event counts are unchanged.
 
 The pieces:
 
-``registry``
-    :class:`MetricRegistry` — named counters, gauges and histograms
-    with dotted per-server/per-cluster scopes.
 ``spans``
     :func:`assemble_spans` — per-request spans (queue wait, one
     segment per parallelism degree, terminal cause) built from the
@@ -24,7 +21,9 @@ The pieces:
     Chrome trace-event JSON (:func:`chrome_trace`), its validator, and
     ASCII timeline rendering.
 ``observe``
-    :class:`Observation` — one handle bundling all sinks;
+    :class:`Observation` — one handle bundling the tracer and the
+    decision log; :meth:`Observation.metrics` derives counters, levels
+    and histograms in one pass over the recorded events;
     :func:`observe_cell` — run a declarative cell observed, results
     bit-identical to the unobserved path.
 """
@@ -48,15 +47,9 @@ from .export import (
     write_chrome_trace,
 )
 from .observe import Observation, observe_cell
-from .registry import Counter, Gauge, Histogram, MetricRegistry, MetricScope
 from .spans import RequestSpan, Segment, SpanCause, assemble_spans, slowest_spans
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricRegistry",
-    "MetricScope",
     "RequestSpan",
     "Segment",
     "SpanCause",

@@ -120,7 +120,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         print()
         print("metrics:")
-        for name, value in sorted(obs.registry.snapshot().items()):
+        for name, value in sorted(obs.metrics().items()):
             print(f"  {name:<28} {value:12.3f}")
         print()
         print(render_tail_report(obs.tail_report()))

@@ -52,8 +52,8 @@ def chrome_trace(
 
     Each request gets its own thread (tid = rid) in one process, so the
     trace viewer stacks requests vertically with queue/run phases nested
-    inside the request span.  ``metrics`` (a registry snapshot) rides
-    along under the top-level ``metrics`` key.
+    inside the request span.  ``metrics`` (an ``Observation.metrics()``
+    dict) rides along under the top-level ``metrics`` key.
     """
     events: list[dict] = [
         {
