@@ -18,7 +18,7 @@ from ..errors import ReproError
 from ..exec.cache import ENV_CACHE, ResultCache
 from ..exec.pool import log_progress
 from .report import build_report, render_summary
-from .scenarios import SCENARIOS, list_scenarios, run_scenario
+from .scenarios import SCENARIOS, list_scenarios, run_scenario, sizing
 
 __all__ = ["main"]
 
@@ -88,9 +88,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.list:
         print("shipped resilience scenarios:")
+        n_fast, isns_fast = sizing(True)
+        n_full, isns_full = sizing(False)
         for scenario in list_scenarios():
-            n_fast, isns_fast = scenario.sizing(True)
-            n_full, isns_full = scenario.sizing(False)
             print(
                 f"  {scenario.name:<20} {scenario.description} "
                 f"[{isns_full} ISNs x {n_full} queries; "

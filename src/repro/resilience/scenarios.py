@@ -49,10 +49,21 @@ __all__ = [
     "get_scenario",
     "list_scenarios",
     "run_scenario",
+    "sizing",
 ]
 
 #: The policy set every scenario compares (cf. Figure 8).
 SCENARIO_POLICIES: tuple[str, ...] = ("Sequential", "Pred", "TPC")
+#: Every scenario's sizing: (queries, ISNs) in full and ``--fast`` mode.
+N_QUERIES, NUM_ISNS = 3000, 8
+FAST_N_QUERIES, FAST_NUM_ISNS = 500, 4
+
+
+def sizing(fast: bool) -> tuple[int, int]:
+    """(n_queries, num_isns) for the requested mode."""
+    if fast:
+        return FAST_N_QUERIES, FAST_NUM_ISNS
+    return N_QUERIES, NUM_ISNS
 
 
 @dataclass(frozen=True)
@@ -64,26 +75,15 @@ class Scenario:
     fault campaign; ``make_variants`` receives ``num_isns`` and returns
     ``(label, HedgePolicy)`` pairs, baseline first.  Both are callables
     because blackout times and wait-for-k quorums scale with the run.
+    Sizing (:func:`sizing`), policies and seed are shared by every
+    scenario.
     """
 
     name: str
     description: str
     qps: float
-    n_queries: int
-    num_isns: int
-    #: Sizing under ``--fast`` (CI smoke).
-    fast_n_queries: int
-    fast_num_isns: int
     make_fault: Callable[[int, float], FaultSpec]
     make_variants: Callable[[int], tuple[tuple[str, HedgePolicy], ...]]
-    policies: tuple[str, ...] = SCENARIO_POLICIES
-    seed: int = DEFAULT_SEED
-
-    def sizing(self, fast: bool) -> tuple[int, int]:
-        """(n_queries, num_isns) for the requested mode."""
-        if fast:
-            return self.fast_n_queries, self.fast_num_isns
-        return self.n_queries, self.num_isns
 
 
 @dataclass
@@ -160,7 +160,7 @@ def run_scenario(
         workload_spec = default_workload_spec()
     if target_table is None:
         target_table = default_target_table()
-    n_queries, num_isns = scenario.sizing(fast)
+    n_queries, num_isns = sizing(fast)
     horizon_ms = 1000.0 * n_queries / scenario.qps
     fault = scenario.make_fault(num_isns, horizon_ms)
     fault.validate_for(num_isns)
@@ -170,7 +170,7 @@ def run_scenario(
 
     cells: list[CellSpec] = []
     keys: list[tuple[str, str]] = []
-    for policy in scenario.policies:
+    for policy in SCENARIO_POLICIES:
         for label, hedge in variants:
             cells.append(
                 CellSpec.for_experiment(
@@ -178,7 +178,7 @@ def run_scenario(
                     policy,
                     scenario.qps,
                     n_queries,
-                    scenario.seed,
+                    DEFAULT_SEED,
                     target_table=target_table,
                     cluster_config=ClusterConfig(num_isns=num_isns),
                     # Normalise no-ops to None so an unfaulted cell
@@ -282,10 +282,6 @@ SCENARIOS: dict[str, Scenario] = {
             name="healthy-baseline",
             description="no faults; mitigation overhead on a healthy cluster",
             qps=300.0,
-            n_queries=3000,
-            num_isns=8,
-            fast_n_queries=500,
-            fast_num_isns=4,
             make_fault=_no_fault,
             make_variants=_straggler_variants,
         ),
@@ -293,10 +289,6 @@ SCENARIOS: dict[str, Scenario] = {
             name="one-straggler",
             description="one ISN 4x slow all run; hedging routes around it",
             qps=300.0,
-            n_queries=3000,
-            num_isns=8,
-            fast_n_queries=500,
-            fast_num_isns=4,
             make_fault=_one_straggler,
             make_variants=_straggler_variants,
         ),
@@ -304,10 +296,6 @@ SCENARIOS: dict[str, Scenario] = {
             name="rolling-blackout",
             description="ISNs crash one after another (rolling restart)",
             qps=300.0,
-            n_queries=3000,
-            num_isns=8,
-            fast_n_queries=500,
-            fast_num_isns=4,
             make_fault=_rolling_blackout,
             make_variants=_blackout_variants,
         ),
@@ -315,10 +303,6 @@ SCENARIOS: dict[str, Scenario] = {
             name="overloaded-hedging",
             description="slowdown under high load; prices aggressive hedging",
             qps=600.0,
-            n_queries=3000,
-            num_isns=8,
-            fast_n_queries=500,
-            fast_num_isns=4,
             make_fault=_overload_slowdown,
             make_variants=_overload_variants,
         ),
