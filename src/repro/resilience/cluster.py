@@ -330,7 +330,8 @@ def run_shared_resilient(
     # Each query's replicas are built when it arrives, so only the
     # in-flight queries' replicas are alive at once, not the whole run's.
 
-    def fan_out(at_ms: float, request: Request, jitter: np.ndarray) -> None:
+    def fan_out(arrival: tuple[float, Request, np.ndarray]) -> None:
+        at_ms, request, jitter = arrival
         qid = request.rid
         aggregator.begin(qid, at_ms)
         reps: list[Request | None] = []
@@ -357,14 +358,10 @@ def run_shared_resilient(
             if rearm is not None:
                 rearm[qid] = (request, jitter, reps)
 
-    for request, at, jitter in zip(logical, arrivals, jitters):
-        at_ms = float(at)
-        engine.schedule_at(
-            at_ms,
-            lambda at_ms=at_ms, request=request, jitter=jitter: fan_out(
-                at_ms, request, jitter
-            ),
-        )
+    arrival_times = arrivals.tolist()
+    engine.schedule_series(
+        arrival_times, fan_out, list(zip(arrival_times, logical, jitters))
+    )
 
     # -- drive ----------------------------------------------------------
 

@@ -127,14 +127,17 @@ class SearchWorkload:
             predictions = demands
         else:
             predictions = demands * rng.lognormal(0.0, oracle_sigma, size=n)
+        profiles = self.pool_profiles
         return [
             Request(
                 rid=rid_offset + i,
-                demand_ms=float(demands[i]),
-                predicted_ms=float(predictions[i]),
-                speedup=self.pool_profiles[indices[i]],
+                demand_ms=demand,
+                predicted_ms=predicted,
+                speedup=profiles[index],
             )
-            for i in range(n)
+            for i, (demand, predicted, index) in enumerate(
+                zip(demands.tolist(), predictions.tolist(), indices.tolist())
+            )
         ]
 
 

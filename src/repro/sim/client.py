@@ -3,7 +3,8 @@
 The paper's client "plays queries from a trace of 100K user queries
 using a Poisson process in an open loop" and varies load by changing
 the arrival rate (queries per second).  :class:`OpenLoopClient`
-schedules every arrival up-front on the engine; arrivals are
+schedules the whole trace up-front as one engine series
+(:meth:`~repro.sim.engine.Engine.schedule_series`); arrivals are
 independent of completions (open loop), so an overloaded server builds
 a real queue instead of back-pressuring the client.
 """
@@ -61,6 +62,9 @@ class OpenLoopClient:
         request_list = list(requests)
         times = poisson_arrival_times(len(request_list), qps, rng)
         server = self.server
-        for request, at in zip(request_list, times):
-            engine.schedule_at(float(at), lambda r=request: server.submit(r))
+        # server.submit is looked up per arrival, not bound here: a
+        # tracer attached after scheduling wraps it on the instance.
+        engine.schedule_series(
+            times.tolist(), lambda request: server.submit(request), request_list
+        )
         return len(request_list)

@@ -21,12 +21,20 @@ Compaction never changes observable behaviour: the pop order of a heap
 is a pure function of the ``(time, seq)`` total order, which filtering
 and re-heapifying preserves, and skipped cancelled entries were never
 counted in :attr:`Engine.events_run`.
+
+A run's arrivals enter through :meth:`Engine.schedule_series`, which
+reserves one ``seq`` per arrival up front but keeps only the next
+arrival in the heap, so the heap holds live events rather than the
+whole trace (DESIGN.md §10, "Arrival series").
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable
+import math
+from itertools import islice
+from operator import le as _le
+from typing import Any, Callable, Sequence
 
 from ..errors import SimulationError
 
@@ -34,6 +42,7 @@ __all__ = ["Engine", "EventHandle"]
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
+_INF = math.inf
 
 
 class EventHandle:
@@ -77,14 +86,53 @@ class EventHandle:
         if engine is not None:
             engine._on_cancel()
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
         return f"EventHandle(t={self.time:.3f}, seq={self.seq}, {state})"
+
+
+class _Series:
+    """The one heap entry of a :meth:`Engine.schedule_series` call.
+
+    It sits in the heap like a handle that is never cancelled; each
+    time it fires it re-enters the heap as the series' next entry
+    before running the caller's callback on the current item.
+    """
+
+    __slots__ = (
+        "cancelled", "callback", "_engine", "_times", "_items", "_fn",
+        "_base", "_next",
+    )
+
+    def __init__(
+        self,
+        engine: "Engine",
+        times: list[float],
+        callback: Callable[[Any], None],
+        items: list,
+        base: int,
+    ) -> None:
+        self.cancelled = False
+        self.callback: Callable[[], None] | None = self.fire
+        self._engine = engine
+        self._times = times
+        self._items = items
+        self._fn = callback
+        self._base = base
+        self._next = 0
+
+    def fire(self) -> None:
+        """Queue the next entry, then run the callback on this one."""
+        i = self._next
+        n = i + 1
+        if n < len(self._times):
+            self._next = n
+            self.callback = self.fire  # the engine cleared it
+            engine = self._engine
+            _heappush(engine._heap, (self._times[n], self._base + n, self))
+            engine._live += 1
+            engine._unqueued -= 1
+        self._fn(self._items[i])
 
 
 class Engine:
@@ -111,10 +159,13 @@ class Engine:
         if compact_garbage_ratio < 0:
             raise SimulationError("compact_garbage_ratio must be >= 0")
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, EventHandle]] = []
+        self._heap: list[tuple[float, int, EventHandle | _Series]] = []
         self._seq = 0
         self._events_run = 0
+        #: Live (non-cancelled) entries in the heap.
         self._live = 0
+        #: Series entries reserved but not yet pushed onto the heap.
+        self._unqueued = 0
         self._compactions = 0
         self.compact_min_garbage = compact_min_garbage
         self.compact_garbage_ratio = compact_garbage_ratio
@@ -127,7 +178,7 @@ class Engine:
     @property
     def pending(self) -> int:
         """Number of live (non-cancelled) events still scheduled.  O(1)."""
-        return self._live
+        return self._live + self._unqueued
 
     @property
     def garbage(self) -> int:
@@ -142,10 +193,8 @@ class Engine:
     def schedule_at(self, time: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` at absolute simulated time ``time``."""
         now = self.now
-        if time < now - 1e-9:
-            raise SimulationError(
-                f"cannot schedule event in the past: {time:.6f} < now={now:.6f}"
-            )
+        if not now - 1e-9 <= time < _INF:
+            raise SimulationError(_bad_time(time, now))
         if time < now:
             time = now
         seq = self._seq
@@ -157,8 +206,8 @@ class Engine:
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` after ``delay`` ms of simulated time."""
-        if delay < 0:
-            raise SimulationError(f"delay must be >= 0, got {delay}")
+        if not 0.0 <= delay < _INF:
+            raise SimulationError(f"delay must be finite and >= 0, got {delay}")
         # Inlined schedule_at: now + delay can never round below now for
         # a non-negative delay, so the past-check and clamp are moot.
         time = self.now + delay
@@ -168,6 +217,61 @@ class Engine:
         _heappush(self._heap, (time, seq, handle))
         self._live += 1
         return handle
+
+    def schedule_series(
+        self,
+        times: Sequence[float],
+        callback: Callable[[Any], None],
+        items: Sequence[Any],
+    ) -> None:
+        """Schedule ``callback(items[i])`` at ``times[i]`` for every ``i``.
+
+        Fires exactly as ``schedule_at(times[i], ...)`` called for each
+        item in order would: the call reserves ``len(times)`` consecutive
+        seqs, and each entry keeps its time (clamped to ``now`` within
+        the same 1e-9 as :meth:`schedule_at`) and its seq.  Only the next
+        entry is in the heap; firing entry ``i`` pushes entry ``i + 1``
+        before it runs the callback.  Every key popped before entry ``i``
+        fires is smaller than entry ``i``'s, so entry ``i + 1`` is always
+        in the heap before a key larger than its own could pop.
+
+        ``times`` must be finite, non-decreasing and not before ``now``.
+        The entries count in :attr:`pending` until they fire and cannot
+        be cancelled.
+        """
+        times = list(map(float, times))
+        items = list(items)
+        n = len(times)
+        if n != len(items):
+            raise SimulationError(
+                f"schedule_series needs one time per item, got {n} times "
+                f"for {len(items)} items"
+            )
+        if not n:
+            return
+        now = self.now
+        if not now - 1e-9 <= times[0] < _INF:
+            raise SimulationError(_bad_time(times[0], now))
+        if not times[-1] < _INF:
+            raise SimulationError(_bad_time(times[-1], now))
+        if not all(map(_le, times, islice(times, 1, None))):
+            i = next(
+                i for i in range(n - 1) if not times[i] <= times[i + 1]
+            )
+            raise SimulationError(
+                f"series times must be non-decreasing: times[{i}] = "
+                f"{times[i]!r}, times[{i + 1}] = {times[i + 1]!r}"
+            )
+        for i in range(n):
+            if times[i] >= now:
+                break
+            times[i] = now
+        base = self._seq
+        self._seq = base + n
+        series = _Series(self, times, callback, items, base)
+        _heappush(self._heap, (times[0], base, series))
+        self._live += 1
+        self._unqueued += n - 1
 
     def _on_cancel(self) -> None:
         """Bookkeeping hook invoked once per :meth:`EventHandle.cancel`."""
@@ -184,10 +288,11 @@ class Engine:
 
         Safe at any point: pop order depends only on the ``(time, seq)``
         total order, which any valid heap of the same entries yields.
+        The list object stays the same, so a loop holding it stays valid.
         """
-        heap = [entry for entry in self._heap if not entry[2].cancelled]
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
         heapq.heapify(heap)
-        self._heap = heap
         self._compactions += 1
 
     def step(self) -> bool:
@@ -222,12 +327,8 @@ class Engine:
     def run_until(self, time: float) -> None:
         """Run all events scheduled at or before ``time``, then advance
         the clock to ``time`` even if no event lands exactly there."""
-        while True:
-            # Re-read the heap each iteration: a fired callback may have
-            # cancelled events and triggered compaction, which rebinds it.
-            heap = self._heap
-            if not heap:
-                break
+        heap = self._heap
+        while heap:
             head = heap[0]
             if head[2].cancelled:
                 _heappop(heap)
@@ -236,3 +337,10 @@ class Engine:
                 break
             self.step()
         self.now = max(self.now, time)
+
+
+def _bad_time(time: float, now: float) -> str:
+    """Why ``time`` cannot be scheduled at ``now`` (error message)."""
+    if time < now:
+        return f"cannot schedule event in the past: {time:.6f} < now={now:.6f}"
+    return f"event time must be finite, got {time}"

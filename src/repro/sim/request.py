@@ -9,6 +9,7 @@ request queues, executes, and completes.
 from __future__ import annotations
 
 import enum
+import math
 from typing import TYPE_CHECKING
 
 from ..errors import SimulationError
@@ -77,10 +78,14 @@ class Request:
         predicted_ms: float,
         speedup: "SpeedupProfile",
     ) -> None:
-        if demand_ms <= 0:
-            raise SimulationError(f"demand must be positive, got {demand_ms}")
-        if predicted_ms < 0:
-            raise SimulationError(f"prediction must be >= 0, got {predicted_ms}")
+        if not 0 < demand_ms < math.inf:
+            raise SimulationError(
+                f"demand must be finite and positive, got {demand_ms}"
+            )
+        if not 0 <= predicted_ms < math.inf:
+            raise SimulationError(
+                f"prediction must be finite and >= 0, got {predicted_ms}"
+            )
         self.rid = rid
         self.demand_ms = float(demand_ms)
         self.predicted_ms = float(predicted_ms)

@@ -32,6 +32,7 @@ operands).
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import TYPE_CHECKING
 
 from ..errors import SchedulingError, SimulationError
@@ -215,7 +216,8 @@ class Server:
         request.state = RequestState.QUEUED
         self.waiting.append(request)
         self._ensure_sampler()
-        self._dispatch()
+        if self._busy_workers < self.worker_limit:
+            self._dispatch()
         self._reschedule_completion()
 
     def _dispatch(self) -> None:
@@ -253,7 +255,7 @@ class Server:
             delay = self.policy.first_check_delay(request, self)
             if delay is not None:
                 request.check_handle = self.engine.schedule(
-                    max(0.0, float(delay)), lambda r=request: self._on_check(r)
+                    max(0.0, float(delay)), partial(self._on_check, request)
                 )
 
     def _on_check(self, request: Request) -> None:
@@ -267,7 +269,7 @@ class Server:
             self.raise_degree(request, int(new_degree))
         if next_delay is not None and request.state is RequestState.RUNNING:
             request.check_handle = self.engine.schedule(
-                max(0.0, float(next_delay)), lambda r=request: self._on_check(r)
+                max(0.0, float(next_delay)), partial(self._on_check, request)
             )
         self._reschedule_completion()
 
@@ -510,7 +512,8 @@ class Server:
         ]
         for request in finished:
             self._complete(request)
-        self._dispatch()
+        if self.waiting:
+            self._dispatch()
         self._reschedule_completion()
 
     # ------------------------------------------------------------------
@@ -564,8 +567,8 @@ class Server:
         shared engine externally.
         """
         engine_step = self.engine.step
-        recorder = self.recorder
-        while len(recorder) < expected:
+        completed = self.recorder.responses_ms  # one entry per completion
+        while len(completed) < expected:
             if not engine_step():
                 raise SimulationError(
                     f"engine drained with {self.completed_count}/{expected} "

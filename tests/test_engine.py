@@ -1,5 +1,8 @@
 """Tests for the discrete-event engine."""
 
+import math
+import random
+
 import pytest
 
 from repro.errors import SimulationError
@@ -49,6 +52,18 @@ class TestScheduling:
     def test_rejects_negative_delay(self):
         with pytest.raises(SimulationError):
             Engine().schedule(-1.0, lambda: None)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_times_and_delays(self, bad):
+        engine = Engine()
+        engine.schedule_at(3.0, lambda: None)
+        engine.run()
+        with pytest.raises(SimulationError):
+            engine.schedule_at(bad, lambda: None)
+        with pytest.raises(SimulationError):
+            engine.schedule(bad, lambda: None)
+        assert engine.pending == 0
+        assert engine.now == 3.0
 
 
 class TestCancellation:
@@ -230,3 +245,143 @@ class TestCompactionEquivalence:
         assert count_eager == count_lazy
         assert eager.compactions > 0
         assert lazy.compactions == 0
+
+
+class TestScheduleSeries:
+    """A series fires exactly like eager ``schedule_at`` of its items."""
+
+    def test_fires_items_in_order_with_one_heap_entry(self):
+        engine = Engine()
+        fired = []
+        engine.schedule_series([1.0, 2.0, 2.0, 5.0], fired.append, "abcd")
+        assert engine.pending == 4
+        assert len(engine._heap) == 1
+        assert engine.garbage == 0
+        engine.run()
+        assert fired == ["a", "b", "c", "d"]
+        assert engine.events_run == 4
+        assert engine.pending == 0
+
+    def test_empty_series_is_a_no_op(self):
+        engine = Engine()
+        engine.schedule_series([], lambda item: None, [])
+        assert engine.pending == 0
+        assert not engine.step()
+
+    def test_clamps_to_now_within_tolerance(self):
+        engine = Engine()
+        engine.schedule_at(4.0, lambda: None)
+        engine.run()
+        seen = []
+        engine.schedule_series(
+            [4.0 - 5e-10, 4.0, 6.0], lambda item: seen.append(engine.now), "xyz"
+        )
+        engine.run()
+        assert seen == [4.0, 4.0, 6.0]
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            [1.0, 3.0, 2.0],
+            [1.0, math.nan, 2.0],
+            [math.nan],
+            [1.0, math.nan],
+            [1.0, 2.0, math.inf],
+            [-math.inf, 1.0],
+            [0.5, 1.0],
+        ],
+        ids=["unsorted", "nan-inside", "nan-alone", "nan-last", "inf", "-inf", "past"],
+    )
+    def test_rejects_bad_times(self, times):
+        engine = Engine()
+        engine.schedule_at(0.75, lambda: None)
+        engine.run()
+        with pytest.raises(SimulationError):
+            engine.schedule_series(times, lambda item: None, list(range(len(times))))
+        assert engine.pending == 0
+        assert not engine.step()
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(SimulationError):
+            Engine().schedule_series([1.0, 2.0], lambda item: None, [0])
+
+    def test_compaction_keeps_heap_list_identity(self):
+        engine = Engine(compact_min_garbage=0, compact_garbage_ratio=0.0)
+        heap = engine._heap
+        engine.schedule_series([1.0, 2.0, 3.0], lambda item: None, "abc")
+        engine.schedule_at(1.5, lambda: None).cancel()
+        assert engine.compactions == 1
+        assert engine._heap is heap
+        assert engine.run() == 3
+
+    def _run_workload(self, engine, seed, as_series):
+        """Random schedule/cancel churn around series, or eager calls.
+
+        Times are drawn from a coarse grid so series entries tie exactly
+        with plain events, and follow-ups often use a zero delay.  Every
+        random draw happens in callbacks or at set-up, so two engines
+        that fire in the same order consume the same random stream.
+        """
+        rng = random.Random(seed)
+        fired = []
+        live = []
+
+        def add_series(times, tag):
+            items = [(tag, i) for i in range(len(times))]
+            if as_series:
+                engine.schedule_series(times, on_item, items)
+            else:
+                for at, item in zip(times, items):
+                    engine.schedule_at(at, lambda item=item: on_item(item))
+
+        def grid_times(start, count):
+            return sorted(start + 0.5 * rng.randrange(12) for _ in range(count))
+
+        def churn():
+            for _ in range(rng.randrange(3)):
+                delay = rng.choice([0.0, 0.0, 0.5, 1.0, rng.uniform(0.0, 3.0)])
+                live.append(engine.schedule(delay, make_cb(len(fired))))
+            if rng.random() < 0.3:
+                live.append(
+                    engine.schedule_at(
+                        engine.now + 0.5 * rng.randrange(4), make_cb(-len(fired))
+                    )
+                )
+            if live and rng.random() < 0.6:
+                live.pop(rng.randrange(len(live))).cancel()
+
+        def on_item(item):
+            fired.append((engine.now, item, engine.pending, engine.events_run))
+            churn()
+            if item[1] == 3 and item[0] < 2:
+                # A series scheduled mid-run, from inside another series.
+                add_series(grid_times(engine.now, rng.randrange(1, 8)), item[0] + 1)
+
+        def make_cb(tag):
+            def cb():
+                fired.append((engine.now, tag, engine.pending, engine.events_run))
+                churn()
+
+            return cb
+
+        for i in range(10):
+            live.append(engine.schedule_at(0.5 * rng.randrange(12), make_cb(-100 - i)))
+        add_series(grid_times(0.0, 30), 0)
+        for i in range(10):
+            live.append(engine.schedule_at(0.5 * rng.randrange(12), make_cb(-200 - i)))
+        engine.run(max_events=400)
+        return fired, engine.events_run, engine.pending
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize(
+        "compact", [None, (0, 0.0)], ids=["default-compaction", "compact-every-cancel"]
+    )
+    def test_series_matches_eager_schedule_at(self, seed, compact):
+        series_engine = Engine() if compact is None else Engine(*compact)
+        eager_engine = Engine(compact_min_garbage=10**9)
+        series = self._run_workload(series_engine, seed, as_series=True)
+        eager = self._run_workload(eager_engine, seed, as_series=False)
+        assert series == eager
+        assert len(series[0]) > 30
+        if compact is not None:
+            assert series_engine.compactions > 0

@@ -28,6 +28,15 @@ class TestConstruction:
         with pytest.raises(SimulationError):
             Request(0, 1.0, -1.0, LONG_PROFILE)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_demand_and_prediction(self, bad):
+        # A NaN demand never finishes: the server re-arms its completion
+        # event forever and run_to_completion never returns.
+        with pytest.raises(SimulationError):
+            Request(0, bad, 5.0, LONG_PROFILE)
+        with pytest.raises(SimulationError):
+            Request(0, 5.0, bad, LONG_PROFILE)
+
 
 class TestLifecycleGuards:
     def test_response_requires_completion(self):

@@ -6,6 +6,7 @@ from repro.config import ServerConfig
 from repro.core.target_table import TargetTable
 from repro.errors import SimulationError
 from repro.policies import TPCPolicy
+from repro.sim.client import OpenLoopClient
 from repro.sim.engine import Engine
 from repro.sim.server import Server
 from repro.sim.tracing import (
@@ -168,6 +169,24 @@ class TestValidation:
             assert tracer.timeline(rid) == [
                 e for e in tracer.events if e.rid == rid
             ]
+
+    def test_attach_after_schedule_trace_traces_every_arrival(self, rng):
+        # Arrivals are scheduled before the tracer wraps server.submit;
+        # the client must still reach the wrapper, not the original.
+        server = Server(ServerConfig(), FixedDegreePolicy(1), engine=Engine())
+        requests = [make_request(i, 2.0 + i % 3) for i in range(12)]
+        OpenLoopClient(server).schedule_trace(
+            server.engine, requests, qps=400.0, rng=rng
+        )
+        tracer = attach_tracer(server)
+        server.run_to_completion(len(requests))
+        arrivals = [
+            (e.time_ms, e.rid)
+            for e in tracer.events
+            if e.kind is TraceEventKind.ARRIVAL
+        ]
+        assert arrivals == [(r.arrival_ms, r.rid) for r in requests]
+        tracer.validate()
 
     def test_attach_requires_fresh_server(self):
         server = Server(ServerConfig(), FixedDegreePolicy(1), engine=Engine())
