@@ -41,14 +41,16 @@ def select_degree(
     maximum degree is used: the request will miss the target either
     way, and the most parallelism gives it the best finish time.
     """
-    limit = profile.max_degree if max_degree is None else min(
-        max_degree, profile.max_degree
+    speedups = profile.speedups
+    limit = len(speedups) if max_degree is None else min(
+        max_degree, len(speedups)
     )
     if limit < 1:
         raise ValueError(f"max_degree must be >= 1, got {max_degree}")
     if predicted_ms <= target_ms:
         return 1
     for degree in range(2, limit + 1):
-        if profile.execution_time(predicted_ms, degree) <= target_ms:
+        # T_i = L / S_i, the estimated execution time at degree i.
+        if predicted_ms / speedups[degree - 1] <= target_ms:
             return degree
     return limit

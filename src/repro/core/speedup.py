@@ -68,10 +68,6 @@ class SpeedupProfile:
             raise IndexError(f"degree must be >= 1, got {degree}")
         return self._speedups[min(degree, len(self._speedups)) - 1]
 
-    def execution_time(self, sequential_ms: float, degree: int) -> float:
-        """Estimated execution time ``T_i = L / S_i`` of Section 3.1."""
-        return sequential_ms / self.speedup(degree)
-
     def efficiency(self, degree: int) -> float:
         """Parallel efficiency ``S_i / i`` at the given degree."""
         return self.speedup(degree) / degree
@@ -99,7 +95,7 @@ def demand_group(
     demand_ms: float, bounds_ms: Sequence[float] = DEFAULT_GROUP_BOUNDS_MS
 ) -> int:
     """Group index of a sequential demand: 0 = short, ..., len(bounds) = longest."""
-    return bisect_right(list(bounds_ms), demand_ms)
+    return bisect_right(bounds_ms, demand_ms)
 
 
 class SpeedupBook:
@@ -149,10 +145,6 @@ class SpeedupBook:
     def group_of(self, demand_ms: float) -> int:
         """Group index for a (predicted) sequential demand."""
         return demand_group(demand_ms, self._bounds)
-
-    def profile_for(self, demand_ms: float) -> SpeedupProfile:
-        """Profile of the group the (predicted) demand falls into."""
-        return self._profiles[self.group_of(demand_ms)]
 
     def profile_of_group(self, group: int) -> SpeedupProfile:
         """Profile by explicit group index."""

@@ -4,10 +4,10 @@ Scenarios at increasing integration depth:
 
 ``engine_only``
     A schedule/cancel storm on a bare :class:`~repro.sim.engine.Engine`
-    — every callback re-arms itself and cancels a decoy event, the
-    exact access pattern the server's completion rescheduling produces.
-    Exercises push, pop, lazy skip and automatic heap compaction with
-    no server logic in the way.
+    — every callback schedules its successor and cancels a decoy event,
+    leaving retired entries in the heap as the server's completion
+    re-arms do.  Exercises push, pop, lazy skip and automatic heap
+    compaction with no server logic in the way.
 ``server_under_load``
     The synthetic hot-path benchmark: hand made requests with
     lognormal demands over a three-group speedup book, scheduled by AP
@@ -143,11 +143,11 @@ def run_hotpath_benchmark(
 def run_engine_only(size: int, seed: int = HOTPATH_SEED) -> dict[str, float]:
     """Schedule/cancel storm on a bare engine.
 
-    Each fired event re-arms itself and cancels a previously scheduled
-    decoy — mirroring the server's cancel-and-rearm completion pattern
-    that motivates lazy cancellation plus compaction.  Roughly half of
-    all scheduled events are cancelled, so the run also counts heap
-    compactions.
+    Each fired event schedules its successor and cancels a previously
+    scheduled decoy — the retired entries a server's completion re-arms
+    leave behind, which motivate lazy retirement plus compaction.
+    Roughly half of all scheduled events are cancelled, so the run also
+    counts heap compactions.
     """
     from collections import deque
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..core.predictive import select_degree
-from ..core.speedup import SpeedupBook
+from ..core.speedup import SpeedupBook, demand_group
 from ..core.target_table import TargetTable
 from ..sim.load import LoadMetric, load_value
 from .base import ParallelismPolicy
@@ -40,30 +40,22 @@ class TPPolicy(ParallelismPolicy):
         self.target_table = target_table
         self.speedup_book = speedup_book
         self.load_metric = load_metric
-
-    def current_target(self, server: "Server") -> float:
-        """Target E for the server's instantaneous load."""
-        return self.target_table.target_for(
-            load_value(server, self.load_metric)
-        )
+        # The dispatch decision reads these once per request.
+        self._profiles = speedup_book.profiles
+        self._bounds = speedup_book.bounds_ms
 
     def initial_degree(self, request: "Request", server: "Server") -> int:
-        target_ms = self.current_target(server)
+        load = load_value(server, self.load_metric)
+        target_ms = self.target_table.target_for(load)
         request.target_ms = target_ms
-        profile = self.speedup_book.profile_for(request.predicted_ms)
+        predicted_ms = request.predicted_ms
+        profile = self._profiles[demand_group(predicted_ms, self._bounds)]
         degree = select_degree(
-            request.predicted_ms,
-            target_ms,
-            profile,
-            server.config.max_parallelism,
+            predicted_ms, target_ms, profile, server.config.max_parallelism
         )
         observer = self.observer
         if observer is not None:
             observer.on_dispatch_decision(
-                request,
-                server,
-                degree,
-                target_ms=target_ms,
-                load=load_value(server, self.load_metric),
+                request, server, degree, target_ms=target_ms, load=load
             )
         return degree

@@ -129,14 +129,12 @@ class SearchWorkload:
             predictions = demands * rng.lognormal(0.0, oracle_sigma, size=n)
         profiles = self.pool_profiles
         return [
-            Request(
-                rid=rid_offset + i,
-                demand_ms=demand,
-                predicted_ms=predicted,
-                speedup=profiles[index],
-            )
-            for i, (demand, predicted, index) in enumerate(
-                zip(demands.tolist(), predictions.tolist(), indices.tolist())
+            Request(rid, demand, predicted, profiles[index])
+            for rid, demand, predicted, index in zip(
+                range(rid_offset, rid_offset + n),
+                demands.tolist(),
+                predictions.tolist(),
+                indices.tolist(),
             )
         ]
 

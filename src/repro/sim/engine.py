@@ -2,25 +2,29 @@
 
 A minimal, fast discrete-event engine: callbacks are scheduled at
 absolute simulated times (milliseconds), stored in a binary heap, and
-executed in time order with FIFO tie-breaking.  Cancellation is lazy —
-cancelled handles stay in the heap and are skipped when popped — which
-keeps scheduling O(log n) with no removal cost.
+executed in time order with FIFO tie-breaking.
 
-Two pieces of heap hygiene keep the lazy scheme from degrading under
-reschedule-heavy workloads (the server cancels and re-arms its
-completion event on almost every submit/check):
+The heap stores ``(time, seq, handle)`` tuples, so ordering is decided
+by C-level tuple comparison instead of a Python ``__lt__`` call, and
+every scheduling call takes the next ``seq``.  One liveness rule covers
+every entry: an entry is live only while ``handle.seq == seq``.  Firing
+and :meth:`EventHandle.cancel` retire the seq (``handle.seq = -1``);
+:meth:`Engine.rearm` retires the handle's old entry and pushes the same
+handle under the next seq.  Retired entries stay in the heap and are
+skipped when popped, which keeps cancelling and re-arming O(log n) with
+no removal cost.  The server re-arms its one completion handle on
+almost every submit, check and completion, so a live-event counter
+makes :attr:`Engine.pending` O(1) and drives automatic *compaction*:
+when retired entries outnumber live ones the heap is rebuilt without
+them, bounding both memory and the ``O(log n)`` push cost at
+``O(log live)``.
 
-* the heap stores ``(time, seq, handle)`` tuples so ordering is decided
-  by C-level tuple comparison instead of a Python ``__lt__`` call, and
-* a live-event counter makes :attr:`Engine.pending` O(1) and drives
-  automatic *compaction* — when cancelled entries outnumber live ones
-  the heap is rebuilt without them, bounding both memory and the
-  ``O(log n)`` push cost at ``O(log live)``.
-
-Compaction never changes observable behaviour: the pop order of a heap
-is a pure function of the ``(time, seq)`` total order, which filtering
-and re-heapifying preserves, and skipped cancelled entries were never
-counted in :attr:`Engine.events_run`.
+Neither compaction nor re-arming changes observable behaviour: the pop
+order of a heap is a pure function of the ``(time, seq)`` total order of
+its live entries, which filtering and re-heapifying preserves, and a
+re-arm pushes exactly the key a cancel plus a fresh ``schedule`` would
+(DESIGN.md §10, "Completion re-arm in place").  Skipped entries are
+never counted in :attr:`Engine.events_run`.
 
 A run's arrivals enter through :meth:`Engine.schedule_series`, which
 reserves one ``seq`` per arrival up front but keeps only the next
@@ -46,17 +50,23 @@ _INF = math.inf
 
 
 class EventHandle:
-    """A scheduled event that can be cancelled.
+    """A scheduled event that can be cancelled or re-armed.
 
     Attributes
     ----------
     time:
-        Absolute simulated time (ms) the event fires at.
-    cancelled:
-        True once :meth:`cancel` has been called; the engine skips it.
+        Absolute simulated time (ms) the event fires (or last fired) at.
+    seq:
+        Sequence number of the handle's live heap entry, or -1 while it
+        has none (fired, cancelled, or a persistent handle never armed).
+    callback:
+        What the event runs.  A one-shot handle (:meth:`Engine.schedule`)
+        drops it when it fires or is cancelled, so a spent handle keeps
+        no closure alive; a persistent handle (:meth:`Engine.handle`)
+        keeps it and can be re-armed any number of times.
     """
 
-    __slots__ = ("time", "seq", "callback", "cancelled", "_engine")
+    __slots__ = ("time", "seq", "callback", "persistent", "_engine")
 
     def __init__(
         self,
@@ -64,45 +74,52 @@ class EventHandle:
         seq: int,
         callback: Callable[[], None],
         engine: "Engine | None" = None,
+        persistent: bool = False,
     ) -> None:
         self.time = time
         self.seq = seq
         self.callback: Callable[[], None] | None = callback
-        self.cancelled = False
+        self.persistent = persistent
         self._engine = engine
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent.
 
-        A no-op on a handle that already fired (``callback`` is cleared
-        on execution) or was already cancelled — either would otherwise
-        double-decrement the engine's live-event counter.
+        A no-op on a handle with no live entry (already fired or
+        cancelled) — retiring it twice would double-decrement the
+        engine's live-event counter.
         """
-        if self.cancelled or self.callback is None:
+        if self.seq < 0:
             return
-        self.cancelled = True
-        self.callback = None  # break reference cycles early
+        self.seq = -1
+        if not self.persistent:
+            self.callback = None  # break reference cycles early
         engine = self._engine
         if engine is not None:
             engine._on_cancel()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "cancelled" if self.cancelled else "pending"
+        state = "idle" if self.seq < 0 else "pending"
         return f"EventHandle(t={self.time:.3f}, seq={self.seq}, {state})"
 
 
 class _Series:
     """The one heap entry of a :meth:`Engine.schedule_series` call.
 
-    It sits in the heap like a handle that is never cancelled; each
-    time it fires it re-enters the heap as the series' next entry
-    before running the caller's callback on the current item.
+    It sits in the heap like a one-shot handle that is never cancelled;
+    each time it fires it re-enters the heap as the series' next entry
+    (taking that entry's reserved seq) before running the caller's
+    callback on the current item.
     """
 
     __slots__ = (
-        "cancelled", "callback", "_engine", "_times", "_items", "_fn",
-        "_base", "_next",
+        "seq", "callback", "_engine", "_times", "_items", "_fn", "_base",
+        "_next",
     )
+
+    #: The engine drops the callback when an entry fires; :meth:`fire`
+    #: sets it again while entries remain.
+    persistent = False
 
     def __init__(
         self,
@@ -112,7 +129,7 @@ class _Series:
         items: list,
         base: int,
     ) -> None:
-        self.cancelled = False
+        self.seq = base
         self.callback: Callable[[], None] | None = self.fire
         self._engine = engine
         self._times = times
@@ -128,8 +145,10 @@ class _Series:
         if n < len(self._times):
             self._next = n
             self.callback = self.fire  # the engine cleared it
+            seq = self._base + n
+            self.seq = seq
             engine = self._engine
-            _heappush(engine._heap, (self._times[n], self._base + n, self))
+            _heappush(engine._heap, (self._times[n], seq, self))
             engine._live += 1
             engine._unqueued -= 1
         self._fn(self._items[i])
@@ -141,12 +160,12 @@ class Engine:
     Parameters
     ----------
     compact_min_garbage:
-        Minimum number of cancelled-but-unpopped entries before
+        Minimum number of retired-but-unpopped entries before
         automatic compaction is considered.  Raise to effectively
         disable compaction (tests), lower to force it aggressively.
     compact_garbage_ratio:
         Compaction also requires ``garbage > ratio * live`` so rebuilds
-        stay amortised O(1) per cancellation.
+        stay amortised O(1) per cancel or re-arm.
     """
 
     def __init__(
@@ -162,7 +181,7 @@ class Engine:
         self._heap: list[tuple[float, int, EventHandle | _Series]] = []
         self._seq = 0
         self._events_run = 0
-        #: Live (non-cancelled) entries in the heap.
+        #: Live entries in the heap (``handle.seq == seq``).
         self._live = 0
         #: Series entries reserved but not yet pushed onto the heap.
         self._unqueued = 0
@@ -172,17 +191,17 @@ class Engine:
 
     @property
     def events_run(self) -> int:
-        """Number of callbacks executed so far (cancelled events excluded)."""
+        """Number of callbacks executed so far (retired entries excluded)."""
         return self._events_run
 
     @property
     def pending(self) -> int:
-        """Number of live (non-cancelled) events still scheduled.  O(1)."""
+        """Number of live events still scheduled.  O(1)."""
         return self._live + self._unqueued
 
     @property
     def garbage(self) -> int:
-        """Cancelled entries still occupying heap slots."""
+        """Retired entries still occupying heap slots."""
         return len(self._heap) - self._live
 
     @property
@@ -217,6 +236,40 @@ class Engine:
         _heappush(self._heap, (time, seq, handle))
         self._live += 1
         return handle
+
+    def handle(self, callback: Callable[[], None]) -> EventHandle:
+        """A persistent handle for ``callback``, not yet scheduled.
+
+        Arm it (and move it) with :meth:`rearm`.  Unlike a
+        :meth:`schedule` handle it keeps its callback when it fires or
+        is cancelled, so one handle serves a recurring event for life.
+        """
+        return EventHandle(_INF, -1, callback, self, persistent=True)
+
+    def rearm(self, handle: EventHandle, delay: float) -> None:
+        """Move ``handle`` to fire after ``delay`` ms of simulated time.
+
+        Exactly a :meth:`EventHandle.cancel` followed by a fresh
+        :meth:`schedule` of the same callback: a pending handle's old
+        entry is retired (and may trigger compaction as a cancel does),
+        and the handle is pushed with the next seq.  A fired or
+        cancelled handle is simply armed again; a one-shot handle that
+        already dropped its callback cannot be.
+        """
+        if not 0.0 <= delay < _INF:
+            raise SimulationError(f"delay must be finite and >= 0, got {delay}")
+        if handle.callback is None:
+            raise SimulationError("cannot re-arm a spent one-shot handle")
+        if handle.seq >= 0:
+            handle.seq = -1
+            self._on_cancel()
+        time = self.now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        handle.time = time
+        handle.seq = seq
+        _heappush(self._heap, (time, seq, handle))
+        self._live += 1
 
     def schedule_series(
         self,
@@ -274,7 +327,7 @@ class Engine:
         self._unqueued += n - 1
 
     def _on_cancel(self) -> None:
-        """Bookkeeping hook invoked once per :meth:`EventHandle.cancel`."""
+        """Bookkeeping once per retired pending entry (cancel or re-arm)."""
         live = self._live - 1
         self._live = live
         garbage = len(self._heap) - live
@@ -284,14 +337,14 @@ class Engine:
             self.compact()
 
     def compact(self) -> None:
-        """Drop cancelled entries and rebuild the heap in place.
+        """Drop retired entries and rebuild the heap in place.
 
         Safe at any point: pop order depends only on the ``(time, seq)``
         total order, which any valid heap of the same entries yields.
         The list object stays the same, so a loop holding it stays valid.
         """
         heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heap[:] = [entry for entry in heap if entry[2].seq == entry[1]]
         heapq.heapify(heap)
         self._compactions += 1
 
@@ -299,13 +352,15 @@ class Engine:
         """Run the next live event.  Returns False when the heap is empty."""
         heap = self._heap
         while heap:
-            time, _seq, handle = _heappop(heap)
-            if handle.cancelled:
+            time, seq, handle = _heappop(heap)
+            if handle.seq != seq:
                 continue
+            handle.seq = -1
             self._live -= 1
             self.now = time
             callback = handle.callback
-            handle.callback = None
+            if not handle.persistent:
+                handle.callback = None
             self._events_run += 1
             assert callback is not None
             callback()
@@ -330,7 +385,7 @@ class Engine:
         heap = self._heap
         while heap:
             head = heap[0]
-            if head[2].cancelled:
+            if head[2].seq != head[1]:
                 _heappop(heap)
                 continue
             if head[0] > time:

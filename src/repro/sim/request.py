@@ -19,6 +19,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["Request", "RequestState"]
 
+_INF = math.inf
+_NAN = math.nan
+
 
 class RequestState(enum.Enum):
     """Lifecycle states of a request inside one server."""
@@ -30,6 +33,9 @@ class RequestState(enum.Enum):
     #: Withdrawn mid-flight (tied-request cancellation, replica kill);
     #: terminal like COMPLETED but never recorded as a completion.
     CANCELLED = "cancelled"
+
+
+_CREATED = RequestState.CREATED
 
 
 class Request:
@@ -78,26 +84,27 @@ class Request:
         predicted_ms: float,
         speedup: "SpeedupProfile",
     ) -> None:
-        if not 0 < demand_ms < math.inf:
+        if not 0 < demand_ms < _INF:
             raise SimulationError(
                 f"demand must be finite and positive, got {demand_ms}"
             )
-        if not 0 <= predicted_ms < math.inf:
+        if not 0 <= predicted_ms < _INF:
             raise SimulationError(
                 f"prediction must be finite and >= 0, got {predicted_ms}"
             )
+        demand_ms = float(demand_ms)
         self.rid = rid
-        self.demand_ms = float(demand_ms)
+        self.demand_ms = demand_ms
         self.predicted_ms = float(predicted_ms)
         self.speedup = speedup
-        self.state = RequestState.CREATED
-        self.arrival_ms: float = float("nan")
-        self.start_ms: float = float("nan")
-        self.finish_ms: float = float("nan")
+        self.state = _CREATED
+        self.arrival_ms: float = _NAN
+        self.start_ms: float = _NAN
+        self.finish_ms: float = _NAN
         self.degree = 0
         self.initial_degree = 0
         self.max_degree_seen = 0
-        self.remaining_work_ms = float(demand_ms)
+        self.remaining_work_ms = demand_ms
         self.corrected = False
         #: Target completion time E assigned at dispatch (TPC-family only).
         self.target_ms: float | None = None

@@ -26,7 +26,9 @@ the whole class (the same value the per-request loop computed), each
 member still absorbs it with one subtraction in cascade order, and the
 class-minimum trick relies only on IEEE-754 monotonicity (subtracting
 the same term, or dividing by the same positive rate, never reorders
-operands).
+operands).  The next-completion event and the CPU sampler are each one
+persistent engine handle, re-armed in place (:meth:`Engine.rearm`)
+rather than cancelled and scheduled anew.
 """
 
 from __future__ import annotations
@@ -111,7 +113,10 @@ class Server:
         self._busy_workers = 0
         self._long_threads = 0
         self._last_advance = self.engine.now
-        self._completion_handle: EventHandle | None = None
+        #: The one next-completion event, re-armed in place for life.
+        self._completion_handle: EventHandle = self.engine.handle(
+            self._on_completion_event
+        )
         #: Temporary cap on dispatchable workers (degraded-core fault
         #: windows); None means the full configured pool.
         self._worker_limit: int | None = None
@@ -141,7 +146,9 @@ class Server:
         self._cpu_util_ema = 0.0
         self._cpu_busy_integral = 0.0
         self._cpu_window_start = self.engine.now
-        self._sampler_handle: EventHandle | None = None
+        self._sampler_handle: EventHandle = self.engine.handle(
+            self._on_cpu_sample
+        )
 
         self._refresh_capacity_cache()
         policy.bind(self)
@@ -212,49 +219,65 @@ class Server:
         if request.state is not RequestState.CREATED:
             raise SimulationError(f"request {request.rid} already submitted")
         self._advance()
-        request.arrival_ms = self.now
+        request.arrival_ms = self.engine.now
         request.state = RequestState.QUEUED
         self.waiting.append(request)
-        self._ensure_sampler()
-        if self._busy_workers < self.worker_limit:
+        if self._sampler_handle.seq < 0:
+            self._start_sampler()
+        limit = self._worker_limit
+        if self._busy_workers < (
+            self.config.worker_threads if limit is None else limit
+        ):
             self._dispatch()
         self._reschedule_completion()
 
     def _dispatch(self) -> None:
         """Start queued requests while workers are idle (FIFO)."""
         waiting = self.waiting
-        initial_degree = self.policy.initial_degree
-        max_parallelism = self.config.max_parallelism
-        full_pool = self.config.worker_threads
+        policy = self.policy
+        initial_degree = policy.initial_degree
+        first_check_delay = policy.first_check_delay
+        config = self.config
+        max_parallelism = config.max_parallelism
+        full_pool = config.worker_threads
+        throughput_by_busy = self._throughput_by_busy
+        factor_by_busy = self._factor_by_busy
+        long_threshold_ms = self.long_threshold_ms
         dispatch_callback = self.dispatch_callback
+        engine = self.engine
+        now = engine.now
         while waiting:
             limit = self._worker_limit
-            idle = (full_pool if limit is None else limit) - self._busy_workers
+            busy = self._busy_workers
+            idle = (full_pool if limit is None else limit) - busy
             if idle <= 0:
                 break
             request = waiting.popleft()
             degree = int(initial_degree(request, self))
             if degree < 1:
-                raise SchedulingError(
-                    f"{self.policy.name} chose degree {degree} < 1"
-                )
-            degree = min(degree, max_parallelism, idle)
+                raise SchedulingError(f"{policy.name} chose degree {degree} < 1")
+            if degree > max_parallelism:
+                degree = max_parallelism
+            if degree > idle:
+                degree = idle
             request.state = RequestState.RUNNING
-            request.start_ms = self.now
+            request.start_ms = now
             request.degree = degree
             request.initial_degree = degree
             request.max_degree_seen = degree
-            self._busy_workers += degree
-            self._refresh_capacity_cache()
-            if request.predicted_ms > self.long_threshold_ms:
+            busy += degree
+            self._busy_workers = busy
+            self._busy_throughput = throughput_by_busy[busy]
+            self._factor = factor_by_busy[busy]
+            if request.predicted_ms > long_threshold_ms:
                 self._long_threads += degree
             self.running.append(request)
             self._class_join(request)
             if dispatch_callback is not None:
                 dispatch_callback(request)
-            delay = self.policy.first_check_delay(request, self)
+            delay = first_check_delay(request, self)
             if delay is not None:
-                request.check_handle = self.engine.schedule(
+                request.check_handle = engine.schedule(
                     max(0.0, float(delay)), partial(self._on_check, request)
                 )
 
@@ -378,13 +401,17 @@ class Server:
 
     def _complete(self, request: Request) -> None:
         request.state = RequestState.COMPLETED
-        request.finish_ms = self.now
-        self._busy_workers -= request.degree
-        self._refresh_capacity_cache()
+        request.finish_ms = self.engine.now
+        degree = request.degree
+        busy = self._busy_workers - degree
+        self._busy_workers = busy
+        self._busy_throughput = self._throughput_by_busy[busy]
+        self._factor = self._factor_by_busy[busy]
         if request.predicted_ms > self.long_threshold_ms:
-            self._long_threads -= request.degree
-        if request.check_handle is not None:
-            request.check_handle.cancel()
+            self._long_threads -= degree
+        check_handle = request.check_handle
+        if check_handle is not None:
+            check_handle.cancel()
             request.check_handle = None
         self._class_leave(request)
         self.running.remove(request)
@@ -454,18 +481,19 @@ class Server:
         self._last_advance = now
 
     def _reschedule_completion(self) -> None:
-        """(Re)schedule the single next-completion event.
+        """Re-arm the single next-completion event in place.
 
         The horizon is the minimum over rate classes of the class-min
         member's time to finish — the same value as the minimum over
         all running requests, because dividing by the shared positive
-        class rate preserves the remaining-work ordering.
+        class rate preserves the remaining-work ordering.  With nothing
+        running the event is cancelled if still pending (only
+        :meth:`cancel_request` can empty the running set under it).
         """
-        handle = self._completion_handle
-        if handle is not None:
-            handle.cancel()
-            self._completion_handle = None
         if not self.running:
+            handle = self._completion_handle
+            if handle.seq >= 0:
+                handle.cancel()
             return
         factor = self._factor
         horizon = None
@@ -476,12 +504,9 @@ class Server:
             h = remaining / (cls.speedup * factor)
             if horizon is None or h < horizon:
                 horizon = h
-        self._completion_handle = self.engine.schedule(
-            horizon, self._on_completion_event
-        )
+        self.engine.rearm(self._completion_handle, horizon)
 
     def _on_completion_event(self) -> None:
-        self._completion_handle = None
         self._advance()
         # A request counts as finished when its remaining work is gone or
         # its time-to-finish drops below 1 ns (guards against the clock
@@ -520,7 +545,7 @@ class Server:
     # CPU-utilisation sampler.
     # ------------------------------------------------------------------
 
-    def _ensure_sampler(self) -> None:
+    def _start_sampler(self) -> None:
         """(Re)subscribe the CPU sampler on the first submit after idle.
 
         Paired with the idle shutdown in :meth:`_on_cpu_sample`, this
@@ -528,15 +553,13 @@ class Server:
         sampler unsubscribes itself once the server is fully idle and
         is re-armed here by the next arrival.
         """
-        if self._sampler_handle is None:
-            self._cpu_window_start = self.now
-            self._cpu_busy_integral = 0.0
-            self._sampler_handle = self.engine.schedule(
-                self.config.cpu_sample_interval_ms, self._on_cpu_sample
-            )
+        self._cpu_window_start = self.engine.now
+        self._cpu_busy_integral = 0.0
+        self.engine.rearm(
+            self._sampler_handle, self.config.cpu_sample_interval_ms
+        )
 
     def _on_cpu_sample(self) -> None:
-        self._sampler_handle = None
         self._advance()
         window = self.now - self._cpu_window_start
         if window > 0:
@@ -550,8 +573,8 @@ class Server:
         self._cpu_busy_integral = 0.0
         self._cpu_window_start = self.now
         if self.running or self.waiting:
-            self._sampler_handle = self.engine.schedule(
-                self.config.cpu_sample_interval_ms, self._on_cpu_sample
+            self.engine.rearm(
+                self._sampler_handle, self.config.cpu_sample_interval_ms
             )
         else:
             # Fully idle: stop sampling (no event churn in idle tails)

@@ -385,3 +385,200 @@ class TestScheduleSeries:
         assert len(series[0]) > 30
         if compact is not None:
             assert series_engine.compactions > 0
+
+
+class TestRearm:
+    """Re-arming one persistent handle in place."""
+
+    def test_two_rearms_before_a_fire_fire_once_at_the_last_time(self):
+        engine = Engine(compact_min_garbage=10**9)
+        fired = []
+        handle = engine.handle(lambda: fired.append(engine.now))
+        engine.rearm(handle, 2.0)
+        engine.rearm(handle, 5.0)
+        assert engine.pending == 1
+        assert engine.garbage == 1
+        assert engine.run() == 1
+        assert fired == [5.0]
+        assert engine.pending == 0
+
+    def test_rearm_earlier_than_the_pending_time(self):
+        engine = Engine()
+        fired = []
+        handle = engine.handle(lambda: fired.append(engine.now))
+        engine.rearm(handle, 5.0)
+        engine.rearm(handle, 2.0)
+        assert engine.run() == 1
+        assert fired == [2.0]
+
+    def test_rearm_a_fired_handle(self):
+        engine = Engine()
+        fired = []
+        handle = engine.handle(lambda: fired.append(engine.now))
+        engine.rearm(handle, 1.0)
+        engine.run()
+        engine.rearm(handle, 1.5)
+        assert engine.pending == 1
+        assert engine.run() == 1
+        assert fired == [1.0, 2.5]
+
+    def test_rearm_a_cancelled_handle(self):
+        engine = Engine()
+        fired = []
+        handle = engine.handle(lambda: fired.append(engine.now))
+        engine.rearm(handle, 1.0)
+        handle.cancel()
+        assert engine.pending == 0
+        engine.rearm(handle, 3.0)
+        assert engine.pending == 1
+        assert engine.run() == 1
+        assert fired == [3.0]
+
+    def test_rearm_a_pending_one_shot_handle(self):
+        engine = Engine()
+        fired = []
+        handle = engine.schedule(4.0, lambda: fired.append(engine.now))
+        engine.rearm(handle, 1.0)
+        assert engine.run() == 1
+        assert fired == [1.0]
+        # Firing dropped the one-shot callback: it cannot be armed again.
+        with pytest.raises(SimulationError):
+            engine.rearm(handle, 1.0)
+
+    def test_cancel_after_rearm(self):
+        engine = Engine(compact_min_garbage=10**9)
+        fired = []
+        handle = engine.handle(lambda: fired.append(engine.now))
+        engine.rearm(handle, 1.0)
+        engine.rearm(handle, 2.0)
+        handle.cancel()
+        handle.cancel()
+        assert engine.pending == 0
+        assert engine.garbage == 2
+        assert engine.run() == 0
+        assert fired == []
+
+    def test_compact_drops_stale_entries_of_a_rearmed_handle(self):
+        engine = Engine(compact_min_garbage=10**9)
+        fired = []
+        handle = engine.handle(lambda: fired.append(engine.now))
+        engine.schedule_at(3.0, lambda: fired.append("other"))
+        for delay in (4.0, 1.0, 2.0):
+            engine.rearm(handle, delay)
+        assert len(engine._heap) == 4
+        engine.compact()
+        assert len(engine._heap) == 2
+        assert engine.garbage == 0
+        assert engine.run() == 2
+        assert fired == [2.0, "other"]
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_delays_and_keeps_the_pending_entry(self, bad):
+        engine = Engine()
+        fired = []
+        handle = engine.handle(lambda: fired.append(engine.now))
+        engine.rearm(handle, 2.0)
+        with pytest.raises(SimulationError):
+            engine.rearm(handle, bad)
+        assert engine.pending == 1
+        assert engine.run() == 1
+        assert fired == [2.0]
+
+    def _run_workload(self, engine, seed, rearm):
+        """Random churn around one recurring event.
+
+        With ``rearm`` the recurring event is one persistent handle moved
+        by :meth:`Engine.rearm`; otherwise each move cancels the current
+        handle and schedules a fresh one.  Times sit on a coarse grid and
+        delays are often zero, so the recurring event ties exactly with
+        other events.  Every random draw happens in a callback, so two
+        engines that fire in the same order consume the same stream.
+        """
+        rng = random.Random(seed)
+        fired = []
+        live = []
+        reference = []
+
+        def record(tag):
+            fired.append((engine.now, tag, engine.pending, engine.events_run))
+
+        def on_recurring():
+            record("recurring")
+            churn()
+
+        recurring = engine.handle(on_recurring)
+
+        def move(delay):
+            if rearm:
+                engine.rearm(recurring, delay)
+                return
+            if reference:
+                reference.pop().cancel()
+            reference.append(engine.schedule(delay, on_recurring))
+
+        def stop():
+            if rearm:
+                recurring.cancel()
+            elif reference:
+                reference.pop().cancel()
+
+        def churn():
+            for _ in range(rng.randrange(3)):
+                delay = rng.choice([0.0, 0.0, 0.5, 1.0, rng.uniform(0.0, 3.0)])
+                live.append(engine.schedule(delay, make_cb(len(fired))))
+            draw = rng.random()
+            if draw < 0.5:
+                move(rng.choice([0.0, 0.0, 0.5, 0.5 * rng.randrange(6)]))
+            elif draw < 0.6:
+                stop()
+            if live and rng.random() < 0.4:
+                live.pop(rng.randrange(len(live))).cancel()
+
+        def make_cb(tag):
+            def cb():
+                record(tag)
+                churn()
+
+            return cb
+
+        for i in range(20):
+            live.append(engine.schedule_at(0.5 * rng.randrange(12), make_cb(-1 - i)))
+        move(1.0)
+        engine.run(max_events=500)
+        return fired, engine.events_run, engine.pending
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize(
+        "compact", [None, (0, 0.0)], ids=["default-compaction", "compact-every-cancel"]
+    )
+    def test_rearm_matches_cancel_and_fresh_schedule(self, seed, compact):
+        rearm_engine = Engine() if compact is None else Engine(*compact)
+        fresh_engine = Engine(compact_min_garbage=10**9)
+        rearmed = self._run_workload(rearm_engine, seed, rearm=True)
+        fresh = self._run_workload(fresh_engine, seed, rearm=False)
+        assert rearmed == fresh
+        assert sum(1 for entry in rearmed[0] if entry[1] == "recurring") > 5
+        if compact is not None:
+            assert rearm_engine.compactions > 0
+
+
+class TestHandleCallbacks:
+    def test_spent_one_shot_handles_drop_their_callback(self):
+        engine = Engine()
+        fired = engine.schedule(1.0, lambda: None)
+        cancelled = engine.schedule(2.0, lambda: None)
+        cancelled.cancel()
+        engine.run()
+        assert fired.callback is None
+        assert cancelled.callback is None
+
+    def test_persistent_handle_keeps_its_callback(self):
+        engine = Engine()
+        callback = lambda: None  # noqa: E731
+        handle = engine.handle(callback)
+        engine.rearm(handle, 1.0)
+        engine.run()
+        assert handle.callback is callback
+        engine.rearm(handle, 1.0)
+        handle.cancel()
+        assert handle.callback is callback

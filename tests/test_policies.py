@@ -189,15 +189,17 @@ class TestTP:
     def test_reads_target_from_table_by_load(self, speedup_book, target_table):
         policy = TPPolicy(target_table, speedup_book)
         server = make_server(policy)
-        assert policy.current_target(server) == 40.0  # idle -> first entry
+        req = make_request(0, 10.0, predicted_ms=10.0)
+        policy.initial_degree(req, server)
+        assert req.target_ms == 40.0  # idle -> first entry
 
     def test_degree_minimal_to_meet_target(self, speedup_book, target_table):
         policy = TPPolicy(target_table, speedup_book)
         server = make_server(policy)
         req = make_request(0, 100.0, predicted_ms=100.0)
         degree = policy.initial_degree(req, server)
-        profile = speedup_book.profile_for(100.0)
-        assert profile.execution_time(100.0, degree) <= 40.0
+        profile = speedup_book.profiles[speedup_book.group_of(100.0)]
+        assert 100.0 / profile.speedup(degree) <= 40.0
         assert req.target_ms == 40.0
 
     def test_no_runtime_checks(self, speedup_book, target_table):

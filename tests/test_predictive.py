@@ -22,8 +22,8 @@ class TestSelectDegree:
     def test_never_overshoots_with_extra_threads(self):
         # Degree 4 would also meet the target but wastes a thread.
         degree = select_degree(100.0, 50.0, LONG_PROFILE)
-        assert LONG_PROFILE.execution_time(100.0, degree) <= 50.0
-        assert LONG_PROFILE.execution_time(100.0, degree - 1) > 50.0
+        assert 100.0 / LONG_PROFILE.speedup(degree) <= 50.0
+        assert 100.0 / LONG_PROFILE.speedup(degree - 1) > 50.0
 
     def test_unattainable_target_uses_max_degree(self):
         # L = 400, E = 50: even S6 = 4.1 gives 97 ms -> use max.

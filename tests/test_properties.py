@@ -53,7 +53,7 @@ def target_tables(draw):
 @given(speedup_lists)
 def test_profile_execution_time_antimonotone_in_degree(speedups):
     profile = SpeedupProfile(speedups)
-    times = [profile.execution_time(100.0, d) for d in range(1, profile.max_degree + 1)]
+    times = [100.0 / profile.speedup(d) for d in range(1, profile.max_degree + 1)]
     assert all(b <= a + 1e-9 for a, b in zip(times, times[1:]))
 
 
@@ -79,15 +79,15 @@ def test_select_degree_is_minimal_and_feasible(speedups, predicted, target):
     profile = SpeedupProfile(speedups)
     degree = select_degree(predicted, target, profile)
     assert 1 <= degree <= profile.max_degree
-    meets = profile.execution_time(predicted, degree) <= target
+    meets = predicted / profile.speedup(degree) <= target
     if degree == 1:
         assert meets or profile.max_degree == 1 or not any(
-            profile.execution_time(predicted, d) <= target
+            predicted / profile.speedup(d) <= target
             for d in range(1, profile.max_degree + 1)
         ) or predicted <= target
     elif meets:
         # minimality: one fewer thread would miss the target
-        assert profile.execution_time(predicted, degree - 1) > target
+        assert predicted / profile.speedup(degree - 1) > target
     else:
         # infeasible target -> maximum degree
         assert degree == profile.max_degree

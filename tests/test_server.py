@@ -319,3 +319,33 @@ class TestSamplerIdleShutdown:
         server.engine.run_until(server.engine.now + 150.0)
         assert server.cpu_utilization > 0.0
         server.run_to_completion(2)
+
+
+class TestCompletionHandle:
+    """A server owns one completion handle and re-arms it in place."""
+
+    def test_one_handle_fires_across_rearms(self):
+        server = make_server(FixedDegreePolicy(1))
+        handle = server._completion_handle
+        for i, at in enumerate((0.0, 1.0, 30.0)):
+            server.engine.schedule_at(
+                at, lambda r=make_request(i, 10.0): server.submit(r)
+            )
+        server.run_to_completion(3)
+        assert server.completed_count == 3
+        assert server._completion_handle is handle
+        assert handle.callback == server._on_completion_event
+        assert handle.seq == -1  # fired last, nothing left to complete
+
+    def test_cancelling_the_last_running_request_cancels_the_completion(self):
+        server = make_server(FixedDegreePolicy(1))
+        request = make_request(0, 10.0)
+        server.submit(request)
+        handle = server._completion_handle
+        assert handle.seq >= 0
+        server.engine.run_until(4.0)
+        server.cancel_request(request)
+        assert handle.seq == -1
+        assert handle.callback == server._on_completion_event
+        server.engine.run()
+        assert server.completed_count == 0

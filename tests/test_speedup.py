@@ -32,9 +32,6 @@ class TestSpeedupProfile:
     def test_speedup_saturates_beyond_max_degree(self):
         assert LONG_PROFILE.speedup(10) == LONG_PROFILE.speedup(6)
 
-    def test_execution_time_divides_by_speedup(self):
-        assert LONG_PROFILE.execution_time(164.0, 6) == pytest.approx(40.0)
-
     def test_efficiency_decreases_with_degree(self):
         effs = [LONG_PROFILE.efficiency(d) for d in range(1, 7)]
         assert all(b <= a + 1e-12 for a, b in zip(effs, effs[1:]))
@@ -84,9 +81,10 @@ class TestDemandGroup:
 
 class TestSpeedupBook:
     def test_profile_lookup_by_demand(self, speedup_book):
-        assert speedup_book.profile_for(10.0) is SHORT_PROFILE
-        assert speedup_book.profile_for(50.0) is MID_PROFILE
-        assert speedup_book.profile_for(150.0) is LONG_PROFILE
+        profiles = speedup_book.profiles
+        assert profiles[speedup_book.group_of(10.0)] is SHORT_PROFILE
+        assert profiles[speedup_book.group_of(50.0)] is MID_PROFILE
+        assert profiles[speedup_book.group_of(150.0)] is LONG_PROFILE
 
     def test_group_count_and_bounds(self, speedup_book):
         assert speedup_book.num_groups == 3

@@ -27,7 +27,7 @@ def run_tpc(demands_preds, qps=400.0, seed=0, policy_cls=TPCPolicy,
     server = Server(ServerConfig(), policy, engine=Engine())
     reqs = []
     for i, (demand, pred) in enumerate(demands_preds):
-        profile = book.profile_for(demand)
+        profile = book.profiles[book.group_of(demand)]
         reqs.append(make_request(i, demand, pred, profile))
     rng = np.random.default_rng(seed)
     OpenLoopClient(server).schedule_trace(server.engine, reqs, qps, rng)
