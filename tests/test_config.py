@@ -38,6 +38,15 @@ class TestServerConfig:
         with pytest.raises(ConfigError):
             ServerConfig(hardware_threads=8, physical_cores=9)
 
+    @pytest.mark.parametrize(
+        "field",
+        ["smt_marginal_throughput", "rampup_penalty_ms", "cpu_sample_interval_ms"],
+    )
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_floats(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ServerConfig(**{field: value})
+
     def test_with_returns_modified_copy(self):
         cfg = ServerConfig()
         other = dataclasses.replace(cfg, max_parallelism=4)
