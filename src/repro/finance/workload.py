@@ -137,14 +137,15 @@ class FinanceWorkload:
                 else np.ones(n)
             )
             predictions = structural * pred_noise
+        short, long_ = self.short_profile, self.long_profile
         return [
-            Request(
-                rid=rid_offset + i,
-                demand_ms=float(demands[i]),
-                predicted_ms=float(predictions[i]),
-                speedup=self.long_profile if is_long[i] else self.short_profile,
+            Request(rid, demand, predicted, long_ if flag else short)
+            for rid, demand, predicted, flag in zip(
+                range(rid_offset, rid_offset + n),
+                demands.tolist(),
+                predictions.tolist(),
+                is_long.tolist(),
             )
-            for i in range(n)
         ]
 
 
