@@ -36,7 +36,6 @@ from .checks import (
     GATE_SEED,
     GateCheck,
     GateScale,
-    check_names,
     demand_measurements,
     ordering_measurements,
     scale_for_mode,
@@ -55,7 +54,6 @@ __all__ = [
     "CheckReport",
     "CHECKS",
     "GATE_SEED",
-    "check_names",
     "scale_for_mode",
     "demand_measurements",
     "ordering_measurements",

@@ -55,7 +55,6 @@ __all__ = [
     "GateScale",
     "GateCheck",
     "CHECKS",
-    "check_names",
     "scale_for_mode",
     "demand_measurements",
     "ordering_measurements",
@@ -487,8 +486,3 @@ CHECKS: dict[str, GateCheck] = {
         ),
     )
 }
-
-
-def check_names() -> list[str]:
-    """All registered check names, in registry order."""
-    return list(CHECKS)

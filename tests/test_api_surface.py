@@ -17,7 +17,6 @@ UNCALLED_ALLOWLIST = {
     "utilisation": "queueing validator the M/G/1 checks build on (ROADMAP 3(a))",
     "sample_fault_spec": "adversarial fault-spec sampler for ROADMAP 3(d)",
     "diurnal_profile": "rate shape of the load-drift experiment (test_load_drift)",
-    "check_names": "exported gate API: the registered check names, in order",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

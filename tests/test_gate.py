@@ -10,7 +10,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.exec import ResultCache
-from repro.gate import CHECKS, check_names, run_gate, scale_for_mode
+from repro.gate import CHECKS, run_gate, scale_for_mode
 from repro.gate.__main__ import main as gate_main
 from repro.gate.runner import baseline_metrics, select_checks
 
@@ -40,7 +40,7 @@ class TestColdRun:
         assert cold_report.cells_executed == cold_report.cells_total > 0
 
     def test_every_registered_check_ran(self, cold_report):
-        assert [c.name for c in cold_report.checks] == check_names()
+        assert [c.name for c in cold_report.checks] == list(CHECKS)
         assert all(c.measurements for c in cold_report.checks)
 
     def test_report_artifact_roundtrip(self, cold_report, tmp_path):
@@ -52,7 +52,7 @@ class TestColdRun:
         assert document["status"] == "pass"
         assert document["counts"]["failed"] == 0
         assert document["timing"]["cells_total"] == cold_report.cells_total
-        assert {c["name"] for c in document["checks"]} == set(check_names())
+        assert {c["name"] for c in document["checks"]} == set(CHECKS)
         for check in document["checks"]:
             for m in check["measurements"]:
                 assert isinstance(m["passed"], bool)
@@ -163,7 +163,7 @@ class TestCli:
     def test_list_exits_zero(self, capsys):
         assert gate_main(["--list"]) == 0
         out = capsys.readouterr().out
-        for name in check_names():
+        for name in CHECKS:
             assert name in out
 
     def test_bad_perturb_is_usage_error(self, capsys):
