@@ -58,7 +58,8 @@ __all__ = [
 HOTPATH_SEED = 93
 
 #: ``server_under_load`` events/sec per mode on the development machine
-#: *before* the hot-path optimisation pass (per-request fluid accrual,
+#: *before* the hot-path optimisation pass (a speedup-profile lookup
+#: and a capacity-model call inside every event's fluid accrual,
 #: Python-``__lt__`` heap, no compaction): n=6 000 (fast) and n=20 000
 #: (full).  Reports divide by this to show speedup-vs-pre-PR; it is
 #: machine-specific and informational, never a pass/fail bound.

@@ -112,8 +112,8 @@ class Request:
         self.degree_changes = 0
         #: Pending runtime-check event handle, cancelled on completion.
         self.check_handle = None
-        #: Effective speedup ``S(degree)`` cached by the server's rate
-        #: classes while the request runs (hot-path: avoids a profile
+        #: Effective speedup ``S(degree)``, set by the server whenever it
+        #: assigns or raises the degree (hot-path: avoids a profile
         #: lookup per event).
         self.service_speedup = 1.0
         #: Why the request was withdrawn (``Server.cancel_request``'s

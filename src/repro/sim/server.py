@@ -16,23 +16,21 @@ callback that may raise the degree mid-flight (dynamic correction,
 RampUp).  Raising a degree charges a configurable ramp-up penalty to
 model task re-partitioning and synchronisation overhead.
 
-Hot-path organisation (see DESIGN.md §10): running requests are grouped
-into *rate classes* — one per distinct effective speedup value ``S(d)``
-— so fluid accrual and the next-completion horizon are O(#classes) per
-event instead of O(running requests).  Every float operation matches
-the naive per-request formulation bit-for-bit: the per-event service
-term ``dt * (S(d) * factor)`` is a single shared multiplication for
-the whole class (the same value the per-request loop computed), each
-member still absorbs it with one subtraction in cascade order, and the
-class-minimum trick relies only on IEEE-754 monotonicity (subtracting
-the same term, or dividing by the same positive rate, never reorders
-operands).  The next-completion event and the CPU sampler are each one
+Hot-path organisation (see DESIGN.md §10): each event walks the
+running requests once, in running order.  Fluid accrual charges each
+request ``dt * (S(d) * factor)``, and the next-completion horizon is
+the least time to finish.  ``S(d)`` is cached on the request
+(``service_speedup``) whenever its degree is set, and the contention
+factor and aggregate throughput are tables indexed by the busy-worker
+count, so no event calls into the speedup profile or the capacity
+model.  The next-completion event and the CPU sampler are each one
 persistent engine handle, re-armed in place (:meth:`Engine.rearm`)
 rather than cancelled and scheduled anew.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from functools import partial
 from typing import TYPE_CHECKING
@@ -49,24 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["Server"]
 
 _EPS = 1e-9
-
-
-class _RateClass:
-    """Running requests sharing one effective speedup value ``S(d)``.
-
-    All members progress at the identical rate ``S(d) * factor``, so
-    one accrual term per event serves the whole class, and the member
-    with the least remaining work (``min_member``) stays the class
-    argmin between membership changes: uniform subtraction is monotone,
-    it can never reorder two remaining-work values.
-    """
-
-    __slots__ = ("speedup", "members", "min_member")
-
-    def __init__(self, speedup: float, first: Request) -> None:
-        self.speedup = speedup
-        self.members: list[Request] = [first]
-        self.min_member: Request = first
+_INF = math.inf
 
 
 class Server:
@@ -122,8 +103,6 @@ class Server:
         self._worker_limit: int | None = None
         #: Requests withdrawn mid-flight via :meth:`cancel_request`.
         self.cancelled_count = 0
-        #: Rate classes of the running set, keyed by effective speedup.
-        self._classes: dict[float, _RateClass] = {}
         #: Caches of ``total_throughput(busy)`` and the contention
         #: factor (processor-sharing slowdown of one thread: full speed
         #: up to the physical core count, ``total_throughput(T) / T``
@@ -271,8 +250,8 @@ class Server:
             self._factor = factor_by_busy[busy]
             if request.predicted_ms > long_threshold_ms:
                 self._long_threads += degree
+            request.service_speedup = request.speedup.speedup(degree)
             self.running.append(request)
-            self._class_join(request)
             if dispatch_callback is not None:
                 dispatch_callback(request)
             delay = first_check_delay(request, self)
@@ -316,7 +295,6 @@ class Server:
         if granted <= request.degree:
             return request.degree
         delta = granted - request.degree
-        self._class_leave(request)
         self._busy_workers += delta
         self._refresh_capacity_cache()
         if request.predicted_ms > self.long_threshold_ms:
@@ -325,7 +303,7 @@ class Server:
         request.max_degree_seen = max(request.max_degree_seen, granted)
         request.degree_changes += 1
         request.remaining_work_ms += self.config.rampup_penalty_ms
-        self._class_join(request)
+        request.service_speedup = request.speedup.speedup(granted)
         self._reschedule_completion()
         return granted
 
@@ -389,7 +367,6 @@ class Server:
         if request.check_handle is not None:
             request.check_handle.cancel()
             request.check_handle = None
-        self._class_leave(request)
         self.running.remove(request)
         request.state = RequestState.CANCELLED
         request.finish_ms = self.now
@@ -413,43 +390,14 @@ class Server:
         if check_handle is not None:
             check_handle.cancel()
             request.check_handle = None
-        self._class_leave(request)
         self.running.remove(request)
         self.recorder.record(request)
         if self.completion_callback is not None:
             self.completion_callback(request)
 
     # ------------------------------------------------------------------
-    # Rate-class bookkeeping.
+    # Capacity caches and fluid progress integration.
     # ------------------------------------------------------------------
-
-    def _class_join(self, request: Request) -> None:
-        """Enter the rate class of the request's current degree."""
-        speedup = request.speedup.speedup(request.degree)
-        request.service_speedup = speedup
-        cls = self._classes.get(speedup)
-        if cls is None:
-            self._classes[speedup] = _RateClass(speedup, request)
-        else:
-            cls.members.append(request)
-            if request.remaining_work_ms < cls.min_member.remaining_work_ms:
-                cls.min_member = request
-
-    def _class_leave(self, request: Request) -> None:
-        """Leave the current rate class, re-scanning the min if needed."""
-        cls = self._classes[request.service_speedup]
-        members = cls.members
-        members.remove(request)
-        if not members:
-            del self._classes[request.service_speedup]
-        elif cls.min_member is request:
-            best = members[0]
-            best_rem = best.remaining_work_ms
-            for member in members:
-                if member.remaining_work_ms < best_rem:
-                    best = member
-                    best_rem = member.remaining_work_ms
-            cls.min_member = best
 
     def _refresh_capacity_cache(self) -> None:
         """Recompute the throughput/contention caches after a busy change."""
@@ -457,15 +405,11 @@ class Server:
         self._busy_throughput = self._throughput_by_busy[busy]
         self._factor = self._factor_by_busy[busy]
 
-    # ------------------------------------------------------------------
-    # Fluid progress integration.
-    # ------------------------------------------------------------------
-
     def _advance(self) -> None:
         """Integrate remaining work of running requests up to ``now``.
 
-        One accrual term per rate class; each member absorbs it with a
-        single subtraction, exactly as the per-request loop would.
+        Each running request, in running order, absorbs its service
+        term ``dt * (S(d) * factor)`` with a single subtraction.
         """
         now = self.engine.now
         dt = now - self._last_advance
@@ -473,68 +417,55 @@ class Server:
             return
         self._cpu_busy_integral += dt * self._busy_throughput
         factor = self._factor
-        for cls in self._classes.values():
-            rate = cls.speedup * factor
-            term = dt * rate
-            for member in cls.members:
-                member.remaining_work_ms -= term
+        for r in self.running:
+            r.remaining_work_ms -= dt * (r.service_speedup * factor)
         self._last_advance = now
 
     def _reschedule_completion(self) -> None:
         """Re-arm the single next-completion event in place.
 
-        The horizon is the minimum over rate classes of the class-min
-        member's time to finish — the same value as the minimum over
-        all running requests, because dividing by the shared positive
-        class rate preserves the remaining-work ordering.  With nothing
+        The horizon is the minimum over running requests of the time to
+        finish, ``max(remaining, 0) / (S(d) * factor)``.  With nothing
         running the event is cancelled if still pending (only
         :meth:`cancel_request` can empty the running set under it).
         """
-        if not self.running:
+        running = self.running
+        if not running:
             handle = self._completion_handle
             if handle.seq >= 0:
                 handle.cancel()
             return
         factor = self._factor
-        horizon = None
-        for cls in self._classes.values():
-            remaining = cls.min_member.remaining_work_ms
+        horizon = _INF
+        for request in running:
+            remaining = request.remaining_work_ms
             if remaining < 0.0:
                 remaining = 0.0
-            h = remaining / (cls.speedup * factor)
-            if horizon is None or h < horizon:
+            h = remaining / (request.service_speedup * factor)
+            if h < horizon:
                 horizon = h
         self.engine.rearm(self._completion_handle, horizon)
 
     def _on_completion_event(self) -> None:
+        """Complete every request that finished, in running order.
+
+        A request counts as finished when its remaining work is gone or
+        its time-to-finish drops below 1 ns (guards against the clock
+        no longer resolving the step, which would re-arm forever).  The
+        recorder and completion callbacks observe the running order.
+        """
         self._advance()
-        # A request counts as finished when its remaining work is gone or
-        # its time-to-finish drops below 1 ns (guards against the clock
-        # no longer resolving the step, which would re-arm forever).
-        # The finished test is monotone in remaining work, so the class
-        # minima decide in O(#classes) whether anyone finished at all;
-        # only a real completion pays the full scan (in running order,
-        # which the recorder and completion callbacks observe).
         factor = self._factor
-        any_finished = False
-        for cls in self._classes.values():
-            remaining = cls.min_member.remaining_work_ms
-            if (
-                remaining <= _EPS
-                or remaining / (cls.speedup * factor) <= 1e-6
-            ):
-                any_finished = True
-                break
-        if not any_finished:
-            # Rates changed between scheduling and firing; just re-arm.
-            self._reschedule_completion()
-            return
         finished = [
             r
             for r in self.running
             if r.remaining_work_ms <= _EPS
             or r.remaining_work_ms / (r.service_speedup * factor) <= 1e-6
         ]
+        if not finished:
+            # Rates changed between scheduling and firing; just re-arm.
+            self._reschedule_completion()
+            return
         for request in finished:
             self._complete(request)
         if self.waiting:
