@@ -1,10 +1,11 @@
 """The one writer of the repository's JSON artifacts.
 
-``BENCH_gate.json``, ``BENCH_perf.json``, ``BENCH_resilience.json`` and
-the baseline store all go through :func:`write_json`, and every report
-opens with the same :func:`artifact_header` — schema version, producer,
-git SHA, mode and environment — so an artifact can be audited on its
-own, away from the run that produced it.
+The gate report (``BENCH_gate.json``; CI's ``--only perf`` run writes
+it as ``BENCH_perf.json``), ``BENCH_resilience.json`` and the baseline
+store all go through :func:`write_json`, and every report opens with
+the same :func:`artifact_header` — schema version, producer, git SHA,
+mode and environment — so an artifact can be audited on its own, away
+from the run that produced it.
 """
 
 from __future__ import annotations

@@ -113,7 +113,7 @@ def memoised_workload(spec: WorkloadSpec) -> Any:
 def forget_workload(spec: WorkloadSpec) -> None:
     """Evict one workload from this process's memo (no-op if absent).
 
-    Lets cold-path measurements (``repro.perf``'s end-to-end scenario)
+    Lets cold-path measurements (the ``end_to_end_cell`` perf scenario)
     pay the full workload build on every repeat instead of timing the
     memoised copy.
     """

@@ -5,7 +5,7 @@ Figures 4-7, the policy sets, the default workload seed, and the
 shipped target table (built once offline with Algorithm 1, exactly as
 the paper computes its table offline and distributes it to all ISNs).
 It also holds the one tiny workload recipe (and its target table) that
-the demos, the perf harness and the tests share.
+the demos, the perf scenarios and the tests share.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ DEFAULT_FINANCE_TARGET_TABLE = TargetTable(
 )
 
 
-#: Tiny search workload for demos, the perf harness's end-to-end cell
+#: Tiny search workload for demos, the perf ``end_to_end_cell`` scenario
 #: and tests: a 3 000-document corpus that builds in about a second.
 TINY_WORKLOAD_SPEC = WorkloadSpec.search(
     seed=11,

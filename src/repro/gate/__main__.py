@@ -4,6 +4,10 @@ Exit status: 0 when every check passes, 1 on any band violation, 2 on
 usage errors or a check that crashed.  The JSON artifact is written
 regardless of the verdict so CI can upload it from failing runs.
 
+The timed ``perf`` check (scenario throughput) runs only when named:
+``python -m repro.gate --only perf``.  Profile it with ``python -m
+cProfile -m repro.gate --only perf``.
+
 The exec result cache is *on* by default here (``--cache-dir``, else
 ``REPRO_EXEC_CACHE_DIR``), unlike the library and the benchmarks,
 because a warm gate must be near-free; ``--no-cache`` forces a cold
@@ -79,7 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         default=None,
         metavar="CHECK",
-        help="run only the named check (repeatable, comma-separable)",
+        help="run only the named check (repeatable, comma-separable); "
+        "the timed perf check runs only when named",
     )
     parser.add_argument(
         "--list",
@@ -149,9 +154,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"registered gate checks (mode={args.mode}):")
         for check in CHECKS.values():
             n_cells = len(check.cells(scale))
+            timed = "; timed, runs only with --only" if check.timed else ""
             print(
                 f"  {check.name:<22} {check.description} "
-                f"[{check.paper_ref}; {n_cells} cells]"
+                f"[{check.paper_ref}; {n_cells} cells{timed}]"
             )
         return 0
 
@@ -168,6 +174,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         perturb = _parse_perturb(args.perturb)
+        if perturb and args.update_baselines:
+            raise ConfigError(
+                "--perturb cannot be combined with --update-baselines: "
+                "the perturbed values would be stored as baselines"
+            )
         report = run_gate(
             mode=args.mode,
             only=only,

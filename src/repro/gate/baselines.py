@@ -3,12 +3,11 @@
 Machine-relative bands (e.g. "TPC p99 within 25 % of the blessed
 run", "engine throughput at least 70 % of the blessed run") need a
 reference value.  Those references live in one JSON file under
-``benchmarks/baselines/``, keyed by mode and metric id.  Two CLIs
-share it: ``python -m repro.gate --update-baselines`` refreshes the
-gate's fidelity and determinism metrics, ``python -m repro.perf
---update-baselines`` the ``perf.*`` throughput metrics.  A refresh
-overwrites only the metrics it measured, so neither clobbers the
-other's entries.
+``benchmarks/baselines/``, keyed by mode and metric id, and ``python
+-m repro.gate --update-baselines`` refreshes them.  A refresh
+overwrites only the metrics it measured: a default run refreshes the
+fidelity and determinism metrics, ``--only perf`` the ``perf.*``
+throughput metrics, and neither clobbers the other's entries.
 
 Serialisation goes through :func:`repro.artifacts.write_json`, so a
 write → load → write round trip is bit-stable and baseline diffs in
@@ -101,7 +100,8 @@ def merge_baselines(
 
     Only the given metrics are overwritten: the mode's other entries and
     every other mode are preserved, so fast and full baselines, and the
-    gate's and the perf harness's metrics, are refreshed independently.
+    deterministic and the timed checks' metrics, are refreshed
+    independently.
     A retired metric is removed by deleting its key from the file.
     """
     modes = {

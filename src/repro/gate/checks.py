@@ -31,8 +31,12 @@ Registered checks:
 ``perf_budget``
     Determinism of the simulator hot path on a synthetic workload (no
     expensive workload build): its event count is pinned exactly and
-    its wall time recorded.  Throughput is judged by ``python -m
-    repro.perf``, not here.
+    its wall time recorded.  Throughput is judged by ``perf``.
+``perf``
+    Throughput of the :mod:`repro.perf` scenarios, each the fastest of
+    :data:`REPEATS` runs, against 70 % of its stored baseline.  The
+    only *timed* check: wall-clock verdicts are not deterministic, so a
+    default run skips it and ``--only perf`` runs it.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 from ..config import ClusterConfig
 from ..errors import ConfigError
 from ..exec.spec import CellResult, CellSpec
-from ..perf.scenarios import HotpathResult, run_hotpath_benchmark
+from ..perf.scenarios import SCENARIOS, HotpathResult, run_hotpath_benchmark
 from ..sim.metrics import DistributionStats, distribution_stats
 from .bands import Band, Measurement
 
@@ -141,6 +145,8 @@ class GateCheck:
     paper_ref: str
     cells: Callable[[GateScale], tuple[CellSpec, ...]]
     evaluate: Callable[["GateContext"], list[Measurement]]
+    #: Judges wall-clock time, so it runs only when named (``--only``).
+    timed: bool = False
 
 
 def _gate_cell(scale: GateScale, policy: str, qps: float) -> CellSpec:
@@ -398,15 +404,13 @@ def _evaluate_cluster(ctx: "GateContext") -> list[Measurement]:
 
 
 # ---------------------------------------------------------------------------
-# perf_budget
+# perf_budget and perf
 #
-# The hot-path benchmark lives in repro.perf.scenarios (the perf
-# harness's ``server_under_load`` scenario) and is imported above.  The
-# gate judges fidelity and determinism, so it pins the benchmark's
-# event count; ``python -m repro.perf`` judges its throughput
-# (``perf.server_under_load.events_per_s``, best of three) against the
-# same baseline file.  The gate seed equals repro.perf's HOTPATH_SEED;
-# both are asserted equal by the test suite.
+# The hot-path benchmark is repro.perf's ``server_under_load`` scenario.
+# ``perf_budget`` pins its event count; the timed ``perf`` check judges
+# its throughput with the other scenarios' against the same baseline
+# file.  The gate seed equals repro.perf's HOTPATH_SEED; both are
+# asserted equal by the test suite.
 
 
 def hotpath_measurements(result: HotpathResult) -> list[Measurement]:
@@ -431,6 +435,54 @@ def _evaluate_hotpath(ctx: "GateContext") -> list[Measurement]:
     return hotpath_measurements(
         run_hotpath_benchmark(ctx.scale.hotpath_requests, ctx.scale.seed)
     )
+
+
+#: Timing repeats per perf scenario; the fastest (least disturbed by
+#: the OS) is judged, since a deterministic workload's true cost is its
+#: minimum.
+REPEATS = 3
+
+#: A scenario fails when its throughput drops below this fraction of
+#: its baseline: loose enough for CI machine jitter, tight enough to
+#: catch real hot-path regressions.
+THROUGHPUT_REL_LO = 0.70
+
+_THROUGHPUT_UNITS = {"events_per_s": "events/s", "requests_per_s": "req/s"}
+
+
+def _evaluate_perf(ctx: "GateContext") -> list[Measurement]:
+    """Each scenario's best-of-:data:`REPEATS` metrics, throughput banded.
+
+    The throughput is ``perf.<scenario>.<key>`` (for example
+    ``perf.server_under_load.events_per_s``), baseline-keyed; every
+    other metric of the fastest repeat is recorded unjudged.  A
+    scenario with no stored baseline passes with a note, so adding one
+    never fails CI before its baseline lands.
+    """
+    measurements: list[Measurement] = []
+    for name in sorted(SCENARIOS):
+        spec = SCENARIOS[name]
+        size = spec.size_for(ctx.scale.mode == "fast")
+        best = min(
+            (spec.runner(size, ctx.scale.seed) for _ in range(REPEATS)),
+            key=lambda metrics: metrics["wall_time_s"],
+        )
+        key = spec.throughput_key
+        measurements.append(
+            Measurement(
+                f"perf.{name}.{key}",
+                best[key],
+                Band(rel_lo=THROUGHPUT_REL_LO, unit=_THROUGHPUT_UNITS[key]),
+                paper_ref=f"best of {REPEATS} at size {size}",
+                baseline_key=True,
+            )
+        )
+        measurements.extend(
+            Measurement(f"perf.{name}.{metric}", value, None)
+            for metric, value in best.items()
+            if metric != key
+        )
+    return measurements
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +535,14 @@ CHECKS: dict[str, GateCheck] = {
             paper_ref="sim/engine + sim/server hot path",
             cells=lambda s: (),
             evaluate=_evaluate_hotpath,
+        ),
+        GateCheck(
+            name="perf",
+            description="perf scenario throughput vs 70% of baseline",
+            paper_ref="engine, server, obs and cell layers",
+            cells=lambda s: (),
+            evaluate=_evaluate_perf,
+            timed=True,
         ),
     )
 }

@@ -45,9 +45,14 @@ class GateContext:
 
 
 def select_checks(only: Sequence[str] | None = None) -> list[GateCheck]:
-    """The enabled checks, validating ``--only`` names."""
+    """The enabled checks, validating ``--only`` names.
+
+    Without ``only`` every untimed check runs: a timed check judges wall
+    clock, so it runs only when named and the default verdict stays
+    deterministic.
+    """
     if only is None:
-        return list(CHECKS.values())
+        return [check for check in CHECKS.values() if not check.timed]
     unknown = sorted(set(only) - set(CHECKS))
     if unknown:
         raise ConfigError(
@@ -73,7 +78,8 @@ def run_gate(
     mode:
         ``"fast"`` (CI sizing) or ``"full"`` (paper-scale samples).
     only:
-        Restrict to a subset of registered check names.
+        Restrict to a subset of registered check names (the default is
+        every untimed check).
     workers:
         Process-pool width for cell execution (None = the
         ``REPRO_BENCH_WORKERS`` / cpu-count default of the exec layer).

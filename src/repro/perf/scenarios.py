@@ -13,9 +13,8 @@ Scenarios at increasing integration depth:
     lognormal demands over a three-group speedup book, scheduled by AP
     at 500 qps.  No workload build, no predictor — the wall clock is
     pure simulator.  This module is the single home of that benchmark;
-    :mod:`repro.gate.checks` imports it from here and pins its event
-    count (``perf_budget``), while ``python -m repro.perf`` judges its
-    throughput.
+    the gate's ``perf_budget`` check pins its event count and its timed
+    ``perf`` check judges its throughput.
 ``tracing_overhead``
     The hot-path benchmark run bare and then with the
     :mod:`repro.obs` observability layer attached — budgets the
@@ -41,7 +40,6 @@ from ..errors import ConfigError
 
 __all__ = [
     "HOTPATH_SEED",
-    "PRE_PR_EVENTS_PER_S",
     "HotpathResult",
     "run_hotpath_benchmark",
     "ScenarioSpec",
@@ -50,20 +48,11 @@ __all__ = [
     "run_server_under_load",
     "run_tracing_overhead",
     "run_end_to_end_cell",
-    "scenario",
 ]
 
-#: Seed of the hot-path benchmark; equals the gate seed so the gate's
-#: ``perf_budget`` check and the perf harness run the same trace.
+#: Seed of the hot-path benchmark; equals the gate seed, so the gate's
+#: ``perf_budget`` and ``perf`` checks run the same trace.
 HOTPATH_SEED = 93
-
-#: ``server_under_load`` events/sec per mode on the development machine
-#: *before* the hot-path optimisation pass (a speedup-profile lookup
-#: and a capacity-model call inside every event's fluid accrual,
-#: Python-``__lt__`` heap, no compaction): n=6 000 (fast) and n=20 000
-#: (full).  Reports divide by this to show speedup-vs-pre-PR; it is
-#: machine-specific and informational, never a pass/fail bound.
-PRE_PR_EVENTS_PER_S = {"fast": 40_770.0, "full": 42_539.0}
 
 
 @dataclass(frozen=True)
@@ -350,12 +339,3 @@ SCENARIOS: dict[str, ScenarioSpec] = {
     )
 }
 
-
-def scenario(name: str) -> ScenarioSpec:
-    """Look up a registered scenario by name."""
-    try:
-        return SCENARIOS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown perf scenario {name!r}; known: {sorted(SCENARIOS)}"
-        ) from None

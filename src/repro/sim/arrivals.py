@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import WorkloadError
 
-__all__ = ["RateProfile", "nonhomogeneous_arrival_times", "diurnal_profile"]
+__all__ = ["RateProfile", "nonhomogeneous_arrival_times"]
 
 
 @dataclass(frozen=True)
@@ -56,19 +56,6 @@ class RateProfile:
     def mean_qps(self) -> float:
         """Time-average rate over one cycle."""
         return sum(self.rates_qps) / len(self.rates_qps)
-
-
-def diurnal_profile(
-    low_qps: float, high_qps: float, segments: int = 8,
-    segment_ms: float = 5_000.0,
-) -> RateProfile:
-    """A smooth low-high-low cycle approximating a diurnal load curve."""
-    if segments < 2:
-        raise WorkloadError("need at least 2 segments")
-    phases = np.linspace(0, np.pi, segments)
-    rates = low_qps + (high_qps - low_qps) * np.sin(phases) ** 2
-    rates = np.maximum(rates, min(low_qps, high_qps))
-    return RateProfile(tuple(float(r) for r in rates), segment_ms)
 
 
 def nonhomogeneous_arrival_times(

@@ -4,11 +4,20 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.sim.arrivals import (
-    RateProfile,
-    diurnal_profile,
-    nonhomogeneous_arrival_times,
-)
+from repro.sim.arrivals import RateProfile, nonhomogeneous_arrival_times
+
+
+def diurnal_profile(
+    low_qps: float, high_qps: float, segments: int = 8,
+    segment_ms: float = 5_000.0,
+) -> RateProfile:
+    """A smooth low-high-low cycle approximating a diurnal load curve."""
+    if segments < 2:
+        raise WorkloadError("need at least 2 segments")
+    phases = np.linspace(0, np.pi, segments)
+    rates = low_qps + (high_qps - low_qps) * np.sin(phases) ** 2
+    rates = np.maximum(rates, min(low_qps, high_qps))
+    return RateProfile(tuple(float(r) for r in rates), segment_ms)
 
 
 class TestRateProfile:

@@ -4,8 +4,6 @@ import json
 
 from repro.artifacts import write_json
 from repro.gate import run_gate
-from repro.perf import build_report as build_perf_report
-from repro.perf import run_scenario, scenario
 from repro.resilience.report import build_report as build_resilience_report
 
 HEADER_KEYS = {"schema_version", "generated_by", "git_sha", "mode", "environment"}
@@ -13,13 +11,9 @@ HEADER_KEYS = {"schema_version", "generated_by", "git_sha", "mode", "environment
 
 def test_every_report_carries_the_header(tmp_path):
     gate = run_gate(mode="fast", only=["perf_budget"], cache=None)
-    perf = build_perf_report(
-        [run_scenario(scenario("engine_only"), 500, repeats=1)], fast=True
-    )
     resilience = build_resilience_report([])
     for name, document in (
         ("repro.gate", gate.to_json_dict()),
-        ("repro.perf", perf),
         ("repro.resilience", resilience),
     ):
         path = write_json(document, tmp_path / f"{name}.json")

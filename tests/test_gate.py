@@ -14,6 +14,9 @@ from repro.gate import CHECKS, run_gate, scale_for_mode
 from repro.gate.__main__ import main as gate_main
 from repro.gate.runner import baseline_metrics, select_checks
 
+#: The checks a default run executes: every one but the timed ``perf``.
+UNTIMED = [name for name, check in CHECKS.items() if not check.timed]
+
 #: Generous ceiling for the fast gate with a cold cache (the CI job
 #: budget is 30 minutes; a healthy run is well under one).
 FAST_COLD_BUDGET_S = 600.0
@@ -40,8 +43,15 @@ class TestColdRun:
         assert cold_report.cells_executed == cold_report.cells_total > 0
 
     def test_every_registered_check_ran(self, cold_report):
-        assert [c.name for c in cold_report.checks] == list(CHECKS)
+        """A default run executes every untimed check and never ``perf``."""
+        assert [c.name for c in cold_report.checks] == UNTIMED
+        assert "perf" in CHECKS and "perf" not in UNTIMED
         assert all(c.measurements for c in cold_report.checks)
+        assert not any(
+            m.metric.startswith("perf.")
+            for c in cold_report.checks
+            for m in c.measurements
+        )
 
     def test_report_artifact_roundtrip(self, cold_report, tmp_path):
         path = cold_report.write(tmp_path / "BENCH_gate.json")
@@ -52,7 +62,7 @@ class TestColdRun:
         assert document["status"] == "pass"
         assert document["counts"]["failed"] == 0
         assert document["timing"]["cells_total"] == cold_report.cells_total
-        assert {c["name"] for c in document["checks"]} == set(CHECKS)
+        assert [c["name"] for c in document["checks"]] == UNTIMED
         for check in document["checks"]:
             for m in check["measurements"]:
                 assert isinstance(m["passed"], bool)
@@ -137,6 +147,9 @@ class TestPerturbation:
         assert report.cells_total == 0
         with pytest.raises(ConfigError):
             select_checks(["no_such_check"])
+        # The timed check runs only when named.
+        assert [c.name for c in select_checks()] == UNTIMED
+        assert [c.name for c in select_checks(["perf"])] == ["perf"]
 
 
 class TestScales:
@@ -165,9 +178,31 @@ class TestCli:
         out = capsys.readouterr().out
         for name in CHECKS:
             assert name in out
+        timed = [line for line in out.splitlines() if "timed" in line]
+        assert [line.split()[0] for line in timed] == ["perf"]
 
     def test_bad_perturb_is_usage_error(self, capsys):
         assert gate_main(["--perturb", "nonsense"]) == 2
+
+    def test_perturbed_values_never_become_baselines(self, tmp_path, capsys):
+        """``--perturb`` with ``--update-baselines`` is refused before any
+        check runs, so no perturbed value reaches the baseline file."""
+        baselines = tmp_path / "gate_baseline.json"
+        output = tmp_path / "BENCH_gate.json"
+        args = [
+            "--only",
+            "perf_budget",
+            "--perturb",
+            "hotpath_events_run=1.3",
+            "--update-baselines",
+            "--baselines",
+            str(baselines),
+            "--output",
+            str(output),
+        ]
+        assert gate_main(args) == 2
+        assert "gate error:" in capsys.readouterr().err
+        assert not baselines.exists() and not output.exists()
 
     def test_mutually_exclusive_modes(self):
         with pytest.raises(SystemExit):

@@ -13,10 +13,12 @@ from repro.config import ServerConfig
 from repro.core.target_table import TargetTable
 from repro.policies import TPCPolicy
 from repro.rng import RngFactory
-from repro.sim.arrivals import diurnal_profile, nonhomogeneous_arrival_times
+from repro.sim.arrivals import nonhomogeneous_arrival_times
 from repro.sim.engine import Engine
 from repro.sim.metrics import percentile
 from repro.sim.server import Server
+
+from test_arrivals import diurnal_profile
 
 ADAPTIVE = TargetTable([(0, 25), (3, 30), (6, 40), (10, 60), (16, 65), (28, 70)])
 LOOSE = TargetTable.constant(70.0)

@@ -466,10 +466,24 @@ class TestOverheadScenario:
         assert result["events_traced"] == 3 * 1_500
         assert result["events_per_s"] > 0
 
-    def test_scenario_registered(self):
+    def test_scenario_registered(self, monkeypatch):
+        """The gate's timed perf check judges the observed throughput and
+        records the penalty unjudged."""
+        from dataclasses import replace
+
+        from repro.gate import checks
+        from repro.gate.runner import GateContext
         from repro.perf.scenarios import SCENARIOS
 
-        assert "tracing_overhead" in SCENARIOS
+        spec = replace(SCENARIOS["tracing_overhead"], fast_size=1_500)
+        monkeypatch.setattr(checks, "SCENARIOS", {"tracing_overhead": spec})
+        monkeypatch.setattr(checks, "REPEATS", 1)
+        ctx = GateContext(checks.scale_for_mode("fast"), {})
+        bands = {
+            m.metric: m.band for m in checks.CHECKS["perf"].evaluate(ctx)
+        }
+        assert bands["perf.tracing_overhead.events_per_s"] is not None
+        assert bands["perf.tracing_overhead.penalty_fraction"] is None
 
 
 class TestCli:

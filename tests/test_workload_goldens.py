@@ -7,9 +7,9 @@ the pool predictions, the predictor report, every pool speedup profile,
 the group weights and the calibration scale, so an optimisation of any
 build stage that moves a single float fails here.
 
-The ``tiny`` recipe is the ``repro.perf`` end-to-end workload; ``deep``
-adds deeper trees, full-sample boosting and the feature-noise predict
-path.
+The ``tiny`` recipe is the workload of the ``end_to_end_cell`` scenario
+that ``python -m repro.gate --only perf`` times; ``deep`` adds deeper
+trees, full-sample boosting and the feature-noise predict path.
 """
 
 import hashlib
