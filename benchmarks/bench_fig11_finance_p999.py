@@ -7,6 +7,11 @@ dynamic correction never fires at the paper's operating loads.
 """
 
 from conftest import emit
+from repro.config import (
+    FINANCE_LONG_DEMAND_MULTIPLIER,
+    FINANCE_LONG_FRACTION,
+    FINANCE_SHORT_DEMAND_MS,
+)
 from repro.experiments.report import format_table
 from repro.experiments.scenarios import DEFAULT_RPS_GRID_FINANCE
 
@@ -51,15 +56,16 @@ def test_fig11_finance_p999(benchmark, finance, finance_table,
     )
 
 
-def test_finance_concurrency_matches_paper(benchmark, finance):
+def test_finance_concurrency_matches_paper(benchmark):
     """Paper: 'At 200 RPS, with TPC, there are on average 3.5
     concurrent requests in the system.'  Mean demand 18 ms x 200 RPS
     = 3.6 by Little's law."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    cfg = finance.config
     mean_demand_ms = (
-        (1 - cfg.long_fraction) * cfg.short_demand_ms
-        + cfg.long_fraction * cfg.short_demand_ms * cfg.long_demand_multiplier
+        (1 - FINANCE_LONG_FRACTION) * FINANCE_SHORT_DEMAND_MS
+        + FINANCE_LONG_FRACTION
+        * FINANCE_SHORT_DEMAND_MS
+        * FINANCE_LONG_DEMAND_MULTIPLIER
     )
     concurrency = 200.0 * mean_demand_ms / 1000.0
     assert abs(concurrency - 3.5) < 0.3

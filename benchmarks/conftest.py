@@ -40,7 +40,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import PolicyConfig, ServerConfig
+from repro.config import (
+    FINANCE_MAX_PARALLELISM,
+    FINANCE_PRED_FIXED_DEGREE,
+    PolicyConfig,
+    ServerConfig,
+)
 from repro.exec import CellSpec, WorkloadSpec, log_progress
 from repro.experiments import (
     DEFAULT_FINANCE_TARGET_TABLE,
@@ -117,12 +122,13 @@ def bench_cell(
 def degrees_by_class(result, use_max_degree: bool = True) -> dict:
     """Table 2 split of one cell's degrees, by true demand class.
 
-    Percent of short and of long (true demand > 80 ms) queries run at
-    degree 1-6: the highest degree reached (dynamic correction
-    included), or the initial one with ``use_max_degree=False``.
+    Percent of short and of long (true demand > ``LONG_QUERY_MS``)
+    queries run at degree 1-6: the highest degree reached (dynamic
+    correction included), or the initial one with
+    ``use_max_degree=False``.
     """
     degrees = result.max_degrees if use_max_degree else result.initial_degrees
-    return degree_distribution(result.demands_ms, degrees, 80.0, 6)
+    return degree_distribution(result.demands_ms, degrees, 6)
 
 
 @pytest.fixture(scope="session")
@@ -175,13 +181,13 @@ def main_sweep():
 @pytest.fixture(scope="session")
 def finance_server_config():
     """Finance server: same box, maximum parallelism degree 4."""
-    return ServerConfig(max_parallelism=4)
+    return ServerConfig(max_parallelism=FINANCE_MAX_PARALLELISM)
 
 
 @pytest.fixture(scope="session")
 def finance_policy_config():
     """Pred uses fixed degree 2 on the finance server."""
-    return PolicyConfig(pred_fixed_degree=2)
+    return PolicyConfig(pred_fixed_degree=FINANCE_PRED_FIXED_DEGREE)
 
 
 def emit(name: str, text: str) -> None:

@@ -13,7 +13,14 @@ Run:  python examples/finance_pricing.py
 
 import numpy as np
 
-from repro.config import PolicyConfig, ServerConfig
+from repro.config import (
+    FINANCE_LONG_DEMAND_MULTIPLIER,
+    FINANCE_LONG_FRACTION,
+    FINANCE_MAX_PARALLELISM,
+    FINANCE_PRED_FIXED_DEGREE,
+    PolicyConfig,
+    ServerConfig,
+)
 from repro.exec import CellSpec, WorkloadSpec, memoised_workload, run_cell
 from repro.experiments import DEFAULT_FINANCE_TARGET_TABLE
 from repro.experiments.report import format_table
@@ -43,15 +50,13 @@ def price_some_options() -> None:
 def compare_policies() -> None:
     wspec = WorkloadSpec.finance()
     workload = memoised_workload(wspec)
-    server_cfg = ServerConfig(max_parallelism=workload.config.max_parallelism)
-    policy_cfg = PolicyConfig(
-        pred_fixed_degree=workload.config.pred_fixed_degree
-    )
+    server_cfg = ServerConfig(max_parallelism=FINANCE_MAX_PARALLELISM)
+    policy_cfg = PolicyConfig(pred_fixed_degree=FINANCE_PRED_FIXED_DEGREE)
     print(
-        f"Workload: {100 * workload.config.long_fraction:.0f}% long requests "
-        f"at {workload.config.long_demand_multiplier:g}x demand "
+        f"Workload: {100 * FINANCE_LONG_FRACTION:.0f}% long requests "
+        f"at {FINANCE_LONG_DEMAND_MULTIPLIER:g}x demand "
         f"({workload.long_paths} vs {workload.short_paths} paths); "
-        f"max degree {workload.config.max_parallelism}."
+        f"max degree {FINANCE_MAX_PARALLELISM}."
     )
 
     rows = []

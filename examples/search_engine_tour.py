@@ -12,7 +12,7 @@ Run:  python examples/search_engine_tour.py
 
 import numpy as np
 
-from repro.config import SearchWorkloadConfig
+from repro.config import LONG_QUERY_MS, SearchWorkloadConfig
 from repro.prediction.features import QUERY_FEATURE_NAMES, query_features
 from repro.rng import RngFactory
 from repro.search import (
@@ -44,7 +44,7 @@ def main() -> None:
     )
 
     print("\n3. Real query execution (matching + BM25 top-k)")
-    engine = SearchEngine(index, config)
+    engine = SearchEngine(index)
     generator = QueryGenerator(config, rngs.get("queries"))
     easy, hard = None, None
     for query in generator.generate(200):
@@ -92,7 +92,7 @@ def main() -> None:
     print("\n6. The misprediction that motivates dynamic correction")
     requests = workload.make_requests(5_000, rngs.get("trace"))
     worst = max(
-        (r for r in requests if r.predicted_ms <= 80.0),
+        (r for r in requests if r.predicted_ms <= LONG_QUERY_MS),
         key=lambda r: r.demand_ms,
     )
     print(

@@ -39,7 +39,6 @@ True
 from ._version import __version__
 from .config import (
     ClusterConfig,
-    FinanceConfig,
     PolicyConfig,
     PredictorConfig,
     SearchWorkloadConfig,
@@ -85,7 +84,6 @@ __all__ = [
     "PolicyConfig",
     "TargetTableConfig",
     "ClusterConfig",
-    "FinanceConfig",
     # core
     "SpeedupProfile",
     "SpeedupBook",

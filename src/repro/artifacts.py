@@ -20,10 +20,15 @@ __all__ = ["git_sha", "environment", "artifact_header", "write_json"]
 
 
 def git_sha() -> str:
-    """The current commit hash, or ``"unknown"`` outside a checkout."""
+    """The commit of the checkout this code was imported from.
+
+    Git runs in this file's directory, not the working directory;
+    ``"unknown"`` outside a git checkout.
+    """
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
+            cwd=Path(__file__).resolve().parent,
             capture_output=True,
             text=True,
             timeout=10,

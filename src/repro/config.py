@@ -1,10 +1,12 @@
-"""Frozen configuration objects for every subsystem.
+"""Frozen configuration objects and the model's fixed constants.
 
-All knobs live here so experiments are declared, not hard-coded.  The
-defaults reproduce the paper's setup: a 24-hardware-thread ISN with 28
-worker threads, a maximum intra-query parallelism degree of 6 (4 for the
-finance server), an 80 ms "long query" threshold, and the three
-parallelism-efficiency groups of Figure 2 (<30 ms, 30-80 ms, >80 ms).
+A parameter is a dataclass field only when some caller sets it; the
+paper's fixed numbers are upper-case constants, which cache keys hash
+(:func:`constants`).  The defaults reproduce the paper's setup: a
+24-hardware-thread ISN with 28 worker threads, a maximum intra-query
+parallelism degree of 6 (4 for the finance server), an 80 ms "long
+query" threshold, and the three parallelism-efficiency groups of
+Figure 2 (<30 ms, 30-80 ms, >80 ms).
 """
 
 from __future__ import annotations
@@ -22,15 +24,31 @@ __all__ = [
     "PolicyConfig",
     "TargetTableConfig",
     "ClusterConfig",
-    "FinanceConfig",
     "DEFAULT_GROUP_BOUNDS_MS",
+    "LONG_QUERY_MS",
+    "SHORT_QUERY_MS",
+    "constants",
 ]
 
+#: The long-query threshold (ms) of Sections 2 and 4.6, read by Pred, the
+#: LongT load metric, predictor precision/recall and demand statistics.
+LONG_QUERY_MS = 80.0
+
+#: The short-query threshold (ms) of Section 2's statistics ("more than
+#: 85 % of queries under 15 ms").
+SHORT_QUERY_MS = 15.0
+
 #: Group boundaries of Figure 2: short (<30 ms), mid (30-80 ms), long (>80 ms).
-DEFAULT_GROUP_BOUNDS_MS: tuple[float, ...] = (30.0, 80.0)
+DEFAULT_GROUP_BOUNDS_MS: tuple[float, ...] = (30.0, LONG_QUERY_MS)
 
 #: Spare-capacity signals TPC's correction may ramp into (Section 3.2).
 CORRECTION_RESOURCE_SIGNALS: tuple[str, ...] = ("idle_workers", "idle_hardware")
+
+#: Sampling period (ms) of the CPU-utilisation performance counter
+#: (Section 4.6 uses 25 ms via Windows PDH).
+CPU_SAMPLE_INTERVAL_MS = 25.0
+#: Exponential-moving-average weight of a new CPU utilisation sample.
+CPU_EMA_ALPHA = 0.5
 
 
 @dataclass(frozen=True)
@@ -55,11 +73,6 @@ class ServerConfig:
     #: Extra sequential work (ms) charged each time a request's degree is
     #: raised mid-flight, modelling task re-partitioning/synchronisation.
     rampup_penalty_ms: float = 0.5
-    #: Sampling period (ms) of the CPU-utilisation performance counter
-    #: (Section 4.6 uses 25 ms via Windows PDH).
-    cpu_sample_interval_ms: float = 25.0
-    #: Exponential-moving-average weight of a new CPU utilisation sample.
-    cpu_ema_alpha: float = 0.5
 
     def __post_init__(self) -> None:
         if self.hardware_threads < 1:
@@ -79,13 +92,6 @@ class ServerConfig:
             value = getattr(self, name)
             if not 0 <= value < math.inf:
                 raise ConfigError(f"{name} must be finite and >= 0, got {value}")
-        if not 0 < self.cpu_sample_interval_ms < math.inf:
-            raise ConfigError(
-                f"cpu_sample_interval_ms must be finite and > 0, got "
-                f"{self.cpu_sample_interval_ms}"
-            )
-        if not 0 < self.cpu_ema_alpha <= 1:
-            raise ConfigError("cpu_ema_alpha must be in (0, 1]")
 
     def total_throughput(self, active_threads: int) -> float:
         """Aggregate execution rate (core-equivalents) of ``active_threads``.
@@ -105,6 +111,29 @@ class ServerConfig:
         return self.total_throughput(self.hardware_threads)
 
 
+#: Zipf exponent of the term-frequency distribution.
+ZIPF_EXPONENT = 1.1
+#: Keyword-count range of the hard mixture (inclusive).
+HARD_KEYWORDS: tuple[int, int] = (4, 12)
+#: Easy queries sample the ranks past ``easy_skip_top`` with this
+#: exponent.
+QUERY_ZIPF_EXPONENT = 0.8
+#: Serial work per query (parsing + top-k rescoring), in work units.
+SERIAL_WORK_UNITS = 900.0
+#: Per-task dispatch overhead, in work units.
+TASK_OVERHEAD_UNITS = 30.0
+#: Scoring cost per (matched document, term) hit, relative to a
+#: traversal cost of 1 per posting entry.
+SCORE_COST_PER_HIT = 4.0
+#: Lognormal sigma of per-request demand jitter (same query replayed
+#: twice does not take exactly the same time on a real server).
+EXECUTION_NOISE_SIGMA = 0.08
+#: Top-k results returned per query.
+TOP_K = 10
+#: Calibration target from Section 2 of the paper: mean demand (ms).
+TARGET_MEAN_MS = 13.47
+
+
 @dataclass(frozen=True)
 class SearchWorkloadConfig:
     """Synthetic web-search corpus, index and query-mix parameters.
@@ -117,23 +146,19 @@ class SearchWorkloadConfig:
 
     num_documents: int = 24_000
     vocabulary_size: int = 6_000
-    #: Zipf exponent of the term-frequency distribution.
-    zipf_exponent: float = 1.1
     #: Mean document length in tokens (lognormal).
     mean_doc_length: int = 180
     doc_length_sigma: float = 0.4
     #: Probability that a generated query is a "hard" query drawn from
     #: the long-query mixture (many keywords over popular terms).
     hard_query_fraction: float = 0.06
-    #: Keyword-count ranges of the easy and hard mixtures (inclusive).
+    #: Keyword-count range of the easy mixture (inclusive).
     easy_keywords: tuple[int, int] = (1, 4)
-    hard_keywords: tuple[int, int] = (4, 12)
     #: Number of most-popular vocabulary ranks hard queries draw from.
     hard_term_pool: int = 300
     #: Easy queries skip this many top ranks (users rarely search bare
-    #: stopwords) and sample the remaining ranks with this exponent.
+    #: stopwords).
     easy_skip_top: int = 30
-    query_zipf_exponent: float = 0.8
     #: Lognormal sigma of the hidden per-query ranking-cost factor:
     #: second-phase ranking work that index statistics cannot see.
     #: This is the structural source of prediction error (Section 2.5).
@@ -144,33 +169,17 @@ class SearchWorkloadConfig:
     #: predicted-short queries that dominate the 99.9th percentile.
     surprise_fraction: float = 0.09
     surprise_sigma: float = 1.5
-    #: Serial work per query (parsing + top-k rescoring), in work units.
-    serial_work_units: float = 900.0
     #: Size of one parallel task in work units (task-pool granularity).
     task_grain_units: float = 600.0
-    #: Per-task dispatch overhead, in work units.
-    task_overhead_units: float = 30.0
-    #: Scoring cost per (matched document, term) hit, relative to a
-    #: traversal cost of 1 per posting entry.
-    score_cost_per_hit: float = 4.0
-    #: Lognormal sigma of per-request demand jitter (same query replayed
-    #: twice does not take exactly the same time on a real server).
-    execution_noise_sigma: float = 0.08
-    #: Top-k results returned per query.
-    top_k: int = 10
-    #: Calibration targets from Section 2 of the paper.
-    target_mean_ms: float = 13.47
-    target_short_fraction: float = 0.85
-    target_short_threshold_ms: float = 15.0
 
     def __post_init__(self) -> None:
         if self.num_documents < 1 or self.vocabulary_size < 2:
             raise ConfigError("corpus dimensions must be positive")
         if not 0 <= self.hard_query_fraction <= 1:
             raise ConfigError("hard_query_fraction must be in [0, 1]")
-        for lo, hi in (self.easy_keywords, self.hard_keywords):
-            if not 1 <= lo <= hi:
-                raise ConfigError("keyword ranges must satisfy 1 <= lo <= hi")
+        lo, hi = self.easy_keywords
+        if not 1 <= lo <= hi:
+            raise ConfigError("easy_keywords must satisfy 1 <= lo <= hi")
         # The query generator samples keywords without replacement, so
         # each mixture needs at least as many drawable terms as its
         # longest query. A hard pool above the vocabulary is clipped.
@@ -182,9 +191,6 @@ class SearchWorkloadConfig:
             )
         if self.hard_term_pool < 1:
             raise ConfigError("hard_term_pool must be >= 1")
-        for name in ("zipf_exponent", "query_zipf_exponent"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and > 0")
         if self.mean_doc_length < 1:
             raise ConfigError("mean_doc_length must be >= 1")
         for name in ("doc_length_sigma", "hidden_cost_sigma", "surprise_sigma"):
@@ -196,23 +202,31 @@ class SearchWorkloadConfig:
             raise ConfigError("task_grain_units must be > 0")
 
 
+#: Boosted-tree shrinkage: each tree contributes this share of its fit.
+LEARNING_RATE = 0.1
+#: Fewest training rows a regression-tree leaf may hold.
+MIN_SAMPLES_LEAF = 8
+#: AP cost model: weight of the delay a query's extra threads impose
+#: on queued queries (calibrated so degrees match Table 2's bands:
+#: 3-6T at 150 QPS collapsing to 1-2T at 600 QPS).
+AP_INTERFERENCE_WEIGHT = 0.25
+#: TPC: how often (ms) dynamic correction re-checks an over-target
+#: request that could not yet be ramped to the maximum degree.
+CORRECTION_RECHECK_MS = 5.0
+
+
 @dataclass(frozen=True)
 class PredictorConfig:
     """Gradient-boosted-tree execution-time predictor hyperparameters.
 
     Matches the operating point of the predictor of [21] as reported in
     Section 2.5: L1 error near 14 ms with recall ~0.86 and precision
-    ~0.91 for the 80 ms long-query threshold.
+    ~0.91 for the ``LONG_QUERY_MS`` threshold.
     """
 
     num_trees: int = 300
-    learning_rate: float = 0.1
     max_depth: int = 5
-    min_samples_leaf: int = 8
     subsample: float = 0.8
-    #: The long-query classification threshold (ms) used for
-    #: precision/recall reporting and by the Pred policy.
-    long_threshold_ms: float = 80.0
     #: Optional lognormal noise applied to features at prediction time,
     #: to degrade accuracy toward a desired operating point.
     feature_noise_sigma: float = 0.0
@@ -220,8 +234,6 @@ class PredictorConfig:
     def __post_init__(self) -> None:
         if self.num_trees < 1:
             raise ConfigError("num_trees must be >= 1")
-        if not 0 < self.learning_rate <= 1:
-            raise ConfigError("learning_rate must be in (0, 1]")
         if self.max_depth < 1:
             raise ConfigError("max_depth must be >= 1")
         if not 0 < self.subsample <= 1:
@@ -232,8 +244,6 @@ class PredictorConfig:
 class PolicyConfig:
     """Shared knobs of the parallelism policies of Table 1."""
 
-    #: Long-query threshold (ms) — Pred parallelizes above this.
-    long_threshold_ms: float = 80.0
     #: Fixed degree Pred assigns to predicted-long queries (paper: 3 for
     #: web search, 2 for finance).
     pred_fixed_degree: int = 3
@@ -241,13 +251,6 @@ class PolicyConfig:
     rampup_interval_ms: float = 10.0
     #: WQ-Linear: degree = clamp(max_parallelism / (1 + queue/beta)).
     wq_linear_beta: float = 1.0
-    #: AP cost model: weight of the delay a query's extra threads impose
-    #: on queued queries (calibrated so degrees match Table 2's bands:
-    #: 3-6T at 150 QPS collapsing to 1-2T at 600 QPS).
-    ap_interference_weight: float = 0.25
-    #: TPC: how often (ms) dynamic correction re-checks an over-target
-    #: request that could not yet be ramped to the maximum degree.
-    correction_recheck_ms: float = 5.0
     #: TPC: correction fires after ``factor * E`` of execution (paper: 1).
     correction_delay_factor: float = 1.0
     #: TPC: spare capacity a correction may use — ``"idle_workers"`` (the
@@ -255,16 +258,12 @@ class PolicyConfig:
     correction_resource_signal: str = "idle_workers"
 
     def __post_init__(self) -> None:
-        if self.long_threshold_ms <= 0:
-            raise ConfigError("long_threshold_ms must be > 0")
         if self.pred_fixed_degree < 1:
             raise ConfigError("pred_fixed_degree must be >= 1")
         if self.rampup_interval_ms <= 0:
             raise ConfigError("rampup_interval_ms must be > 0")
         if self.wq_linear_beta <= 0:
             raise ConfigError("wq_linear_beta must be > 0")
-        if self.correction_recheck_ms <= 0:
-            raise ConfigError("correction_recheck_ms must be > 0")
         if not 0 < self.correction_delay_factor < math.inf:
             raise ConfigError(
                 f"correction_delay_factor must be finite and > 0, got "
@@ -359,45 +358,38 @@ class ClusterConfig:
             )
 
 
-@dataclass(frozen=True)
-class FinanceConfig:
-    """Option-pricing server workload of Section 5.1.
-
-    10 % of requests are long with a service demand 9x that of a short
-    request; the maximum parallelism degree is 4; request execution time
-    is estimated near-perfectly from the iteration structure.
-    """
-
-    long_fraction: float = 0.10
-    #: With 10 ms short requests and 10 % long at 9x, 200 RPS carries
-    #: 3.6 concurrent requests on average — the paper reports 3.5.
-    short_demand_ms: float = 10.0
-    long_demand_multiplier: float = 9.0
-    max_parallelism: int = 4
-    #: Serial fraction of the fork-join Monte Carlo loop.
-    serial_fraction: float = 0.03
-    #: Per-extra-thread synchronisation loss in the speedup model.
-    sync_loss_per_thread: float = 0.01
-    #: Fork-join cost per extra thread per averaging iteration (ms):
-    #: the loop forks d tasks and joins them every iteration, which is
-    #: why parallelizing *short* requests wastes disproportionate CPU.
-    join_overhead_ms: float = 0.006
-    #: Relative sigma of the (near-perfect) structural time estimate.
-    prediction_noise: float = 0.01
-    #: Relative sigma of actual demand around the structural model.
-    demand_noise: float = 0.02
-    #: Fixed degree used by the Pred baseline (paper: 2).
-    pred_fixed_degree: int = 2
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.long_fraction <= 1:
-            raise ConfigError("long_fraction must be in [0, 1]")
-        if self.short_demand_ms <= 0 or self.long_demand_multiplier <= 1:
-            raise ConfigError("demands must be positive and long > short")
-        if self.max_parallelism < 1:
-            raise ConfigError("max_parallelism must be >= 1")
-        if not 0 <= self.serial_fraction < 1:
-            raise ConfigError("serial_fraction must be in [0, 1)")
+# The finance server of Section 5.1: 10 % of requests are long with a
+# service demand 9x that of a short request; the maximum parallelism
+# degree is 4; request execution time is estimated near-perfectly from
+# the iteration structure.
+FINANCE_LONG_FRACTION = 0.10
+#: With 10 ms short requests and 10 % long at 9x, 200 RPS carries
+#: 3.6 concurrent requests on average — the paper reports 3.5.
+FINANCE_SHORT_DEMAND_MS = 10.0
+FINANCE_LONG_DEMAND_MULTIPLIER = 9.0
+FINANCE_MAX_PARALLELISM = 4
+#: Serial fraction of the fork-join Monte Carlo loop.
+FINANCE_SERIAL_FRACTION = 0.03
+#: Per-extra-thread synchronisation loss in the speedup model.
+FINANCE_SYNC_LOSS_PER_THREAD = 0.01
+#: Fork-join cost per extra thread per averaging iteration (ms):
+#: the loop forks d tasks and joins them every iteration, which is
+#: why parallelizing *short* requests wastes disproportionate CPU.
+FINANCE_JOIN_OVERHEAD_MS = 0.006
+#: Relative sigma of the (near-perfect) structural time estimate.
+FINANCE_PREDICTION_NOISE = 0.01
+#: Relative sigma of actual demand around the structural model.
+FINANCE_DEMAND_NOISE = 0.02
+#: Fixed degree used by the Pred baseline (paper: 2).
+FINANCE_PRED_FIXED_DEGREE = 2
+#: Fixed structural-cost constant: milliseconds per path-step update.
+#: (A deployment would measure this once with
+#: ``MonteCarloPricer.calibrate_ms_per_path_step``; experiments pin it
+#: so results do not depend on host speed.)
+MS_PER_PATH_STEP = 5.0e-5
+#: Path-steps per request are chosen so a short request costs
+#: ``FINANCE_SHORT_DEMAND_MS``: with 100 averaging steps, 10 ms = 2000 paths.
+AVERAGING_STEPS = 100
 
 
 def validate_group_bounds(bounds: Sequence[float]) -> tuple[float, ...]:
@@ -408,3 +400,14 @@ def validate_group_bounds(bounds: Sequence[float]) -> tuple[float, ...]:
     if any(b <= 0 for b in result):
         raise ConfigError(f"group bounds must be positive: {result}")
     return result
+
+
+def constants() -> dict[str, object]:
+    """Every upper-case constant of this module by name (cache keys hash it)."""
+    return {name: globals()[name] for name in _CONSTANT_NAMES}
+
+
+#: Collected once at import: a new constant is hashed with no list to edit.
+_CONSTANT_NAMES = tuple(
+    sorted(name for name in globals() if name.isupper() and name[0] != "_")
+)

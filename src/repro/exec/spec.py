@@ -31,11 +31,11 @@ import numpy as np
 
 from ..config import (
     ClusterConfig,
-    FinanceConfig,
     PolicyConfig,
     PredictorConfig,
     SearchWorkloadConfig,
     ServerConfig,
+    constants,
 )
 from ..core.target_table import TargetTable
 from ..errors import ConfigError
@@ -83,9 +83,18 @@ def _canonical(obj: Any) -> Any:
 
 
 def spec_hash(obj: Any) -> str:
-    """Stable content hash of any spec object (hex, 16 bytes)."""
+    """Stable content hash of any spec object (hex, 16 bytes).
+
+    The :mod:`repro.config` constants are hashed too: they parameterise
+    every cell exactly as the config fields do.
+    """
+    fixed = {name: _canonical(value) for name, value in constants().items()}
     payload = json.dumps(
-        {"schema": SPEC_SCHEMA_VERSION, "value": _canonical(obj)},
+        {
+            "schema": SPEC_SCHEMA_VERSION,
+            "constants": fixed,
+            "value": _canonical(obj),
+        },
         sort_keys=True,
         separators=(",", ":"),
     )
@@ -98,7 +107,8 @@ class WorkloadSpec:
 
     ``kind`` selects the builder: ``"search"`` runs the full offline
     search pipeline (corpus, index, calibration, predictor), and
-    ``"finance"`` assembles the Section 5.1 option-pricing workload.
+    ``"finance"`` assembles the Section 5.1 option-pricing workload,
+    whose parameters are all :mod:`repro.config` constants.
     Builds are deterministic, so every process that evaluates the same
     spec holds an identical workload.
     """
@@ -108,7 +118,6 @@ class WorkloadSpec:
     pool_size: int = 12_000
     search_config: SearchWorkloadConfig | None = None
     predictor_config: PredictorConfig | None = None
-    finance_config: FinanceConfig | None = None
     max_degree: int = 6
     group_bounds_ms: tuple[float, ...] | None = None
     #: Allow the builder's own on-disk intermediate cache (npz pools).
@@ -124,8 +133,6 @@ class WorkloadSpec:
                 object.__setattr__(self, "search_config", SearchWorkloadConfig())
             if self.predictor_config is None:
                 object.__setattr__(self, "predictor_config", PredictorConfig())
-        elif self.finance_config is None:
-            object.__setattr__(self, "finance_config", FinanceConfig())
 
     @classmethod
     def search(
@@ -151,9 +158,9 @@ class WorkloadSpec:
         )
 
     @classmethod
-    def finance(cls, config: FinanceConfig | None = None) -> "WorkloadSpec":
-        """Spec of the finance workload (deterministic given config)."""
-        return cls(kind="finance", finance_config=config)
+    def finance(cls) -> "WorkloadSpec":
+        """Spec of the finance workload (deterministic)."""
+        return cls(kind="finance")
 
     @classmethod
     def from_workload(cls, workload: object) -> "WorkloadSpec | None":
@@ -167,7 +174,7 @@ class WorkloadSpec:
         from ..search.workload import SearchWorkload
 
         if isinstance(workload, FinanceWorkload):
-            return cls.finance(workload.config)
+            return cls.finance()
         if isinstance(workload, SearchWorkload):
             prov = workload.provenance
             if prov is None:
@@ -188,7 +195,7 @@ class WorkloadSpec:
         if self.kind == "finance":
             from ..finance.workload import build_finance_workload
 
-            return build_finance_workload(self.finance_config)
+            return build_finance_workload()
         from ..search.workload import build_search_workload
 
         return build_search_workload(

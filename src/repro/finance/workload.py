@@ -20,27 +20,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import FinanceConfig
+from ..config import (
+    AVERAGING_STEPS,
+    FINANCE_DEMAND_NOISE,
+    FINANCE_JOIN_OVERHEAD_MS,
+    FINANCE_LONG_DEMAND_MULTIPLIER,
+    FINANCE_LONG_FRACTION,
+    FINANCE_MAX_PARALLELISM,
+    FINANCE_PREDICTION_NOISE,
+    FINANCE_SERIAL_FRACTION,
+    FINANCE_SHORT_DEMAND_MS,
+    FINANCE_SYNC_LOSS_PER_THREAD,
+    MS_PER_PATH_STEP,
+)
 from ..core.speedup import SpeedupBook, SpeedupProfile
 from ..errors import WorkloadError
 from ..sim.request import Request
 
 __all__ = ["FinanceWorkload", "build_finance_workload", "finance_profile"]
 
-#: Fixed structural-cost constant: milliseconds per path-step update.
-#: (A deployment would measure this once with
-#: ``MonteCarloPricer.calibrate_ms_per_path_step``; experiments pin it
-#: so results do not depend on host speed.)
-MS_PER_PATH_STEP = 5.0e-5
 
-#: Path-steps per request are chosen so a short request costs
-#: ``short_demand_ms``: with 100 averaging steps, 10 ms = 2000 paths.
-AVERAGING_STEPS = 100
-
-
-def finance_profile(
-    demand_ms: float, config: FinanceConfig, n_steps: int = AVERAGING_STEPS
-) -> SpeedupProfile:
+def finance_profile(demand_ms: float) -> SpeedupProfile:
     """Speedup profile of a fork-join Monte Carlo request.
 
     ``T_d = f*L + (1-f)*L/d + c*(d-1)*L/d^2-ish`` would be one choice;
@@ -51,16 +51,16 @@ def finance_profile(
     same iteration count) parallelize visibly worse — the reason AP's
     parallelize-everything strategy wastes CPU on this server.
     """
-    f = config.serial_fraction
+    f = FINANCE_SERIAL_FRACTION
     speedups = [1.0]
-    for d in range(2, config.max_parallelism + 1):
+    for d in range(2, FINANCE_MAX_PARALLELISM + 1):
         t_d = (
             f * demand_ms
             + (1.0 - f)
             * demand_ms
             / d
-            * (1.0 + config.sync_loss_per_thread * (d - 1))
-            + n_steps * config.join_overhead_ms * (d - 1)
+            * (1.0 + FINANCE_SYNC_LOSS_PER_THREAD * (d - 1))
+            + AVERAGING_STEPS * FINANCE_JOIN_OVERHEAD_MS * (d - 1)
         )
         speedups.append(max(demand_ms / t_d, speedups[-1]))
     return SpeedupProfile(speedups)
@@ -70,7 +70,6 @@ def finance_profile(
 class FinanceWorkload:
     """Bimodal option-pricing request generator."""
 
-    config: FinanceConfig
     speedup_book: SpeedupBook
     group_weights: tuple[float, ...]
     short_profile: SpeedupProfile
@@ -80,16 +79,13 @@ class FinanceWorkload:
     def short_paths(self) -> int:
         """Monte Carlo paths of a short request."""
         return int(
-            round(
-                self.config.short_demand_ms
-                / (MS_PER_PATH_STEP * AVERAGING_STEPS)
-            )
+            round(FINANCE_SHORT_DEMAND_MS / (MS_PER_PATH_STEP * AVERAGING_STEPS))
         )
 
     @property
     def long_paths(self) -> int:
         """Monte Carlo paths of a long request."""
-        return int(round(self.short_paths * self.config.long_demand_multiplier))
+        return int(round(self.short_paths * FINANCE_LONG_DEMAND_MULTIPLIER))
 
     def structural_time_ms(self, n_paths: int) -> float:
         """The structural estimate: cost is linear in paths x steps."""
@@ -103,40 +99,31 @@ class FinanceWorkload:
         oracle_sigma: float = 0.0,
         rid_offset: int = 0,
     ) -> list[Request]:
-        """Sample ``n`` requests (10 % long by default).
+        """Sample ``n`` requests (10 % long).
 
         ``prediction="model"`` uses the structural estimate perturbed
-        by the (tiny) configured estimation noise; ``"perfect"`` uses
+        by the (tiny) fixed estimation noise; ``"perfect"`` uses
         the true demand; ``"oracle"`` applies ``oracle_sigma`` noise.
         """
         if n < 1:
             raise WorkloadError(f"n must be >= 1, got {n}")
         if prediction not in ("model", "perfect", "oracle"):
             raise WorkloadError(f"unknown prediction mode {prediction!r}")
-        cfg = self.config
-        is_long = rng.random(n) < cfg.long_fraction
+        is_long = rng.random(n) < FINANCE_LONG_FRACTION
         structural = np.where(
             is_long,
             self.structural_time_ms(self.long_paths),
             self.structural_time_ms(self.short_paths),
         )
-        demand_noise = (
-            rng.lognormal(0.0, cfg.demand_noise, size=n)
-            if cfg.demand_noise > 0
-            else np.ones(n)
-        )
-        demands = structural * demand_noise
+        demands = structural * rng.lognormal(0.0, FINANCE_DEMAND_NOISE, size=n)
         if prediction == "perfect":
             predictions = demands.copy()
         elif prediction == "oracle":
             predictions = demands * rng.lognormal(0.0, oracle_sigma, size=n)
         else:
-            pred_noise = (
-                rng.lognormal(0.0, cfg.prediction_noise, size=n)
-                if cfg.prediction_noise > 0
-                else np.ones(n)
+            predictions = structural * rng.lognormal(
+                0.0, FINANCE_PREDICTION_NOISE, size=n
             )
-            predictions = structural * pred_noise
         short, long_ = self.short_profile, self.long_profile
         return [
             Request(rid, demand, predicted, long_ if flag else short)
@@ -149,27 +136,23 @@ class FinanceWorkload:
         ]
 
 
-def build_finance_workload(
-    config: FinanceConfig | None = None,
-) -> FinanceWorkload:
+def build_finance_workload() -> FinanceWorkload:
     """Assemble the Section 5.1 workload.
 
     Short and long requests get distinct speedup profiles from the
     fork-join mechanism: the serial fraction and per-iteration join
     cost weigh proportionally more on short requests.
     """
-    cfg = config if config is not None else FinanceConfig()
-    short_ms = cfg.short_demand_ms
-    long_ms = short_ms * cfg.long_demand_multiplier
-    short_profile = finance_profile(short_ms, cfg)
-    long_profile = finance_profile(long_ms, cfg)
-    mid_profile = finance_profile((short_ms + long_ms) / 2.0, cfg)
+    short_ms = FINANCE_SHORT_DEMAND_MS
+    long_ms = short_ms * FINANCE_LONG_DEMAND_MULTIPLIER
+    short_profile = finance_profile(short_ms)
+    long_profile = finance_profile(long_ms)
+    mid_profile = finance_profile((short_ms + long_ms) / 2.0)
     book = SpeedupBook([short_profile, mid_profile, long_profile])
     weights = [0.0, 0.0, 0.0]
-    weights[book.group_of(short_ms)] += 1.0 - cfg.long_fraction
-    weights[book.group_of(long_ms)] += cfg.long_fraction
+    weights[book.group_of(short_ms)] += 1.0 - FINANCE_LONG_FRACTION
+    weights[book.group_of(long_ms)] += FINANCE_LONG_FRACTION
     return FinanceWorkload(
-        config=cfg,
         speedup_book=book,
         group_weights=tuple(weights),
         short_profile=short_profile,

@@ -293,7 +293,6 @@ class ScenarioSpec:
     """One registered benchmark scenario."""
 
     name: str
-    description: str
     runner: Callable[[int, int], Mapping[str, float]]
     fast_size: int
     full_size: int
@@ -309,28 +308,24 @@ SCENARIOS: dict[str, ScenarioSpec] = {
     for spec in (
         ScenarioSpec(
             name="engine_only",
-            description="schedule/cancel storm on a bare Engine",
             runner=run_engine_only,
             fast_size=30_000,
             full_size=120_000,
         ),
         ScenarioSpec(
             name="server_under_load",
-            description="gate hot-path benchmark (AP policy, 500 qps)",
             runner=run_server_under_load,
             fast_size=6_000,
             full_size=20_000,
         ),
         ScenarioSpec(
             name="tracing_overhead",
-            description="observed vs bare hot path (obs-layer penalty)",
             runner=run_tracing_overhead,
             fast_size=6_000,
             full_size=20_000,
         ),
         ScenarioSpec(
             name="end_to_end_cell",
-            description="one cold run_cell over a tiny search workload",
             runner=run_end_to_end_cell,
             fast_size=300,
             full_size=1_000,

@@ -16,16 +16,18 @@ For a candidate degree ``i`` with average speedup profile ``S̄`` and
 
 The first factor is this query's own completion time; the second
 charges the thread-time ``i * L̄/S̄(i)`` it withholds from the ``n``
-other queries across ``C`` hardware threads, weighted by ``w``.  The
-degree minimising the cost is selected.  With ``n = 0`` this reduces to
-"use the degree with the best average speedup"; with large ``n`` it
-reduces to sequential execution — matching the published behaviour.
+other queries across ``C`` hardware threads, weighted by ``w``
+(``AP_INTERFERENCE_WEIGHT``).  The degree minimising the cost is
+selected.  With ``n = 0`` this reduces to "use the degree with the best
+average speedup"; with large ``n`` it reduces to sequential execution —
+matching the published behaviour.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
+from ..config import AP_INTERFERENCE_WEIGHT
 from ..core.speedup import SpeedupBook, SpeedupProfile
 from ..errors import ConfigError
 from .base import ParallelismPolicy
@@ -70,15 +72,8 @@ class AdaptiveParallelismPolicy(ParallelismPolicy):
 
     name = "AP"
 
-    def __init__(
-        self,
-        avg_profile: SpeedupProfile,
-        interference_weight: float = 1.0,
-    ) -> None:
-        if interference_weight < 0:
-            raise ConfigError("interference_weight must be >= 0")
+    def __init__(self, avg_profile: SpeedupProfile) -> None:
         self.avg_profile = avg_profile
-        self.interference_weight = float(interference_weight)
         #: Hot-path cache: ``1 / S(d)`` is a constant of the profile,
         #: so it is divided once here instead of once per dispatch.
         self._inverse_speedups = tuple(
@@ -92,7 +87,7 @@ class AdaptiveParallelismPolicy(ParallelismPolicy):
         max_degree = min(server.config.max_parallelism, self.avg_profile.max_degree)
         best_degree = 1
         best_cost = float("inf")
-        weighted_n = self.interference_weight * n
+        weighted_n = AP_INTERFERENCE_WEIGHT * n
         inverse = self._inverse_speedups
         for degree in range(1, max_degree + 1):
             interference = 1.0 + weighted_n * degree / cores

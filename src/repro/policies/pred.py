@@ -2,7 +2,7 @@
 
 Pred predicts each query's execution time with the boosted-tree
 regressor and parallelizes queries predicted to exceed the long-query
-threshold (80 ms for web search) using a *fixed* degree — 3 for web
+threshold (``LONG_QUERY_MS``, 80 ms) using a *fixed* degree — 3 for web
 search, 2 for finance, per the reported guidelines.  All other queries
 run sequentially.  Pred uses no system-load information, which is why
 it over-commits at light load (it could afford more parallelism) and
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from ..config import LONG_QUERY_MS
 from ..errors import ConfigError
 from .base import ParallelismPolicy
 
@@ -28,20 +29,15 @@ class PredPolicy(ParallelismPolicy):
 
     name = "Pred"
 
-    def __init__(
-        self, long_threshold_ms: float = 80.0, fixed_degree: int = 3
-    ) -> None:
-        if long_threshold_ms <= 0:
-            raise ConfigError("long_threshold_ms must be > 0")
+    def __init__(self, fixed_degree: int = 3) -> None:
         if fixed_degree < 1:
             raise ConfigError("fixed_degree must be >= 1")
-        self.long_threshold_ms = float(long_threshold_ms)
         self.fixed_degree = int(fixed_degree)
 
     def initial_degree(self, request: "Request", server: "Server") -> int:
         degree = (
             self.fixed_degree
-            if request.predicted_ms > self.long_threshold_ms
+            if request.predicted_ms > LONG_QUERY_MS
             else 1
         )
         observer = self.observer

@@ -86,12 +86,12 @@ def make_policy(
     if name == "Sequential":
         return SequentialPolicy()
     if name == "Pred":
-        return PredPolicy(cfg.long_threshold_ms, cfg.pred_fixed_degree)
+        return PredPolicy(cfg.pred_fixed_degree)
     if name == "WQ-Linear":
         return WQLinearPolicy(cfg.wq_linear_beta)
     if name == "AP":
         avg = average_profile(speedup_book, list(group_weights))
-        return AdaptiveParallelismPolicy(avg, cfg.ap_interference_weight)
+        return AdaptiveParallelismPolicy(avg)
     if name == "RampUp":
         return RampUpPolicy(cfg.rampup_interval_ms)
     if name == "RampUp-Adaptive":
@@ -105,7 +105,6 @@ def make_policy(
             target_table,
             speedup_book,
             load_metric,
-            correction_recheck_ms=cfg.correction_recheck_ms,
             correction_delay_factor=cfg.correction_delay_factor,
             resource_signal=cfg.correction_resource_signal,
         )

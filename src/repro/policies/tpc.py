@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from ..config import CORRECTION_RESOURCE_SIGNALS
+from ..config import CORRECTION_RECHECK_MS, CORRECTION_RESOURCE_SIGNALS
 from ..core.correction import CorrectionController
 from ..core.speedup import SpeedupBook
 from ..core.target_table import TargetTable
@@ -33,10 +33,10 @@ __all__ = ["TPCPolicy"]
 class TPCPolicy(TPPolicy):
     """Predictive parallelism plus dynamic correction (the full TPC).
 
-    The correction knobs (re-check interval, trigger factor on E and
-    spare-resource signal) are :class:`~repro.config.PolicyConfig`'s
-    ``correction_*`` fields, documented there; the defaults reproduce
-    the paper.
+    The correction knobs (trigger factor on E and spare-resource
+    signal) are :class:`~repro.config.PolicyConfig`'s ``correction_*``
+    fields, documented there; the defaults reproduce the paper.  The
+    re-check interval is the constant ``CORRECTION_RECHECK_MS``.
     """
 
     name = "TPC"
@@ -46,7 +46,6 @@ class TPCPolicy(TPPolicy):
         target_table: TargetTable,
         speedup_book: SpeedupBook,
         load_metric: LoadMetric = LoadMetric.LONG_THREADS,
-        correction_recheck_ms: float = 5.0,
         correction_delay_factor: float = 1.0,
         resource_signal: str = "idle_workers",
     ) -> None:
@@ -58,7 +57,6 @@ class TPCPolicy(TPPolicy):
             )
         if resource_signal not in CORRECTION_RESOURCE_SIGNALS:
             raise ConfigError(f"unknown resource signal {resource_signal!r}")
-        self._recheck_ms = float(correction_recheck_ms)
         self._delay_factor = float(correction_delay_factor)
         self._resource_signal = resource_signal
         self._controller: CorrectionController | None = None
@@ -66,7 +64,7 @@ class TPCPolicy(TPPolicy):
     def bind(self, server: "Server") -> None:
         self._controller = CorrectionController(
             max_degree=server.config.max_parallelism,
-            recheck_ms=self._recheck_ms,
+            recheck_ms=CORRECTION_RECHECK_MS,
         )
 
     def first_check_delay(

@@ -3,9 +3,9 @@
 Wraps the gradient-boosted regressor with the paper's two evaluation
 lenses (Section 2.5): the regressor view (L1 error in ms) and the
 classifier view (precision and recall of "is this query long?" at the
-80 ms threshold).  An optional feature-noise knob degrades accuracy
-toward a desired operating point — production features are noisier
-than our synthetic index statistics.
+80 ms ``LONG_QUERY_MS`` threshold).  An optional feature-noise knob
+degrades accuracy toward a desired operating point — production
+features are noisier than our synthetic index statistics.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import PredictorConfig
+from ..config import LEARNING_RATE, LONG_QUERY_MS, MIN_SAMPLES_LEAF, PredictorConfig
 from ..errors import PredictionError
 from .boosted import GradientBoostedRegressor
 
@@ -49,9 +49,9 @@ class ExecutionTimePredictor:
         self.config = config if config is not None else PredictorConfig()
         self._model = GradientBoostedRegressor(
             num_trees=self.config.num_trees,
-            learning_rate=self.config.learning_rate,
+            learning_rate=LEARNING_RATE,
             max_depth=self.config.max_depth,
-            min_samples_leaf=self.config.min_samples_leaf,
+            min_samples_leaf=MIN_SAMPLES_LEAF,
             subsample=self.config.subsample,
         )
         self._noise_rng: np.random.Generator | None = None
@@ -97,9 +97,8 @@ class ExecutionTimePredictor:
         predictions = self.predict(features)
         if len(predictions) != len(y):
             raise PredictionError("features and demands must align")
-        threshold = self.config.long_threshold_ms
-        predicted_long = predictions > threshold
-        actual_long = y > threshold
+        predicted_long = predictions > LONG_QUERY_MS
+        actual_long = y > LONG_QUERY_MS
         true_positive = int((predicted_long & actual_long).sum())
         precision = (
             true_positive / predicted_long.sum() if predicted_long.any() else 1.0
@@ -109,7 +108,7 @@ class ExecutionTimePredictor:
             l1_error_ms=float(np.abs(predictions - y).mean()),
             precision=float(precision),
             recall=float(recall),
-            long_threshold_ms=threshold,
+            long_threshold_ms=LONG_QUERY_MS,
             num_eval=len(y),
         )
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import SearchWorkloadConfig
+from ..config import LONG_QUERY_MS, SHORT_QUERY_MS, TARGET_MEAN_MS
 from ..errors import CalibrationError
 
 __all__ = ["CalibrationResult", "calibrate_workload", "workload_statistics"]
@@ -57,11 +57,7 @@ class CalibrationResult:
     statistics: WorkloadStatistics
 
 
-def workload_statistics(
-    demands_ms: np.ndarray,
-    short_threshold_ms: float = 15.0,
-    long_threshold_ms: float = 80.0,
-) -> WorkloadStatistics:
+def workload_statistics(demands_ms: np.ndarray) -> WorkloadStatistics:
     """Compute the paper's Section 2 statistics for a demand sample."""
     arr = np.asarray(demands_ms, dtype=np.float64)
     if arr.size == 0:
@@ -74,16 +70,14 @@ def workload_statistics(
         median_ms=median,
         p99_ms=p99,
         max_ms=float(arr.max()),
-        short_fraction=float((arr < short_threshold_ms).mean()),
-        long_fraction=float((arr > long_threshold_ms).mean()),
+        short_fraction=float((arr < SHORT_QUERY_MS).mean()),
+        long_fraction=float((arr > LONG_QUERY_MS).mean()),
         p99_over_mean=p99 / mean if mean > 0 else float("inf"),
         p99_over_median=p99 / median if median > 0 else float("inf"),
     )
 
 
-def calibrate_workload(
-    total_units: np.ndarray, config: SearchWorkloadConfig
-) -> CalibrationResult:
+def calibrate_workload(total_units: np.ndarray) -> CalibrationResult:
     """Fix the ms-per-work-unit scale by matching the mean demand.
 
     The mean is the most robust anchor (the paper quotes it to two
@@ -95,9 +89,6 @@ def calibrate_workload(
         raise CalibrationError("no executions to calibrate against")
     if units.min() <= 0:
         raise CalibrationError("work units must be positive")
-    scale = config.target_mean_ms / float(units.mean())
-    stats = workload_statistics(
-        units * scale,
-        short_threshold_ms=config.target_short_threshold_ms,
-    )
+    scale = TARGET_MEAN_MS / float(units.mean())
+    stats = workload_statistics(units * scale)
     return CalibrationResult(ms_per_unit=scale, statistics=stats)

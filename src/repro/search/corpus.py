@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import SearchWorkloadConfig
+from ..config import ZIPF_EXPONENT, SearchWorkloadConfig
 from ..errors import WorkloadError
 
 __all__ = ["Corpus", "build_corpus", "zipf_probabilities"]
@@ -155,7 +155,7 @@ def build_corpus(
     Document lengths are lognormal around ``mean_doc_length``; tokens
     are i.i.d. draws from the Zipf term distribution.
     """
-    probs = zipf_probabilities(config.vocabulary_size, config.zipf_exponent)
+    probs = zipf_probabilities(config.vocabulary_size, ZIPF_EXPONENT)
     sigma = config.doc_length_sigma
     mu = np.log(config.mean_doc_length) - sigma**2 / 2.0
     lengths = np.maximum(

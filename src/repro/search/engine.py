@@ -8,7 +8,7 @@ Execution mirrors an ISN's two phases (Section 2.1):
    conjunctive processing with dynamic pruning).  Cost: 1 work unit per
    posting entry traversed.
 2. **Scoring** — BM25-score every surviving (document, term) hit and
-   keep the top-k.  Cost: ``score_cost_per_hit`` units per scored hit.
+   keep the top-k.  Cost: ``SCORE_COST_PER_HIT`` units per scored hit.
 
 A query's *service demand* is the total work units performed; the
 traversal part is computable from pre-execution features (posting
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import SearchWorkloadConfig
+from ..config import SCORE_COST_PER_HIT, SERIAL_WORK_UNITS, TOP_K
 from .index import InvertedIndex
 from .query import Query, keyword_groups
 from .scoring import bm25_scores, top_k_documents
@@ -83,15 +83,13 @@ class BatchExecution:
     total_postings: np.ndarray
     matched_documents: np.ndarray
     scored_hits: np.ndarray
-    serial_units: float
-    score_cost_per_hit: float
 
     @property
     def total_units(self) -> np.ndarray:
         """Total sequential work units, as :class:`QueryExecution` sums them."""
         traversal = self.total_postings.astype(np.float64)
-        scoring = self.scored_hits.astype(np.float64) * self.score_cost_per_hit
-        return self.serial_units + (traversal + scoring)
+        scoring = self.scored_hits.astype(np.float64) * SCORE_COST_PER_HIT
+        return SERIAL_WORK_UNITS + (traversal + scoring)
 
 
 class SearchEngine:
@@ -102,9 +100,8 @@ class SearchEngine:
     bitsets live as long as the engine.
     """
 
-    def __init__(self, index: InvertedIndex, config: SearchWorkloadConfig) -> None:
+    def __init__(self, index: InvertedIndex) -> None:
         self.index = index
-        self.config = config
         self._bits = _term_bitsets(index)
 
     def execute(self, query: Query, compute_results: bool = False) -> QueryExecution:
@@ -132,8 +129,8 @@ class SearchEngine:
             matched_documents=matched_documents,
             scored_hits=int(scored_hits[0]),
             traversal_units=float(total_postings),
-            scoring_units=float(scored_hits[0]) * self.config.score_cost_per_hit,
-            serial_units=float(self.config.serial_work_units),
+            scoring_units=float(scored_hits[0]) * SCORE_COST_PER_HIT,
+            serial_units=SERIAL_WORK_UNITS,
             results=results,
         )
 
@@ -159,8 +156,6 @@ class SearchEngine:
             total_postings=total_postings,
             matched_documents=matched,
             scored_hits=scored_hits,
-            serial_units=float(self.config.serial_work_units),
-            score_cost_per_hit=self.config.score_cost_per_hit,
         )
 
     def _count(self, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -223,7 +218,7 @@ class SearchEngine:
         idfs = self.index.idf_array(terms)
         lengths = self.index.doc_lengths[docs].astype(np.float64)
         scores = bm25_scores(tfs, idfs, lengths, self.index.avg_doc_length)
-        return tuple(top_k_documents(docs, scores, self.config.top_k))
+        return tuple(top_k_documents(docs, scores, TOP_K))
 
 
 def _term_bitsets(index: InvertedIndex) -> np.ndarray:

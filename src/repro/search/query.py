@@ -8,8 +8,8 @@ generator reproduces that mixture with two components:
 
 * **easy** queries: 1-4 keywords sampled from the full Zipf-ranked
   vocabulary by query popularity;
-* **hard** queries: 4-10 keywords drawn from the most popular ranks,
-  whose long posting lists make traversal expensive.
+* **hard** queries: 4-12 keywords (``HARD_KEYWORDS``) drawn from the
+  most popular ranks, whose long posting lists make traversal expensive.
 """
 
 from __future__ import annotations
@@ -19,7 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import SearchWorkloadConfig
+from ..config import (
+    HARD_KEYWORDS,
+    QUERY_ZIPF_EXPONENT,
+    ZIPF_EXPONENT,
+    SearchWorkloadConfig,
+)
 from ..errors import WorkloadError
 from .corpus import (
     _choice_cdf,
@@ -76,12 +81,12 @@ class QueryGenerator:
         self._easy_offset = config.easy_skip_top
         self._easy_probs = zipf_probabilities(
             config.vocabulary_size - config.easy_skip_top,
-            config.query_zipf_exponent,
+            QUERY_ZIPF_EXPONENT,
         )
         # Hard queries draw from the most popular ranks, whose long
         # posting lists make traversal expensive (corpus-Zipf weighted).
         pool = min(config.hard_term_pool, config.vocabulary_size)
-        hard_weights = zipf_probabilities(config.vocabulary_size, config.zipf_exponent)[:pool]
+        hard_weights = zipf_probabilities(config.vocabulary_size, ZIPF_EXPONENT)[:pool]
         self._hard_probs = hard_weights / hard_weights.sum()
         self._hard_pool = pool
         # First-round CDFs, built once instead of once per query.
@@ -102,7 +107,7 @@ class QueryGenerator:
     def _generate_one(self, is_hard: bool) -> Query:
         cfg = self.config
         if is_hard:
-            lo, hi = cfg.hard_keywords
+            lo, hi = HARD_KEYWORDS
             k = int(self._rng.integers(lo, hi + 1))
             k = min(k, self._hard_pool)
             terms = _choice_without_replacement(

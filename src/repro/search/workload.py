@@ -20,10 +20,11 @@ measured predictor operating point.
 
 Steps 1-2 take about a second at the canonical size (2-vCPU x86-64
 host).  Their outputs, the per-query work units and features, are
-cached on disk keyed by a hash of the seed and configuration, so a
-rebuild of the same workload (another sweep worker, a later run) skips
-them; set the ``REPRO_CACHE_DIR`` environment variable to relocate the
-cache or ``use_cache=False`` to disable it.
+cached on disk keyed by a hash of the seed, the configuration and the
+:mod:`repro.config` constants, so a rebuild of the same workload
+(another sweep worker, a later run) skips them; set the
+``REPRO_CACHE_DIR`` environment variable to relocate the cache or
+``use_cache=False`` to disable it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,14 @@ from pathlib import Path
 
 import numpy as np
 
-from ..config import PredictorConfig, SearchWorkloadConfig
+from ..config import (
+    EXECUTION_NOISE_SIGMA,
+    SERIAL_WORK_UNITS,
+    TASK_OVERHEAD_UNITS,
+    PredictorConfig,
+    SearchWorkloadConfig,
+    constants,
+)
 from ..core.speedup import SpeedupBook, SpeedupProfile
 from ..errors import WorkloadError
 from ..prediction.features import query_feature_matrix
@@ -116,10 +124,7 @@ class SearchWorkload:
         if prediction not in ("model", "perfect", "oracle"):
             raise WorkloadError(f"unknown prediction mode {prediction!r}")
         indices = rng.integers(0, self.pool_size, size=n)
-        sigma = self.config.execution_noise_sigma
-        jitter = (
-            rng.lognormal(0.0, sigma, size=n) if sigma > 0 else np.ones(n)
-        )
+        jitter = rng.lognormal(0.0, EXECUTION_NOISE_SIGMA, size=n)
         demands = self.pool_demands_ms[indices] * jitter
         if prediction == "model":
             predictions = self.pool_predictions_ms[indices]
@@ -168,15 +173,15 @@ def build_search_workload(
         hidden = hidden_rng.lognormal(-sigma**2 / 2.0, sigma)
         units = units * hidden
 
-    calibration = calibrate_workload(units, cfg)
+    calibration = calibrate_workload(units)
     scale = calibration.ms_per_unit
     demands = units * scale
-    serial_ms = cfg.serial_work_units * scale
+    serial_ms = SERIAL_WORK_UNITS * scale
 
     model = fit_parallel_model(
         serial_ms=serial_ms,
         task_grain_ms=cfg.task_grain_units * scale,
-        task_overhead_ms=cfg.task_overhead_units * scale,
+        task_overhead_ms=TASK_OVERHEAD_UNITS * scale,
     )
     profiles = [
         model.profile(float(d), serial_ms, max_degree) for d in demands
@@ -251,7 +256,7 @@ def _measured_pool(
     index = InvertedIndex(corpus)
     generator = QueryGenerator(cfg, rngs.get("queries"))
     queries = generator.generate(pool_size)
-    units = SearchEngine(index, cfg).execute_batch(queries).total_units
+    units = SearchEngine(index).execute_batch(queries).total_units
     features = query_feature_matrix(queries, index)
 
     if cache_path is not None:
@@ -282,7 +287,12 @@ def _cache_path(
         "REPRO_CACHE_DIR", os.path.join(os.path.expanduser("~"), ".cache", "repro-tpc")
     )
     payload = json.dumps(
-        {"seed": seed, "pool": pool_size, "config": asdict(cfg)},
+        {
+            "seed": seed,
+            "pool": pool_size,
+            "config": asdict(cfg),
+            "constants": constants(),
+        },
         sort_keys=True,
     )
     digest = hashlib.sha256(payload.encode()).hexdigest()[:16]

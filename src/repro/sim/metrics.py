@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from ..config import LONG_QUERY_MS, SHORT_QUERY_MS
 from ..errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -145,8 +146,6 @@ class DistributionStats:
 
 def distribution_stats(
     values_ms: Sequence[float] | np.ndarray,
-    short_threshold_ms: float = 15.0,
-    long_threshold_ms: float = 80.0,
 ) -> DistributionStats:
     """Compute :class:`DistributionStats` for a millisecond sample."""
     arr = np.asarray(values_ms, dtype=np.float64)
@@ -157,8 +156,8 @@ def distribution_stats(
         mean_ms=float(arr.mean()),
         median_ms=float(np.median(arr)),
         p99_ms=percentile(arr, 99),
-        short_fraction=float((arr < short_threshold_ms).mean()),
-        long_fraction=float((arr > long_threshold_ms).mean()),
+        short_fraction=float((arr < SHORT_QUERY_MS).mean()),
+        long_fraction=float((arr > LONG_QUERY_MS).mean()),
     )
 
 
@@ -295,11 +294,11 @@ class LatencyRecorder:
 def degree_distribution(
     demands_ms: Sequence[float] | np.ndarray,
     degrees: Sequence[int] | np.ndarray,
-    long_threshold_ms: float,
     max_degree: int,
 ) -> dict[str, list[float]]:
     """Parallelism-degree distribution by true demand class (Table 2).
 
+    Requests whose true demand exceeds ``LONG_QUERY_MS`` are long.
     Returns ``{"short": [...], "long": [...]}`` where each list holds
     the percentage of that class executed at degree 1..max_degree.
     Pass a run's maximum degrees to count the highest degree a request
@@ -307,7 +306,7 @@ def degree_distribution(
     """
     counts = {"short": [0] * max_degree, "long": [0] * max_degree}
     for demand, degree in zip(demands_ms, degrees):
-        key = "long" if demand > long_threshold_ms else "short"
+        key = "long" if demand > LONG_QUERY_MS else "short"
         counts[key][min(degree, max_degree) - 1] += 1
     result: dict[str, list[float]] = {}
     for key, row in counts.items():

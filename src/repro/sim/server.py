@@ -35,6 +35,7 @@ from collections import deque
 from functools import partial
 from typing import TYPE_CHECKING
 
+from ..config import CPU_EMA_ALPHA, CPU_SAMPLE_INTERVAL_MS, LONG_QUERY_MS
 from ..errors import SchedulingError, SimulationError
 from .engine import Engine, EventHandle
 from .metrics import LatencyRecorder
@@ -61,9 +62,9 @@ class Server:
         The parallelism policy making degree decisions.
     engine:
         Event loop this server schedules on (shared in cluster runs).
-    long_threshold_ms:
-        Predicted-time threshold above which a request's threads count
-        toward the LongT load metric (Section 4.6).
+
+    The threads of a request predicted above ``LONG_QUERY_MS`` count
+    toward the LongT load metric (Section 4.6).
     """
 
     def __init__(
@@ -71,14 +72,12 @@ class Server:
         config: "ServerConfig",
         policy: "ParallelismPolicy",
         engine: Engine | None = None,
-        long_threshold_ms: float = 80.0,
         completion_callback=None,
     ) -> None:
         self.config = config
         self.policy = policy
         self.engine = engine if engine is not None else Engine()
         self.recorder = LatencyRecorder()
-        self.long_threshold_ms = float(long_threshold_ms)
         #: Optional hook invoked with each completed request (used by
         #: the cluster aggregator to observe ISN completions).
         self.completion_callback = completion_callback
@@ -221,7 +220,7 @@ class Server:
         full_pool = config.worker_threads
         throughput_by_busy = self._throughput_by_busy
         factor_by_busy = self._factor_by_busy
-        long_threshold_ms = self.long_threshold_ms
+        long_threshold_ms = LONG_QUERY_MS
         dispatch_callback = self.dispatch_callback
         engine = self.engine
         now = engine.now
@@ -297,7 +296,7 @@ class Server:
         delta = granted - request.degree
         self._busy_workers += delta
         self._refresh_capacity_cache()
-        if request.predicted_ms > self.long_threshold_ms:
+        if request.predicted_ms > LONG_QUERY_MS:
             self._long_threads += delta
         request.degree = granted
         request.max_degree_seen = max(request.max_degree_seen, granted)
@@ -362,7 +361,7 @@ class Server:
         )
         self._busy_workers -= request.degree
         self._refresh_capacity_cache()
-        if request.predicted_ms > self.long_threshold_ms:
+        if request.predicted_ms > LONG_QUERY_MS:
             self._long_threads -= request.degree
         if request.check_handle is not None:
             request.check_handle.cancel()
@@ -384,7 +383,7 @@ class Server:
         self._busy_workers = busy
         self._busy_throughput = self._throughput_by_busy[busy]
         self._factor = self._factor_by_busy[busy]
-        if request.predicted_ms > self.long_threshold_ms:
+        if request.predicted_ms > LONG_QUERY_MS:
             self._long_threads -= degree
         check_handle = request.check_handle
         if check_handle is not None:
@@ -486,9 +485,7 @@ class Server:
         """
         self._cpu_window_start = self.engine.now
         self._cpu_busy_integral = 0.0
-        self.engine.rearm(
-            self._sampler_handle, self.config.cpu_sample_interval_ms
-        )
+        self.engine.rearm(self._sampler_handle, CPU_SAMPLE_INTERVAL_MS)
 
     def _on_cpu_sample(self) -> None:
         self._advance()
@@ -497,16 +494,14 @@ class Server:
             sample = self._cpu_busy_integral / (
                 window * self.config.capacity_core_equivalents
             )
-            alpha = self.config.cpu_ema_alpha
             self._cpu_util_ema = (
-                alpha * min(sample, 1.0) + (1 - alpha) * self._cpu_util_ema
+                CPU_EMA_ALPHA * min(sample, 1.0)
+                + (1 - CPU_EMA_ALPHA) * self._cpu_util_ema
             )
         self._cpu_busy_integral = 0.0
         self._cpu_window_start = self.now
         if self.running or self.waiting:
-            self.engine.rearm(
-                self._sampler_handle, self.config.cpu_sample_interval_ms
-            )
+            self.engine.rearm(self._sampler_handle, CPU_SAMPLE_INTERVAL_MS)
         else:
             # Fully idle: stop sampling (no event churn in idle tails)
             # and decay the EMA to zero; submit() resubscribes.

@@ -11,6 +11,9 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 #: Directories whose code counts as a caller of library code (tests do not).
 CALLER_DIRS = ("src", "benchmarks", "examples", "perfbench")
 
+#: The module whose dataclasses hold every settable parameter.
+CONFIG_PATH = REPO_ROOT / "src" / "repro" / "config.py"
+
 #: Public library names allowed to have no caller yet, each with its reason.
 UNCALLED_ALLOWLIST = {
     "verify_littles_law": "queueing validator the M/G/1 checks build on (ROADMAP 4(a))",
@@ -166,3 +169,87 @@ class TestNoTestOnlyLibraryCode:
         )
         stale = sorted(set(UNCALLED_ALLOWLIST) - set(defined))
         assert not stale, f"allowlisted names no longer defined: {stale}"
+
+
+def _python_files(directories) -> list[pathlib.Path]:
+    return [
+        path
+        for directory in directories
+        for path in sorted((REPO_ROOT / directory).rglob("*.py"))
+    ]
+
+
+def _config_fields(tree: ast.Module) -> dict[str, list[str]]:
+    """Field names of every dataclass defined at the top of ``tree``."""
+    return {
+        stmt.name: [
+            item.target.id
+            for item in stmt.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        ]
+        for stmt in tree.body
+        if isinstance(stmt, ast.ClassDef)
+        and any("dataclass" in ast.unparse(d) for d in stmt.decorator_list)
+    }
+
+
+def _config_constants(tree: ast.Module) -> list[str]:
+    """Public upper-case names assigned at the top of ``tree``."""
+    names = []
+    for stmt in tree.body:
+        targets = (
+            stmt.targets if isinstance(stmt, ast.Assign)
+            else [stmt.target] if isinstance(stmt, ast.AnnAssign)
+            else []
+        )
+        names += [
+            t.id for t in targets
+            if isinstance(t, ast.Name) and t.id.isupper() and t.id[0] != "_"
+        ]
+    return names
+
+
+class TestConfigHoldsOnlySetFields:
+    """A config field exists because a caller sets it; a fixed number is
+    an upper-case constant of ``repro.config`` that some code reads."""
+
+    def test_every_config_field_is_set_by_a_caller(self):
+        fields = _config_fields(ast.parse(CONFIG_PATH.read_text()))
+        assert fields, "no config dataclasses found"
+        # Explicit keywords per callee name; ``**`` expansions do not
+        # count, and ``replace`` is ``dataclasses.replace``.
+        keywords: dict[str, set[str]] = {}
+        for path in _python_files((*CALLER_DIRS, "tests")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                callee = (
+                    func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute)
+                    else None
+                )
+                keywords.setdefault(callee, set()).update(
+                    kw.arg for kw in node.keywords if kw.arg is not None
+                )
+        replaced = keywords.get("replace", set())
+        unset = sorted(
+            f"{cls}.{name}"
+            for cls, names in fields.items()
+            for name in names
+            if name not in keywords.get(cls, set()) | replaced
+        )
+        assert not unset, (
+            "config fields no call sets (make them constants): "
+            + ", ".join(unset)
+        )
+
+    def test_every_config_constant_is_read(self):
+        constants = _config_constants(ast.parse(CONFIG_PATH.read_text()))
+        assert "LONG_QUERY_MS" in constants
+        read: set[str] = set()
+        for path in _python_files(CALLER_DIRS):
+            if path != CONFIG_PATH:
+                read |= _referenced_names(ast.parse(path.read_text()))
+        unread = sorted(set(constants) - read)
+        assert not unread, f"config constants nothing reads: {unread}"

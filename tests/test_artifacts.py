@@ -1,8 +1,12 @@
 """Tests for the shared artifact writer and report header."""
 
 import json
+import pathlib
+import subprocess
 
-from repro.artifacts import write_json
+import pytest
+
+from repro.artifacts import git_sha, write_json
 from repro.gate import run_gate
 from repro.resilience.report import build_report as build_resilience_report
 
@@ -23,6 +27,23 @@ def test_every_report_carries_the_header(tmp_path):
         assert {"python", "numpy", "repro", "platform"} <= set(
             loaded["environment"]
         )
+
+
+def test_git_sha_names_the_checkout_not_the_working_directory(
+    tmp_path, monkeypatch
+):
+    checkout = pathlib.Path(__file__).resolve().parents[1]
+    head = subprocess.run(
+        ["git", "rev-parse", "HEAD"],
+        cwd=checkout,
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    if head.returncode != 0:
+        pytest.skip("the tests do not sit in a git checkout")
+    monkeypatch.chdir(tmp_path)
+    assert git_sha() == head.stdout.strip()
 
 
 def test_write_json_roundtrip_is_byte_stable(tmp_path):

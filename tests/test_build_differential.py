@@ -18,7 +18,12 @@ counter and feature function they replaced, both kept verbatim below.
 import numpy as np
 import pytest
 
-from repro.config import SearchWorkloadConfig
+from repro.config import (
+    SCORE_COST_PER_HIT,
+    SERIAL_WORK_UNITS,
+    TOP_K,
+    SearchWorkloadConfig,
+)
 from repro.errors import WorkloadError
 from repro.prediction.features import query_feature_matrix, query_features
 from repro.search.corpus import (
@@ -211,10 +216,7 @@ class TestFusedKeyIndex:
 
 
 def _reference_execute(
-    index: InvertedIndex,
-    config: SearchWorkloadConfig,
-    query: Query,
-    compute_results: bool = False,
+    index: InvertedIndex, query: Query, compute_results: bool = False
 ) -> dict:
     """The ``bincount`` counter the bit-sliced one replaced, verbatim."""
     term_ids = np.asarray(query.term_ids, dtype=np.int64)
@@ -257,11 +259,11 @@ def _reference_execute(
             idfs = index.idf_array(terms)
             lengths = index.doc_lengths[docs].astype(np.float64)
             scores = bm25_scores(tfs, idfs, lengths, index.avg_doc_length)
-            results = tuple(top_k_documents(docs, scores, config.top_k))
+            results = tuple(top_k_documents(docs, scores, TOP_K))
 
     traversal_units = float(total_postings)
-    scoring_units = float(scored_hits) * config.score_cost_per_hit
-    serial_units = float(config.serial_work_units)
+    scoring_units = float(scored_hits) * SCORE_COST_PER_HIT
+    serial_units = float(SERIAL_WORK_UNITS)
     return {
         "total_postings": total_postings,
         "matched_documents": matched,
@@ -295,12 +297,10 @@ def _reference_features(query: Query, index: InvertedIndex) -> np.ndarray:
 _METERED = ("total_postings", "matched_documents", "scored_hits", "total_units")
 
 
-def _assert_same_metering(
-    index: InvertedIndex, config: SearchWorkloadConfig, queries: list[Query]
-) -> None:
+def _assert_same_metering(index: InvertedIndex, queries: list[Query]) -> None:
     """Bulk, single and reference metering and features agree exactly."""
-    engine = SearchEngine(index, config)
-    want = [_reference_execute(index, config, q, compute_results=True) for q in queries]
+    engine = SearchEngine(index)
+    want = [_reference_execute(index, q, compute_results=True) for q in queries]
     batch = engine.execute_batch(queries)
     for name in _METERED:
         expected = np.array([w[name] for w in want])
@@ -358,7 +358,7 @@ class TestBitSlicedMetering:
         )
         index = InvertedIndex(corpus)
         queries = _random_queries(rng, corpus.vocabulary_size, 150)
-        _assert_same_metering(index, _SMALL_CONFIG, queries)
+        _assert_same_metering(index, queries)
 
     @pytest.mark.parametrize("k", range(1, 21))
     def test_every_keyword_count(self, k):
@@ -368,14 +368,14 @@ class TestBitSlicedMetering:
             Query(i, tuple(int(t) for t in rng.integers(0, 25, size=k)))
             for i in range(40)
         ]
-        _assert_same_metering(InvertedIndex(corpus), _SMALL_CONFIG, queries)
+        _assert_same_metering(InvertedIndex(corpus), queries)
 
     def test_generated_queries(self):
         corpus = build_corpus(_SMALL_CONFIG, np.random.default_rng(12))
         queries = QueryGenerator(_SMALL_CONFIG, np.random.default_rng(13)).generate(
             600
         )
-        _assert_same_metering(InvertedIndex(corpus), _SMALL_CONFIG, queries)
+        _assert_same_metering(InvertedIndex(corpus), queries)
 
     def test_duplicate_terms_count_twice(self):
         rng = np.random.default_rng(5)
@@ -387,8 +387,8 @@ class TestBitSlicedMetering:
             Query(3, (0, 0, 0, 0, 5)),
             Query(4, (7,) * 20),
         ]
-        _assert_same_metering(index, _SMALL_CONFIG, queries)
-        doubled = SearchEngine(index, _SMALL_CONFIG).execute(Query(0, (3, 3)))
+        _assert_same_metering(index, queries)
+        doubled = SearchEngine(index).execute(Query(0, (3, 3)))
         assert doubled.total_postings == 2 * index.document_frequency(3)
         assert doubled.scored_hits == 2 * doubled.matched_documents
 
@@ -405,8 +405,8 @@ class TestBitSlicedMetering:
         index = InvertedIndex(corpus)
         queries = [Query(0, (30,)), Query(1, (30, 31, 39)), Query(2, (2, 35))]
         queries += _random_queries(rng, 40, 100)
-        _assert_same_metering(index, _SMALL_CONFIG, queries)
-        absent = SearchEngine(index, _SMALL_CONFIG).execute(queries[1], True)
+        _assert_same_metering(index, queries)
+        absent = SearchEngine(index).execute(queries[1], True)
         assert absent.total_postings == 0
         assert absent.results == ()
 
@@ -421,8 +421,8 @@ class TestBitSlicedMetering:
         )
         index = InvertedIndex(corpus)
         queries = [Query(i, tuple(range(i, i + 3 + i % 9))) for i in range(40)]
-        _assert_same_metering(index, _SMALL_CONFIG, queries)
-        batch = SearchEngine(index, _SMALL_CONFIG).execute_batch(queries)
+        _assert_same_metering(index, queries)
+        batch = SearchEngine(index).execute_batch(queries)
         assert not batch.matched_documents.any()
         assert not batch.scored_hits.any()
 
@@ -433,18 +433,18 @@ class TestBitSlicedMetering:
         monkeypatch.setattr("repro.search.engine._PACK_CHUNK", 13)
         rng = np.random.default_rng(21)
         index = InvertedIndex(_random_corpus(rng, 700, 60, 40))
-        _assert_same_metering(index, _SMALL_CONFIG, _random_queries(rng, 60, 120))
+        _assert_same_metering(index, _random_queries(rng, 60, 120))
 
     def test_empty_batch(self):
         index = InvertedIndex(_random_corpus(np.random.default_rng(1), 10, 5, 5))
-        batch = SearchEngine(index, _SMALL_CONFIG).execute_batch([])
+        batch = SearchEngine(index).execute_batch([])
         assert batch.total_units.shape == (0,)
         assert query_feature_matrix([], index).shape == (0, 8)
 
     @pytest.mark.parametrize("bad", [-1, -7, 50, 10**6])
     def test_out_of_range_terms_raise(self, bad):
         index = InvertedIndex(_random_corpus(np.random.default_rng(2), 40, 50, 10))
-        engine = SearchEngine(index, _SMALL_CONFIG)
+        engine = SearchEngine(index)
         queries = [Query(0, (1, 2)), Query(1, (3, bad, 4))]
         with pytest.raises(WorkloadError):
             engine.execute(queries[1])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.config import SearchWorkloadConfig
+from repro.config import TARGET_MEAN_MS
 from repro.errors import CalibrationError
 from repro.search.calibrate import calibrate_workload, workload_statistics
 
@@ -36,22 +36,20 @@ class TestStatistics:
 
 class TestCalibration:
     def test_scale_matches_mean_exactly(self):
-        cfg = SearchWorkloadConfig()
         units = np.random.default_rng(0).exponential(1000.0, size=5000)
-        result = calibrate_workload(units, cfg)
+        result = calibrate_workload(units)
         scaled_mean = float((units * result.ms_per_unit).mean())
-        assert scaled_mean == pytest.approx(cfg.target_mean_ms)
+        assert scaled_mean == pytest.approx(TARGET_MEAN_MS)
 
     def test_statistics_reported_at_calibrated_scale(self):
-        cfg = SearchWorkloadConfig()
         units = np.array([100.0, 200.0, 300.0])
-        result = calibrate_workload(units, cfg)
-        assert result.statistics.mean_ms == pytest.approx(cfg.target_mean_ms)
+        result = calibrate_workload(units)
+        assert result.statistics.mean_ms == pytest.approx(TARGET_MEAN_MS)
 
     def test_rejects_empty(self):
         with pytest.raises(CalibrationError):
-            calibrate_workload(np.array([]), SearchWorkloadConfig())
+            calibrate_workload(np.array([]))
 
     def test_rejects_nonpositive_units(self):
         with pytest.raises(CalibrationError):
-            calibrate_workload(np.array([1.0, 0.0]), SearchWorkloadConfig())
+            calibrate_workload(np.array([1.0, 0.0]))

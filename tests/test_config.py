@@ -6,8 +6,14 @@ import math
 import pytest
 
 from repro.config import (
+    FINANCE_LONG_DEMAND_MULTIPLIER,
+    FINANCE_LONG_FRACTION,
+    FINANCE_MAX_PARALLELISM,
+    FINANCE_PRED_FIXED_DEGREE,
+    LONG_QUERY_MS,
+    SHORT_QUERY_MS,
+    TARGET_MEAN_MS,
     ClusterConfig,
-    FinanceConfig,
     PolicyConfig,
     PredictorConfig,
     SearchWorkloadConfig,
@@ -40,7 +46,7 @@ class TestServerConfig:
 
     @pytest.mark.parametrize(
         "field",
-        ["smt_marginal_throughput", "rampup_penalty_ms", "cpu_sample_interval_ms"],
+        ["smt_marginal_throughput", "rampup_penalty_ms"],
     )
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_floats(self, field, value):
@@ -77,7 +83,10 @@ class TestServerConfig:
 class TestSearchWorkloadConfig:
     def test_defaults_valid(self):
         cfg = SearchWorkloadConfig()
-        assert cfg.target_mean_ms == pytest.approx(13.47)
+        assert cfg.num_documents == 24_000
+        # Section 2's calibration targets.
+        assert TARGET_MEAN_MS == pytest.approx(13.47)
+        assert SHORT_QUERY_MS == 15.0
 
     def test_rejects_bad_hard_fraction(self):
         with pytest.raises(ConfigError):
@@ -103,13 +112,13 @@ class TestSearchWorkloadConfig:
             {"easy_skip_top": -5},
             {"hard_term_pool": 0},
             {"hard_term_pool": -1},
-            {"zipf_exponent": 0.0},
-            {"zipf_exponent": -1.1},
-            {"zipf_exponent": math.nan},
-            {"zipf_exponent": math.inf},
-            {"query_zipf_exponent": 0.0},
-            {"query_zipf_exponent": math.nan},
-            {"query_zipf_exponent": math.inf},
+            {"num_documents": 0},
+            {"vocabulary_size": 1},
+            {"hard_query_fraction": -0.1},
+            {"hard_query_fraction": math.nan},
+            {"easy_keywords": (0, 4)},
+            {"doc_length_sigma": math.inf},
+            {"surprise_sigma": math.inf},
             # A zero mean length builds an all-minimum-length corpus.
             {"mean_doc_length": 0},
             {"mean_doc_length": -10},
@@ -147,16 +156,17 @@ class TestSearchWorkloadConfig:
 class TestPredictorConfig:
     def test_defaults_valid(self):
         cfg = PredictorConfig()
-        assert cfg.long_threshold_ms == 80.0
+        assert cfg.num_trees == 300
+        assert LONG_QUERY_MS == 80.0
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"num_trees": 0},
-            {"learning_rate": 0},
-            {"learning_rate": 1.5},
             {"max_depth": 0},
             {"subsample": 0},
+            {"subsample": 1.5},
+            {"subsample": math.nan},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -172,12 +182,12 @@ class TestPolicyConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"long_threshold_ms": 0},
             {"pred_fixed_degree": 0},
             {"rampup_interval_ms": 0},
             {"wq_linear_beta": 0},
-            {"correction_recheck_ms": 0},
             {"correction_delay_factor": 0},
+            {"correction_delay_factor": math.inf},
+            {"rampup_interval_ms": -10.0},
             {"correction_delay_factor": math.nan},
             {"correction_resource_signal": "magic"},
         ],
@@ -246,21 +256,12 @@ class TestClusterConfig:
             ClusterConfig(num_isns=0)
 
 
-class TestFinanceConfig:
+class TestFinanceConstants:
     def test_defaults_match_section_5(self):
-        cfg = FinanceConfig()
-        assert cfg.long_fraction == pytest.approx(0.10)
-        assert cfg.long_demand_multiplier == pytest.approx(9.0)
-        assert cfg.max_parallelism == 4
-        assert cfg.pred_fixed_degree == 2
-
-    def test_rejects_long_not_longer(self):
-        with pytest.raises(ConfigError):
-            FinanceConfig(long_demand_multiplier=1.0)
-
-    def test_rejects_serial_fraction_one(self):
-        with pytest.raises(ConfigError):
-            FinanceConfig(serial_fraction=1.0)
+        assert FINANCE_LONG_FRACTION == pytest.approx(0.10)
+        assert FINANCE_LONG_DEMAND_MULTIPLIER == pytest.approx(9.0)
+        assert FINANCE_MAX_PARALLELISM == 4
+        assert FINANCE_PRED_FIXED_DEGREE == 2
 
 
 class TestGroupBounds:

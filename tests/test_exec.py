@@ -20,7 +20,6 @@ import pytest
 
 from repro.config import (
     ClusterConfig,
-    FinanceConfig,
     PolicyConfig,
     PredictorConfig,
     SearchWorkloadConfig,
@@ -117,10 +116,22 @@ class TestSpecHash:
             predictor_config=PredictorConfig(),
         )
         assert a.content_hash == b.content_hash
-        assert (
-            WorkloadSpec.finance().content_hash
-            == WorkloadSpec.finance(FinanceConfig()).content_hash
+
+    def test_config_constants_are_hashed(self, monkeypatch):
+        # A fixed number of repro.config parameterises cells and search
+        # pools as a field default does, so both keys must cover it.
+        from repro import config
+        from repro.search.workload import _cache_path
+
+        cell = CellSpec.for_experiment(
+            WorkloadSpec.search(seed=1), "Sequential", 300.0, 200, seed=5
         )
+        search = SearchWorkloadConfig()
+        before = (cell.content_hash, _cache_path(1, search, 12_000))
+        monkeypatch.setattr(config, "ZIPF_EXPONENT", 1.2)
+        after = (cell.content_hash, _cache_path(1, search, 12_000))
+        assert after[0] != before[0]
+        assert after[1] != before[1]
 
     def test_sweep_hash_covers_all_cells(self, small_sweep):
         reordered = SweepSpec(tuple(reversed(small_sweep.cells)))
@@ -177,7 +188,7 @@ class TestFromWorkload:
 
     def test_finance_round_trips(self, finance_workload):
         spec = WorkloadSpec.from_workload(finance_workload)
-        assert spec == WorkloadSpec.finance(finance_workload.config)
+        assert spec == WorkloadSpec.finance()
 
     def test_hand_assembled_workload_has_no_spec(self, tiny_search_workload):
         bare = dataclasses.replace(tiny_search_workload, provenance=None)

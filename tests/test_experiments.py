@@ -78,7 +78,7 @@ class TestRunSearchExperiment:
             target_table=target_table,
         ))
         dist = degree_distribution(
-            result.demands_ms, result.max_degrees, 80.0, 6
+            result.demands_ms, result.max_degrees, 6
         )
         assert set(dist) == {"short", "long"}
         assert len(dist["short"]) == 6

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.config import FinanceConfig
+from repro.config import FINANCE_MAX_PARALLELISM, FINANCE_SHORT_DEMAND_MS
 from repro.errors import ConfigError, WorkloadError
 from repro.finance import AsianOption, MonteCarloPricer
 from repro.finance.workload import finance_profile
@@ -84,20 +84,17 @@ class TestMonteCarloPricer:
 
 class TestFinanceProfile:
     def test_long_requests_parallelize_better(self):
-        cfg = FinanceConfig()
-        short = finance_profile(cfg.short_demand_ms, cfg)
-        long = finance_profile(cfg.short_demand_ms * 9, cfg)
+        short = finance_profile(FINANCE_SHORT_DEMAND_MS)
+        long = finance_profile(FINANCE_SHORT_DEMAND_MS * 9)
         assert long.speedup(4) > short.speedup(4)
 
     def test_profile_monotone(self):
-        cfg = FinanceConfig()
-        profile = finance_profile(5.0, cfg)
+        profile = finance_profile(5.0)
         values = profile.speedups
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_max_degree_matches_config(self):
-        cfg = FinanceConfig(max_parallelism=3)
-        assert finance_profile(10.0, cfg).max_degree == 3
+        assert finance_profile(10.0).max_degree == FINANCE_MAX_PARALLELISM
 
 
 class TestFinanceWorkload:
@@ -130,10 +127,9 @@ class TestFinanceWorkload:
         assert t9 == pytest.approx(9 * t1)
 
     def test_paths_consistent_with_demands(self, finance_workload):
-        cfg = finance_workload.config
         assert finance_workload.structural_time_ms(
             finance_workload.short_paths
-        ) == pytest.approx(cfg.short_demand_ms, rel=0.01)
+        ) == pytest.approx(FINANCE_SHORT_DEMAND_MS, rel=0.01)
 
     def test_group_weights(self, finance_workload):
         assert sum(finance_workload.group_weights) == pytest.approx(1.0)

@@ -16,7 +16,7 @@ SMALL_TT = TargetTable([(0, 25), (3, 30), (6, 40), (10, 60), (16, 65), (28, 70)]
 def degrees(result, use_max_degree=True):
     """Table 2 split of one cell (long = true demand > 80 ms)."""
     chosen = result.max_degrees if use_max_degree else result.initial_degrees
-    return degree_distribution(result.demands_ms, chosen, 80.0, 6)
+    return degree_distribution(result.demands_ms, chosen, 6)
 
 
 @pytest.fixture(scope="module")

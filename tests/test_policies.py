@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import PolicyConfig, ServerConfig
+from repro.config import LONG_QUERY_MS, PolicyConfig, ServerConfig
 from repro.errors import ConfigError
 from repro.policies import (
     AdaptiveParallelismPolicy,
@@ -43,27 +43,29 @@ class TestSequential:
 
 class TestPred:
     def test_long_prediction_gets_fixed_degree(self):
-        policy = PredPolicy(long_threshold_ms=80.0, fixed_degree=3)
+        policy = PredPolicy(fixed_degree=3)
         server = make_server(policy)
         req = make_request(0, 100.0, predicted_ms=120.0)
         assert policy.initial_degree(req, server) == 3
 
     def test_short_prediction_runs_sequentially(self):
-        policy = PredPolicy(80.0, 3)
+        policy = PredPolicy(3)
         server = make_server(policy)
         req = make_request(0, 100.0, predicted_ms=60.0)  # mispredicted!
         assert policy.initial_degree(req, server) == 1
 
     def test_threshold_is_exclusive(self):
-        policy = PredPolicy(80.0, 3)
+        policy = PredPolicy(3)
         server = make_server(policy)
-        assert policy.initial_degree(make_request(0, 80.0, 80.0), server) == 1
+        assert policy.initial_degree(
+            make_request(0, LONG_QUERY_MS, LONG_QUERY_MS), server
+        ) == 1
 
     def test_rejects_bad_config(self):
         with pytest.raises(ConfigError):
-            PredPolicy(long_threshold_ms=0)
-        with pytest.raises(ConfigError):
             PredPolicy(fixed_degree=0)
+        with pytest.raises(ConfigError):
+            PredPolicy(fixed_degree=-1)
 
 
 class TestWQLinear:
@@ -117,13 +119,13 @@ class TestAP:
 
     def test_idle_system_uses_generous_degree(self, speedup_book):
         avg = average_profile(speedup_book, [0.9, 0.05, 0.05])
-        policy = AdaptiveParallelismPolicy(avg, interference_weight=0.25)
+        policy = AdaptiveParallelismPolicy(avg)
         server = make_server(policy)
         assert policy.initial_degree(make_request(0, 10.0), server) >= 4
 
     def test_busy_system_collapses_to_sequential(self, speedup_book):
         avg = average_profile(speedup_book, [0.9, 0.05, 0.05])
-        policy = AdaptiveParallelismPolicy(avg, interference_weight=0.25)
+        policy = AdaptiveParallelismPolicy(avg)
         server = make_server(SequentialPolicy())
         for i in range(20):
             server.submit(make_request(i, 500.0))
@@ -131,7 +133,7 @@ class TestAP:
 
     def test_same_degree_for_short_and_long(self, speedup_book):
         avg = average_profile(speedup_book, [0.9, 0.05, 0.05])
-        policy = AdaptiveParallelismPolicy(avg, 0.25)
+        policy = AdaptiveParallelismPolicy(avg)
         server = make_server(policy)
         short = make_request(0, 5.0, 5.0)
         long = make_request(1, 300.0, 300.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.config import SearchWorkloadConfig
+from repro.config import HARD_KEYWORDS, TOP_K, SearchWorkloadConfig
 from repro.errors import WorkloadError
 from repro.search.corpus import build_corpus
 from repro.search.engine import SearchEngine
@@ -23,7 +23,7 @@ def setup():
     )
     corpus = build_corpus(cfg, np.random.default_rng(9))
     index = InvertedIndex(corpus)
-    engine = SearchEngine(index, cfg)
+    engine = SearchEngine(index)
     return cfg, index, engine
 
 
@@ -48,7 +48,7 @@ class TestQueryGenerator:
         cfg, _, _ = setup
         gen = QueryGenerator(cfg, np.random.default_rng(1))
         lo = cfg.easy_keywords[0]
-        hi = max(cfg.easy_keywords[1], cfg.hard_keywords[1])
+        hi = max(cfg.easy_keywords[1], HARD_KEYWORDS[1])
         for q in gen.generate(200):
             assert lo <= q.num_keywords <= hi
 
@@ -141,12 +141,12 @@ class TestExecution:
             )
 
     def test_results_ranked_descending(self, setup):
-        cfg, _, engine = setup
+        _, _, engine = setup
         q = Query(0, (0, 1))
         results = engine.execute(q, compute_results=True).results
         scores = [s for _, s in results]
         assert all(b <= a for a, b in zip(scores, scores[1:]))
-        assert len(results) <= cfg.top_k
+        assert len(results) <= TOP_K
 
     def test_more_keywords_cost_more(self, setup):
         """Queries over the same popular terms cost more with more
