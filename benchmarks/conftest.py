@@ -24,8 +24,10 @@ Scale knobs (environment variables):
                                      (cluster cells included)
                                      [default cpu_count - 1]
 * ``REPRO_EXEC_CACHE=1``            reuse cached cell results across
-                                     runs (``REPRO_EXEC_CACHE_DIR``
-                                     relocates the store)
+                                     runs
+* ``REPRO_CACHE_DIR``               the one cache directory, cells and
+                                     metered search pools
+                                     [default ~/.cache/repro-tpc]
 
 Memory note: each pool worker rebuilds and memoises the workload from
 its spec, so ``N`` workers hold ``N`` copies of the inverted index and

@@ -198,8 +198,8 @@ class SearchWorkloadConfig:
                 raise ConfigError(f"{name} must be finite and >= 0")
         if not 0 <= self.surprise_fraction <= 1:
             raise ConfigError("surprise_fraction must be in [0, 1]")
-        if self.task_grain_units <= 0:
-            raise ConfigError("task_grain_units must be > 0")
+        if not 0 < self.task_grain_units < math.inf:
+            raise ConfigError("task_grain_units must be finite and > 0")
 
 
 #: Boosted-tree shrinkage: each tree contributes this share of its fit.
@@ -238,6 +238,8 @@ class PredictorConfig:
             raise ConfigError("max_depth must be >= 1")
         if not 0 < self.subsample <= 1:
             raise ConfigError("subsample must be in (0, 1]")
+        if not 0 <= self.feature_noise_sigma < math.inf:
+            raise ConfigError("feature_noise_sigma must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -260,15 +262,12 @@ class PolicyConfig:
     def __post_init__(self) -> None:
         if self.pred_fixed_degree < 1:
             raise ConfigError("pred_fixed_degree must be >= 1")
-        if self.rampup_interval_ms <= 0:
-            raise ConfigError("rampup_interval_ms must be > 0")
-        if self.wq_linear_beta <= 0:
-            raise ConfigError("wq_linear_beta must be > 0")
-        if not 0 < self.correction_delay_factor < math.inf:
-            raise ConfigError(
-                f"correction_delay_factor must be finite and > 0, got "
-                f"{self.correction_delay_factor}"
-            )
+        for name in (
+            "rampup_interval_ms", "wq_linear_beta", "correction_delay_factor"
+        ):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
         if self.correction_resource_signal not in CORRECTION_RESOURCE_SIGNALS:
             raise ConfigError(
                 f"unknown correction resource signal "
@@ -305,13 +304,10 @@ class TargetTableConfig:
         grid = self.load_grid
         if len(grid) < 1 or any(b > a for a, b in zip(grid[1:], grid)):
             raise ConfigError("load_grid must be non-empty and ascending")
-        if self.step_ms <= 0:
-            raise ConfigError("step_ms must be > 0")
-        if not 0 < self.initial_target_ms < math.inf:
-            raise ConfigError(
-                f"initial_target_ms must be finite and > 0, got "
-                f"{self.initial_target_ms}"
-            )
+        for name in ("initial_target_ms", "step_ms"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
         loads, weights = self.measure_loads_qps, self.measure_weights
         if not loads or not all(0 < q < math.inf for q in loads):
             raise ConfigError(

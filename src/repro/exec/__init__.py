@@ -5,7 +5,9 @@ Sweeps are declared as frozen :class:`CellSpec`/:class:`SweepSpec`
 values, executed inline or across a process pool (:func:`run_sweep`),
 and optionally memoised on disk by content hash (:class:`ResultCache`;
 an omitted ``cache`` is :func:`default_cache`, opt-in through
-``REPRO_EXEC_CACHE=1``).
+``REPRO_EXEC_CACHE=1``).  :mod:`repro.exec.cache` is the repository's
+one on-disk cache: cell results and metered search pools share its
+directory (``REPRO_CACHE_DIR``), key, writer and read policy.
 The layers above — the experiment runner, the Algorithm 1 table
 builder, the cluster harness and the benchmarks — all route their
 independent simulation cells through this module.

@@ -1,27 +1,37 @@
-"""On-disk result cache keyed by cell content hash.
+"""The one on-disk cache: its directory, key, writer and read policy.
 
 Re-running a benchmark, or re-evaluating the same candidate table
 inside the Algorithm 1 search, repeats simulations whose outcome is a
-pure function of the :class:`~repro.exec.spec.CellSpec`.  The cache
-turns those repeats into a file read.
+pure function of the :class:`~repro.exec.spec.CellSpec`; rebuilding a
+workload repeats the metering of its query pool.  Both are stored here,
+side by side in one directory, :func:`cache_dir` (``REPRO_CACHE_DIR``,
+default ``~/.cache/repro-tpc``): cell results as ``cell-<hash>.pkl``
+and metered pools (see :mod:`repro.search.workload`) as
+``search-pool-<hash>.npz``.  Every key is a
+:func:`~repro.exec.spec.spec_hash`.
 
-The cache is **opt-in**: pass a :class:`ResultCache` to the pool
+Every entry is written by :func:`write_entry` (a temp file of its own,
+then ``os.replace``) and read by :func:`read_entry`.  A cache can cost
+time but never a result: a write that fails leaves nothing behind and
+returns None, and an entry that cannot be read is a miss, so the work
+is redone (and, for a pool, rewritten).
+
+Cell caching is **opt-in**: pass a :class:`ResultCache` to the pool
 runner, or set ``REPRO_EXEC_CACHE=1`` to let :func:`default_cache`
-supply one rooted at ``REPRO_EXEC_CACHE_DIR`` (default
-``~/.cache/repro-tpc/exec``).  Every ``cache=`` parameter defaults to
-:data:`ENV_CACHE`, which :func:`repro.exec.run_sweep` resolves through
+supply one.  Every ``cache=`` parameter defaults to :data:`ENV_CACHE`,
+which :func:`repro.exec.run_sweep` resolves through
 :func:`default_cache`; an explicit ``cache=None`` is a cold run.
-Entries are pickled :class:`~repro.exec.spec.CellResult` payloads
-written atomically; corrupt or unreadable entries degrade to cache
-misses.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import os
 import pickle
+import secrets
 from pathlib import Path
+from typing import IO, Any, Callable
 
 from .spec import CellResult, CellSpec
 
@@ -30,22 +40,72 @@ __all__ = [
     "default_cache",
     "ENV_CACHE",
     "CacheArg",
-    "DEFAULT_CACHE_DIR",
+    "cache_dir",
+    "read_entry",
+    "write_entry",
 ]
 
-#: Default cache root (override with ``REPRO_EXEC_CACHE_DIR``).
-DEFAULT_CACHE_DIR = os.path.join(
-    os.path.expanduser("~"), ".cache", "repro-tpc", "exec"
-)
+
+def cache_dir() -> Path:
+    """The cache directory: ``REPRO_CACHE_DIR``, else ``~/.cache/repro-tpc``."""
+    return Path(
+        os.environ.get(
+            "REPRO_CACHE_DIR",
+            os.path.join(os.path.expanduser("~"), ".cache", "repro-tpc"),
+        )
+    )
+
+
+def read_entry(path: Path, load: Callable[[IO[bytes]], Any]) -> Any | None:
+    """``load`` the open entry at ``path``; None on any failure (a miss).
+
+    Loading can raise almost anything: a missing or truncated file, an
+    unknown pickle protocol (ValueError), a class or module a refactor
+    removed (AttributeError, ModuleNotFoundError), a damaged zip
+    (BadZipFile).  Every such entry is a miss, never a crash.
+    """
+    try:
+        with path.open("rb") as fh:
+            return load(fh)
+    except Exception:
+        return None
+
+
+def write_entry(path: Path, dump: Callable[[IO[bytes]], None]) -> Path | None:
+    """Write an entry atomically with ``dump``; None if it could not be.
+
+    Each write gets a temp file of its own: concurrent writers of one
+    entry (sweep workers on a cold cache) must never rename or
+    overwrite each other's file.  ``O_EXCL`` under a random name
+    guarantees that, and the kernel applies the umask to 0o666 as a
+    plain open would, so a shared cache directory stays readable.  On
+    any failure (unwritable directory, disk full, a dump that raises)
+    the temp file is removed and the caller keeps its result.
+    """
+    tmp = path.parent / f".{path.stem}-{secrets.token_hex(8)}{path.suffix}"
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError:
+        return None
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            dump(fh)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        if isinstance(exc, Exception):
+            return None
+        raise
+    return path
 
 
 class ResultCache:
     """Filesystem cache of executed cells, keyed by spec hash."""
 
     def __init__(self, directory: str | Path | None = None) -> None:
-        if directory is None:
-            directory = os.environ.get("REPRO_EXEC_CACHE_DIR", DEFAULT_CACHE_DIR)
-        self.directory = Path(directory)
+        self.directory = cache_dir() if directory is None else Path(directory)
         self.hits = 0
         self.misses = 0
 
@@ -55,17 +115,7 @@ class ResultCache:
 
     def get(self, spec: CellSpec) -> CellResult | None:
         """Load a previously stored result, or None on a miss."""
-        path = self.path_for(spec)
-        try:
-            with path.open("rb") as fh:
-                result = pickle.load(fh)
-        except Exception:
-            # Unpickling can raise almost anything: a truncated file, an
-            # unknown protocol (ValueError), a class or module a refactor
-            # removed (AttributeError, ModuleNotFoundError).  Every such
-            # entry is a miss, never a crash.
-            self.misses += 1
-            return None
+        result = read_entry(self.path_for(spec), pickle.load)
         if not isinstance(result, CellResult):
             self.misses += 1
             return None
@@ -73,36 +123,23 @@ class ResultCache:
         return result
 
     def put(self, spec: CellSpec, result: CellResult) -> Path | None:
-        """Store a result atomically (tmp file + rename).
+        """Store a result; None if it could not be written.
 
-        Returns None if the entry could not be written (unwritable
-        directory, disk full, ...) — a failed write must not discard
-        the simulation work that produced the result.
+        A failed write must not discard the simulation work that
+        produced the result.
         """
-        path = self.path_for(spec)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            with tmp.open("wb") as fh:
-                pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except OSError:
-            return None
-        return path
+        return write_entry(
+            self.path_for(spec),
+            lambda fh: pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL),
+        )
 
     def clear(self) -> int:
-        """Delete every cached entry; returns the number removed."""
+        """Delete every cached cell; returns the number removed."""
         removed = 0
-        if self.directory.is_dir():
-            # payload-*.pkl: entries of a generic payload cache that
-            # older versions kept alongside the cells.
-            for pattern in ("cell-*.pkl", "payload-*.pkl"):
-                for entry in self.directory.glob(pattern):
-                    try:
-                        entry.unlink()
-                        removed += 1
-                    except OSError:
-                        pass
+        for entry in self.directory.glob("cell-*.pkl"):
+            with contextlib.suppress(OSError):
+                entry.unlink()
+                removed += 1
         return removed
 
     def __repr__(self) -> str:

@@ -8,10 +8,10 @@ The timed ``perf`` check (scenario throughput) runs only when named:
 ``python -m repro.gate --only perf``.  Profile it with ``python -m
 cProfile -m repro.gate --only perf``.
 
-The exec result cache is *on* by default here (``--cache-dir``, else
-``REPRO_EXEC_CACHE_DIR``), unlike the library and the benchmarks,
-because a warm gate must be near-free; ``--no-cache`` forces a cold
-run.
+The cell result cache is *on* by default here (``--cache-dir``, else
+the cache directory ``REPRO_CACHE_DIR``), unlike the library and the
+benchmarks, because a warm gate must be near-free; ``--no-cache``
+forces a cold run.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         default=None,
         metavar="DIR",
-        help="root of the exec result cache (default REPRO_EXEC_CACHE_DIR)",
+        help="directory of the cell result cache (default REPRO_CACHE_DIR)",
     )
     parser.add_argument(
         "--baselines",

@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         default=None,
         metavar="DIR",
-        help="root of the exec result cache (default REPRO_EXEC_CACHE_DIR)",
+        help="directory of the cell result cache (default REPRO_CACHE_DIR)",
     )
     parser.add_argument(
         "--quiet",

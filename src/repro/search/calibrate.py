@@ -16,37 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import LONG_QUERY_MS, SHORT_QUERY_MS, TARGET_MEAN_MS
+from ..config import TARGET_MEAN_MS
 from ..errors import CalibrationError
+from ..sim.metrics import DistributionStats, distribution_stats
 
-__all__ = ["CalibrationResult", "calibrate_workload", "workload_statistics"]
-
-
-@dataclass(frozen=True)
-class WorkloadStatistics:
-    """Demand-distribution statistics in the paper's terms."""
-
-    mean_ms: float
-    median_ms: float
-    p99_ms: float
-    max_ms: float
-    short_fraction: float
-    long_fraction: float
-    p99_over_mean: float
-    p99_over_median: float
-
-    def as_row(self) -> dict[str, float]:
-        """Flat dict for tabular reports."""
-        return {
-            "mean_ms": self.mean_ms,
-            "median_ms": self.median_ms,
-            "p99_ms": self.p99_ms,
-            "max_ms": self.max_ms,
-            "short_fraction(<15ms)": self.short_fraction,
-            "long_fraction(>80ms)": self.long_fraction,
-            "p99/mean": self.p99_over_mean,
-            "p99/median": self.p99_over_median,
-        }
+__all__ = ["CalibrationResult", "calibrate_workload"]
 
 
 @dataclass(frozen=True)
@@ -54,27 +28,7 @@ class CalibrationResult:
     """Outcome of workload calibration."""
 
     ms_per_unit: float
-    statistics: WorkloadStatistics
-
-
-def workload_statistics(demands_ms: np.ndarray) -> WorkloadStatistics:
-    """Compute the paper's Section 2 statistics for a demand sample."""
-    arr = np.asarray(demands_ms, dtype=np.float64)
-    if arr.size == 0:
-        raise CalibrationError("empty demand sample")
-    mean = float(arr.mean())
-    median = float(np.median(arr))
-    p99 = float(np.percentile(arr, 99))
-    return WorkloadStatistics(
-        mean_ms=mean,
-        median_ms=median,
-        p99_ms=p99,
-        max_ms=float(arr.max()),
-        short_fraction=float((arr < SHORT_QUERY_MS).mean()),
-        long_fraction=float((arr > LONG_QUERY_MS).mean()),
-        p99_over_mean=p99 / mean if mean > 0 else float("inf"),
-        p99_over_median=p99 / median if median > 0 else float("inf"),
-    )
+    statistics: DistributionStats
 
 
 def calibrate_workload(total_units: np.ndarray) -> CalibrationResult:
@@ -90,5 +44,6 @@ def calibrate_workload(total_units: np.ndarray) -> CalibrationResult:
     if units.min() <= 0:
         raise CalibrationError("work units must be positive")
     scale = TARGET_MEAN_MS / float(units.mean())
-    stats = workload_statistics(units * scale)
-    return CalibrationResult(ms_per_unit=scale, statistics=stats)
+    return CalibrationResult(
+        ms_per_unit=scale, statistics=distribution_stats(units * scale)
+    )

@@ -19,22 +19,21 @@ needs: sampled request traces, group profiles and weights, and the
 measured predictor operating point.
 
 Steps 1-2 take about a second at the canonical size (2-vCPU x86-64
-host).  Their outputs, the per-query work units and features, are
-cached on disk keyed by a hash of the seed, the configuration and the
-:mod:`repro.config` constants, so a rebuild of the same workload
-(another sweep worker, a later run) skips them; set the
-``REPRO_CACHE_DIR`` environment variable to relocate the cache or
-``use_cache=False`` to disable it.
+host).  Their outputs, the per-query work units and features, are one
+``search-pool-<hash>.npz`` entry of the on-disk cache
+(:mod:`repro.exec.cache`, which also holds the cell results), keyed by
+the ``spec_hash`` of the seed, the pool size and the configuration, so
+a rebuild of the same workload (another sweep worker, a later run)
+skips them.  An entry that cannot be read is rebuilt and rewritten; one
+that cannot be written is skipped.  ``REPRO_CACHE_DIR`` relocates the
+cache and ``use_cache=False`` bypasses it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import secrets
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from pathlib import Path
+from typing import IO
 
 import numpy as np
 
@@ -44,15 +43,17 @@ from ..config import (
     TASK_OVERHEAD_UNITS,
     PredictorConfig,
     SearchWorkloadConfig,
-    constants,
 )
 from ..core.speedup import SpeedupBook, SpeedupProfile
 from ..errors import WorkloadError
+from ..exec.cache import cache_dir, read_entry, write_entry
+from ..exec.spec import spec_hash
 from ..prediction.features import query_feature_matrix
 from ..prediction.predictor import ExecutionTimePredictor, PredictorReport
 from ..rng import RngFactory
+from ..sim.metrics import DistributionStats
 from ..sim.request import Request
-from .calibrate import WorkloadStatistics, calibrate_workload
+from .calibrate import calibrate_workload
 from .corpus import build_corpus
 from .engine import SearchEngine
 from .index import InvertedIndex
@@ -87,7 +88,7 @@ class SearchWorkload:
     config: SearchWorkloadConfig
     ms_per_unit: float
     serial_ms: float
-    statistics: WorkloadStatistics
+    statistics: DistributionStats
     parallel_model: ParallelExecutionModel
     speedup_book: SpeedupBook
     group_weights: tuple[float, ...]
@@ -243,11 +244,12 @@ def _measured_pool(
     use_cache: bool,
     rngs: RngFactory,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Corpus + index + pool execution, with an npz disk cache."""
-    cache_path = _cache_path(seed, cfg, pool_size) if use_cache else None
-    if cache_path is not None and cache_path.exists():
-        data = np.load(cache_path)
-        return data["units"], data["features"]
+    """Corpus + index + pool execution, cached as one npz entry."""
+    path = _pool_path(seed, cfg, pool_size) if use_cache else None
+    if path is not None:
+        cached = read_entry(path, _load_pool)
+        if cached is not None:
+            return cached
 
     # The corpus stays alive until the pool is metered.  Freeing it
     # right after the index build left freed heap pinned under live
@@ -259,41 +261,20 @@ def _measured_pool(
     units = SearchEngine(index).execute_batch(queries).total_units
     features = query_feature_matrix(queries, index)
 
-    if cache_path is not None:
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        # Each write gets a temp file of its own: concurrent writers of
-        # one entry (sweep workers on a cold cache) must never rename
-        # or overwrite each other's file. O_EXCL under a random name
-        # guarantees that, and the kernel applies the umask to 0o666 as
-        # a plain open would, so a shared cache directory stays
-        # readable. A writer killed mid-write leaves its dot-file
-        # behind; deleting it is safe.
-        tmp = cache_path.parent / f".{cache_path.stem}-{secrets.token_hex(8)}.npz"
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez_compressed(fh, units=units, features=features)
-            os.replace(tmp, cache_path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+    if path is not None:
+        write_entry(
+            path,
+            lambda fh: np.savez_compressed(fh, units=units, features=features),
+        )
     return units, features
 
 
-def _cache_path(
-    seed: int, cfg: SearchWorkloadConfig, pool_size: int
-) -> Path:
-    base = os.environ.get(
-        "REPRO_CACHE_DIR", os.path.join(os.path.expanduser("~"), ".cache", "repro-tpc")
-    )
-    payload = json.dumps(
-        {
-            "seed": seed,
-            "pool": pool_size,
-            "config": asdict(cfg),
-            "constants": constants(),
-        },
-        sort_keys=True,
-    )
-    digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
-    return Path(base) / f"search-pool-{digest}.npz"
+def _pool_path(seed: int, cfg: SearchWorkloadConfig, pool_size: int) -> Path:
+    return cache_dir() / f"search-pool-{spec_hash((seed, pool_size, cfg))}.npz"
+
+
+def _load_pool(fh: IO[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    # Both arrays are read in full while the file is open, so a damaged
+    # entry fails here, inside read_entry, and counts as a miss.
+    with np.load(fh, allow_pickle=False) as data:
+        return data["units"], data["features"]

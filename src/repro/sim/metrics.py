@@ -109,14 +109,15 @@ class DistributionStats:
 
     Section 2 characterises the production demand distribution by its
     mean, median, tail percentile and the fractions of short (<15 ms)
-    and long (>80 ms) queries; the fidelity gate re-derives the same
-    statistics from simulated samples and checks them against bands.
+    and long (>80 ms) queries.  Workload calibration reports them for
+    the query pool, and the fidelity gate re-derives them from
+    simulated samples and checks them against bands.
     """
 
-    count: int
     mean_ms: float
     median_ms: float
     p99_ms: float
+    max_ms: float
     short_fraction: float
     long_fraction: float
 
@@ -130,19 +131,6 @@ class DistributionStats:
         """Tail heaviness relative to the median (paper: ~56x)."""
         return self.p99_ms / self.median_ms
 
-    def as_row(self) -> dict[str, float]:
-        """Flat dict for tabular reports and JSON export."""
-        return {
-            "count": self.count,
-            "mean_ms": self.mean_ms,
-            "median_ms": self.median_ms,
-            "p99_ms": self.p99_ms,
-            "short_fraction": self.short_fraction,
-            "long_fraction": self.long_fraction,
-            "p99/mean": self.p99_over_mean,
-            "p99/median": self.p99_over_median,
-        }
-
 
 def distribution_stats(
     values_ms: Sequence[float] | np.ndarray,
@@ -152,10 +140,10 @@ def distribution_stats(
     if arr.size == 0:
         raise SimulationError("cannot summarise an empty sample")
     return DistributionStats(
-        count=int(arr.size),
         mean_ms=float(arr.mean()),
         median_ms=float(np.median(arr)),
         p99_ms=percentile(arr, 99),
+        max_ms=float(arr.max()),
         short_fraction=float((arr < SHORT_QUERY_MS).mean()),
         long_fraction=float((arr > LONG_QUERY_MS).mean()),
     )

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from repro.config import TARGET_MEAN_MS
-from repro.errors import CalibrationError
-from repro.search.calibrate import calibrate_workload, workload_statistics
+from repro.errors import CalibrationError, SimulationError
+from repro.search.calibrate import calibrate_workload
+from repro.sim.metrics import distribution_stats
 
 
 class TestStatistics:
     def test_known_sample(self):
         demands = np.array([1.0] * 85 + [50.0] * 11 + [200.0] * 4)
-        stats = workload_statistics(demands)
+        stats = distribution_stats(demands)
         assert stats.short_fraction == pytest.approx(0.85)
         assert stats.long_fraction == pytest.approx(0.04)
         assert stats.median_ms == 1.0
@@ -19,19 +20,12 @@ class TestStatistics:
 
     def test_ratios(self):
         demands = np.array([2.0] * 99 + [100.0])
-        stats = workload_statistics(demands)
+        stats = distribution_stats(demands)
         assert stats.p99_over_median == pytest.approx(stats.p99_ms / 2.0)
 
     def test_empty_rejected(self):
-        with pytest.raises(CalibrationError):
-            workload_statistics(np.array([]))
-
-    def test_as_row_contains_paper_fields(self):
-        stats = workload_statistics(np.array([1.0, 2.0, 3.0]))
-        row = stats.as_row()
-        assert "mean_ms" in row
-        assert "short_fraction(<15ms)" in row
-        assert "p99/median" in row
+        with pytest.raises(SimulationError):
+            distribution_stats(np.array([]))
 
 
 class TestCalibration:
@@ -45,6 +39,7 @@ class TestCalibration:
         units = np.array([100.0, 200.0, 300.0])
         result = calibrate_workload(units)
         assert result.statistics.mean_ms == pytest.approx(TARGET_MEAN_MS)
+        assert result.statistics.max_ms == pytest.approx(1.5 * TARGET_MEAN_MS)
 
     def test_rejects_empty(self):
         with pytest.raises(CalibrationError):

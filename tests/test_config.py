@@ -132,6 +132,8 @@ class TestSearchWorkloadConfig:
             {"surprise_fraction": 2.0},
             {"surprise_fraction": -0.1},
             {"surprise_fraction": math.nan},
+            {"task_grain_units": math.nan},
+            {"task_grain_units": math.inf},
         ],
     )
     def test_rejects_values_the_build_cannot_honour(self, kwargs):
@@ -167,6 +169,9 @@ class TestPredictorConfig:
             {"subsample": 0},
             {"subsample": 1.5},
             {"subsample": math.nan},
+            {"feature_noise_sigma": -0.1},
+            {"feature_noise_sigma": math.nan},
+            {"feature_noise_sigma": math.inf},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -190,6 +195,10 @@ class TestPolicyConfig:
             {"rampup_interval_ms": -10.0},
             {"correction_delay_factor": math.nan},
             {"correction_resource_signal": "magic"},
+            {"rampup_interval_ms": math.nan},
+            {"rampup_interval_ms": math.inf},
+            {"wq_linear_beta": math.nan},
+            {"wq_linear_beta": math.inf},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -236,6 +245,8 @@ class TestTargetTableConfig:
             {"initial_target_ms": 0.0},
             {"initial_target_ms": math.nan},
             {"initial_target_ms": math.inf},
+            {"step_ms": math.nan},
+            {"step_ms": math.inf},
         ],
     )
     def test_rejects_degenerate_search(self, kwargs):

@@ -40,6 +40,8 @@ from repro.exec import (
 from repro.exec import pool as pool_mod
 from repro.experiments.runner import make_measure_tail_batch
 from repro.experiments.scenarios import TINY_TARGET_TABLE, TINY_WORKLOAD_SPEC
+from repro.rng import RngFactory
+from repro.search.workload import _measured_pool, _pool_path
 from repro.sim.server import Server
 
 
@@ -121,15 +123,14 @@ class TestSpecHash:
         # A fixed number of repro.config parameterises cells and search
         # pools as a field default does, so both keys must cover it.
         from repro import config
-        from repro.search.workload import _cache_path
 
         cell = CellSpec.for_experiment(
             WorkloadSpec.search(seed=1), "Sequential", 300.0, 200, seed=5
         )
         search = SearchWorkloadConfig()
-        before = (cell.content_hash, _cache_path(1, search, 12_000))
+        before = (cell.content_hash, _pool_path(1, search, 12_000))
         monkeypatch.setattr(config, "ZIPF_EXPONENT", 1.2)
-        after = (cell.content_hash, _cache_path(1, search, 12_000))
+        after = (cell.content_hash, _pool_path(1, search, 12_000))
         assert after[0] != before[0]
         assert after[1] != before[1]
 
@@ -258,6 +259,72 @@ class TestRunSweep:
         assert {e.spec for e in events} == set(small_sweep.cells)
 
 
+class CellEntries:
+    """Cell results, computed through a ResultCache."""
+
+    # A pickle protocol newer than this interpreter's, and a pickle
+    # naming a module that no longer exists.
+    corrupt = (b"not a pickle", b"\x80\xff", b"cnosuchmodule_xyz\nThing\n.")
+    dump = (pickle, "dump")
+
+    def __init__(self, spec: CellSpec, result) -> None:
+        self.spec = spec
+        self.expected = result.responses_ms
+
+    def path(self, directory):
+        return ResultCache(directory).path_for(self.spec)
+
+    def compute(self, directory):
+        return run_cell(self.spec, cache=ResultCache(directory)).responses_ms
+
+    def stored(self, directory):
+        return ResultCache(directory).get(self.spec).responses_ms
+
+
+class PoolEntries:
+    """Metered search pools, computed through the workload build."""
+
+    SEED, POOL = 3, 300
+    CONFIG = SearchWorkloadConfig(
+        num_documents=800, vocabulary_size=500, mean_doc_length=60
+    )
+    corrupt = (b"not a zip", b"PK\x03\x04")
+    dump = (np, "savez_compressed")
+
+    def __init__(self, monkeypatch) -> None:
+        self.monkeypatch = monkeypatch
+        self.expected = self._measure(False)
+
+    def _measure(self, use_cache: bool):
+        # Work units and features, side by side.
+        return np.column_stack(
+            _measured_pool(
+                self.SEED, self.CONFIG, self.POOL, use_cache,
+                RngFactory(self.SEED),
+            )
+        )
+
+    def path(self, directory):
+        self.monkeypatch.setenv("REPRO_CACHE_DIR", str(directory))
+        return _pool_path(self.SEED, self.CONFIG, self.POOL)
+
+    def compute(self, directory):
+        self.monkeypatch.setenv("REPRO_CACHE_DIR", str(directory))
+        return self._measure(True)
+
+    def stored(self, directory):
+        with np.load(self.path(directory), allow_pickle=False) as data:
+            return np.column_stack((data["units"], data["features"]))
+
+
+@pytest.fixture(params=["cell", "pool"])
+def entries(request, small_sweep, serial_results, monkeypatch):
+    """Each kind of cache entry, with how to compute and read it."""
+    if request.param == "cell":
+        return CellEntries(small_sweep.cells[0], serial_results[0])
+    return PoolEntries(monkeypatch)
+
+
 class TestResultCache:
     def test_miss_then_hit(self, tmp_path, small_sweep, serial_results):
         cache = ResultCache(tmp_path)
@@ -281,29 +348,51 @@ class TestResultCache:
         assert cache.get(changed) is None
 
     def test_unwritable_directory_does_not_lose_results(
-        self, small_sweep, serial_results
+        self, entries, tmp_path
     ):
-        # A failed write must not discard the simulation work: put
-        # degrades to a no-op (like get degrades to a miss).
-        cache = ResultCache("/proc/nonexistent-cache-dir")
-        assert cache.put(small_sweep.cells[0], serial_results[0]) is None
-        assert cache.get(small_sweep.cells[0]) is None
-
-    def test_corrupt_entry_degrades_to_miss(self, tmp_path, small_sweep):
-        cache = ResultCache(tmp_path)
-        path = cache.path_for(small_sweep.cells[0])
-        path.parent.mkdir(parents=True, exist_ok=True)
-        corrupt = (
-            b"not a pickle",
-            # A pickle protocol newer than this interpreter's.
-            b"\x80\xff",
-            # A pickle naming a module that no longer exists.
-            b"cnosuchmodule_xyz\nThing\n.",
+        # A cache directory that cannot exist (beneath a regular file):
+        # reads miss, writes fail, and the work still comes back.
+        blocker = tmp_path / "file"
+        blocker.write_bytes(b"")
+        directory = blocker / "cache"
+        assert entries.path(directory).parent == directory
+        np.testing.assert_array_equal(
+            entries.compute(directory), entries.expected
         )
-        for payload in corrupt:
+        assert list(tmp_path.iterdir()) == [blocker]
+        assert blocker.read_bytes() == b""
+
+    def test_corrupt_entry_degrades_to_miss(self, entries, tmp_path):
+        # A damaged entry is a miss: the work is redone, returns the
+        # same numbers and rewrites the entry.
+        entries.compute(tmp_path)
+        path = entries.path(tmp_path)
+        valid = path.read_bytes()
+        for payload in (b"", valid[: len(valid) // 2], *entries.corrupt):
             path.write_bytes(payload)
-            assert cache.get(small_sweep.cells[0]) is None, payload
-        assert cache.misses == len(corrupt)
+            np.testing.assert_array_equal(
+                entries.compute(tmp_path), entries.expected
+            )
+            np.testing.assert_array_equal(
+                entries.stored(tmp_path), entries.expected
+            )
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+    def test_failed_write_leaves_no_temp_file(
+        self, entries, tmp_path, monkeypatch
+    ):
+        # The disk fills mid-dump: the partial temp file is removed,
+        # no entry appears, and the work still comes back.
+        def half_written(*args, **kwargs):
+            fh = next(a for a in args if hasattr(a, "write"))
+            fh.write(b"partial")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(*entries.dump, half_written)
+        np.testing.assert_array_equal(
+            entries.compute(tmp_path), entries.expected
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_cached_rerun_does_zero_simulation_work(
         self, tmp_path, small_sweep, serial_results, monkeypatch
@@ -354,7 +443,7 @@ class TestResultCache:
         monkeypatch.delenv("REPRO_EXEC_CACHE", raising=False)
         assert default_cache() is None
         monkeypatch.setenv("REPRO_EXEC_CACHE", "1")
-        monkeypatch.setenv("REPRO_EXEC_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         cache = default_cache()
         assert cache is not None
         assert cache.directory == tmp_path
@@ -381,7 +470,7 @@ class TestOmittedCache:
         self, tiny_search_workload, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("REPRO_EXEC_CACHE", "1")
-        monkeypatch.setenv("REPRO_EXEC_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         cold = self.measure(tiny_search_workload)
         entries = sorted(tmp_path.glob("cell-*.pkl"))
         assert len(entries) == 4  # 2 tables x 2 measure loads
@@ -407,7 +496,7 @@ class TestOmittedCache:
         self, tiny_search_workload, tmp_path, monkeypatch
     ):
         monkeypatch.delenv("REPRO_EXEC_CACHE", raising=False)
-        monkeypatch.setenv("REPRO_EXEC_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         self.measure(tiny_search_workload)
         assert not any(tmp_path.iterdir())
 
@@ -415,6 +504,6 @@ class TestOmittedCache:
         self, tiny_search_workload, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("REPRO_EXEC_CACHE", "1")
-        monkeypatch.setenv("REPRO_EXEC_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         self.measure(tiny_search_workload, cache=None)
         assert not any(tmp_path.iterdir())
