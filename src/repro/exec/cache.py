@@ -47,13 +47,15 @@ __all__ = [
 
 
 def cache_dir() -> Path:
-    """The cache directory: ``REPRO_CACHE_DIR``, else ``~/.cache/repro-tpc``."""
-    return Path(
-        os.environ.get(
-            "REPRO_CACHE_DIR",
-            os.path.join(os.path.expanduser("~"), ".cache", "repro-tpc"),
-        )
-    )
+    """The cache directory: ``REPRO_CACHE_DIR``, else ``~/.cache/repro-tpc``.
+
+    An empty ``REPRO_CACHE_DIR`` counts as unset, as an empty
+    ``REPRO_BENCH_WORKERS`` does; taken as a path it would be ``.``.
+    """
+    env = os.environ.get("REPRO_CACHE_DIR", "")
+    if env.strip():
+        return Path(env)
+    return Path(os.path.expanduser("~"), ".cache", "repro-tpc")
 
 
 def read_entry(path: Path, load: Callable[[IO[bytes]], Any]) -> Any | None:

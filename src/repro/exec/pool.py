@@ -15,9 +15,13 @@ argument, the ``REPRO_BENCH_WORKERS`` environment variable, then
 calling process with no pool at all.
 
 Memory note: each worker process memoises the workloads it has built
-(:data:`_WORKLOAD_MEMO`), so ``N`` workers hold up to ``N`` copies of
-the inverted index and query pools (tens of MB each for the canonical
-configuration).  Cap the worker count if the host is memory-tight.
+(:data:`_WORKLOAD_MEMO`), but a built search workload is small (~0.5 MB
+canonical): the corpus, inverted index and engine bitsets are freed
+once its pool is metered (DESIGN §10).  What each worker pays is the
+build's transient peak on top of its imports (~79 MB, most of it
+``scipy.optimize``): a cold canonical build traces ~53 MB at its peak,
+~142 MB RSS for a process that builds once.  Cap the worker count if
+the host is memory-tight.
 """
 
 from __future__ import annotations

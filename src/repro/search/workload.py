@@ -251,11 +251,11 @@ def _measured_pool(
         if cached is not None:
             return cached
 
-    # The corpus stays alive until the pool is metered.  Freeing it
-    # right after the index build left freed heap pinned under live
-    # allocations in 3 of 20 two-build runs, peaking ~19 MB higher.
+    # The index keeps what metering needs, so the corpus goes before
+    # the engine packs its bitsets, the build's traced peak (DESIGN §10).
     corpus = build_corpus(cfg, rngs.get("corpus"))
     index = InvertedIndex(corpus)
+    del corpus
     generator = QueryGenerator(cfg, rngs.get("queries"))
     queries = generator.generate(pool_size)
     units = SearchEngine(index).execute_batch(queries).total_units

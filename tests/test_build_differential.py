@@ -35,7 +35,7 @@ from repro.search.corpus import (
     zipf_probabilities,
 )
 from repro.search.engine import SearchEngine
-from repro.search.index import InvertedIndex
+from repro.search.index import InvertedIndex, _fused_keys
 from repro.search.query import Query, QueryGenerator
 from repro.search.scoring import bm25_scores, top_k_documents
 
@@ -213,6 +213,36 @@ class TestFusedKeyIndex:
         monkeypatch.setattr("repro.search.index._KEY_CHUNK", 37)
         rng = np.random.default_rng(7)
         _assert_same_postings(_random_corpus(rng, 90, 70, 25))
+
+    @pytest.mark.parametrize(
+        "vocabulary, num_docs, key_dtype",
+        [(6_000, 24_000, np.uint32), (70_000, 70_000, np.uint64)],
+        ids=["canonical-size-uint32", "wide-uint64"],
+    )
+    def test_key_width(self, vocabulary, num_docs, key_dtype):
+        # Mostly empty documents keep the corpus small at any size; the
+        # top terms push the keys of the 70 000 x 70 000 case past 2**32.
+        rng = np.random.default_rng(3)
+        lengths = np.zeros(num_docs, dtype=np.int64)
+        lengths[rng.choice(num_docs, size=300, replace=False)] = rng.integers(
+            1, 40, size=300
+        )
+        offsets = np.zeros(num_docs + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        tokens = rng.integers(0, vocabulary, size=int(offsets[-1]))
+        tokens[:50] = vocabulary - 1
+        corpus = Corpus(
+            doc_term_ids=tokens.astype(np.int32),
+            doc_offsets=offsets,
+            vocabulary_size=vocabulary,
+            term_probabilities=np.full(vocabulary, 1.0 / vocabulary),
+        )
+        key = _fused_keys(
+            corpus.doc_term_ids, np.diff(offsets), num_docs, vocabulary
+        )
+        assert key.dtype == key_dtype
+        assert (int(key.max()) >= 2**32) == (key_dtype == np.uint64)
+        _assert_same_postings(corpus)
 
 
 def _reference_execute(

@@ -38,6 +38,7 @@ from repro.exec import (
     run_sweep,
 )
 from repro.exec import pool as pool_mod
+from repro.exec.cache import cache_dir
 from repro.experiments.runner import make_measure_tail_batch
 from repro.experiments.scenarios import TINY_TARGET_TABLE, TINY_WORKLOAD_SPEC
 from repro.rng import RngFactory
@@ -447,6 +448,12 @@ class TestResultCache:
         cache = default_cache()
         assert cache is not None
         assert cache.directory == tmp_path
+
+    @pytest.mark.parametrize("value", ["", "  "])
+    def test_empty_cache_dir_counts_as_unset(self, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.setenv("REPRO_CACHE_DIR", value)
+        assert cache_dir() == tmp_path / ".cache" / "repro-tpc"
 
 
 class TestOmittedCache:
