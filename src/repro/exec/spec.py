@@ -21,10 +21,12 @@ travels back.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
@@ -82,17 +84,37 @@ def _canonical(obj: Any) -> Any:
     raise ConfigError(f"cannot canonicalise {type(obj).__name__} for hashing")
 
 
+@functools.cache
+def _source_digest() -> str:
+    """sha256 of every ``repro/**/*.py`` file: its relative path and bytes.
+
+    Computed once per process (the package is ~90 files, a few ms).
+    """
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        data = path.read_bytes()
+        name = path.relative_to(root).as_posix().encode("utf-8")
+        digest.update(b"%d:%s:%d:" % (len(name), name, len(data)))
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def spec_hash(obj: Any) -> str:
     """Stable content hash of any spec object (hex, 16 bytes).
 
     The :mod:`repro.config` constants are hashed too: they parameterise
-    every cell exactly as the config fields do.
+    every cell exactly as the config fields do.  So is the package's own
+    source (:func:`_source_digest`): a cached result is only ever handed
+    to the code that computed it, and any edit under ``repro/`` makes
+    every cell and search-pool entry cold.
     """
     fixed = {name: _canonical(value) for name, value in constants().items()}
     payload = json.dumps(
         {
             "schema": SPEC_SCHEMA_VERSION,
             "constants": fixed,
+            "source": _source_digest(),
             "value": _canonical(obj),
         },
         sort_keys=True,

@@ -135,6 +135,22 @@ class TestSpecHash:
         assert after[0] != before[0]
         assert after[1] != before[1]
 
+    def test_source_is_hashed(self, monkeypatch):
+        # Results computed by other code must not be served: a changed
+        # package source moves the cell key and the search-pool key.
+        from repro.exec import spec as spec_mod
+
+        cell = CellSpec.for_experiment(
+            WorkloadSpec.search(seed=1), "Sequential", 300.0, 200, seed=5
+        )
+        search = SearchWorkloadConfig()
+        before = (cell.content_hash, _pool_path(1, search, 12_000))
+        assert len(spec_mod._source_digest()) == 64
+        monkeypatch.setattr(spec_mod, "_source_digest", lambda: "0" * 64)
+        after = (cell.content_hash, _pool_path(1, search, 12_000))
+        assert after[0] != before[0]
+        assert after[1] != before[1]
+
     def test_sweep_hash_covers_all_cells(self, small_sweep):
         reordered = SweepSpec(tuple(reversed(small_sweep.cells)))
         assert reordered.content_hash != small_sweep.content_hash
