@@ -6,22 +6,24 @@ overhead sources it measures but does not decompose (Section 2.4):
 
 * a **serial phase** (query parsing, top-k rescoring) that no thread
   count accelerates;
-* **fixed parallel-orchestration cost** ``h`` (task-pool setup and
-  join synchronisation), paid once whenever ``d > 1``;
 * **speculative/wasted work**: a sequential run stops scanning as soon
   as the top-k stabilises, while parallel threads speculatively process
   chunks that hindsight proves unnecessary.  Short queries terminate
   early more often, so their relative waste is larger — modelled as a
   waste fraction ``w(L) = a / (1 + L / b)`` per extra thread;
 * **load imbalance**: with ``n`` equal-grain tasks, ``d`` workers need
-  ``ceil(n / d)`` rounds, which bites when ``n`` is small.
+  ``ceil(n/d)`` rounds, which bites when ``n`` is small, and every
+  round pays the per-task overhead ``o``.
 
-``T_d = serial + h + ceil(n/d)/n * parallel * (1 + w(L)(d-1)) + per-task overhead``
+``T_d = serial + ceil(n/d) * o + ceil(n/d)/n * parallel * (1 + w(L)(d-1))``
 and ``S_d = L / T_d`` (clamped monotone, ``S_1 = 1``).
 
-The three free parameters ``(h, a, b)`` are fitted once against the
+The two free parameters ``(a, b)`` are fitted once against the
 published Figure 2 curves by :func:`fit_parallel_model`; everything
-else (serial work, task grain) comes from the workload configuration.
+else (serial work, task grain, task overhead) comes from the workload
+configuration.  The fit is a projected Levenberg–Marquardt iteration
+in numpy, run until a stated convergence criterion holds, so the
+fitted values depend on this code alone.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from ..core.speedup import SpeedupProfile
 from ..errors import CalibrationError
@@ -52,11 +53,59 @@ FIGURE2_TARGETS: dict[float, dict[int, float]] = {
 }
 
 
+#: Box bounds and starting point of the fitted ``(a, b)``: the waste
+#: amplitude and its half-life (ms).
+_LOWER = np.array([0.0, 1.0])
+_UPPER = np.array([10.0, 500.0])
+_START = np.array([1.0, 20.0])
+
+#: Convergence criterion of :func:`fit_parallel_model`: the infinity
+#: norm of the projected gradient ``x - clip(x - grad, lower, upper)``
+#: of the cost ``0.5 * sum(residual**2)`` is at most this.  It is zero
+#: exactly at a first-order optimum of the bounded problem; the
+#: gradient itself is accurate to ~1e-15 here.
+_GRADIENT_TOL = 1e-10
+
+#: The cost is only resolved to ~1e-14 of its value (the residuals'
+#: rounding).  A step whose predicted decrease is below this fraction
+#: of the cost is judged by the projected gradient instead.
+_COST_RESOLUTION = 1e-12
+
+_MAX_ITERATIONS = 200
+_MAX_DAMPING = 1e16
+
+
+def _pool_terms(
+    total_ms: float,
+    serial_ms: float,
+    degree: int,
+    task_grain_ms: float,
+    task_overhead_ms: float,
+) -> tuple[float, float]:
+    """Split ``T_d`` into ``fixed + scaled * (1 + w(L) * (degree - 1))``.
+
+    ``fixed`` is the serial phase plus the per-round task overhead, and
+    ``scaled`` the parallel work's makespan before waste.  A request
+    that runs on one thread, or has no parallel work, is ``(L, 0)``.
+    """
+    if total_ms <= 0:
+        raise CalibrationError(f"total_ms must be > 0, got {total_ms}")
+    serial_ms = min(serial_ms, total_ms)
+    parallel_ms = total_ms - serial_ms
+    if degree <= 1 or parallel_ms <= 0:
+        return total_ms, 0.0
+    n_tasks = max(1, math.ceil(parallel_ms / task_grain_ms))
+    rounds = math.ceil(n_tasks / degree)
+    return (
+        serial_ms + rounds * task_overhead_ms,
+        (rounds / n_tasks) * parallel_ms,
+    )
+
+
 @dataclass(frozen=True)
 class ParallelExecutionModel:
     """Fitted task-pool execution model (parameters in milliseconds)."""
 
-    startup_overhead_ms: float
     waste_amplitude: float
     waste_halflife_ms: float
     task_grain_ms: float
@@ -70,21 +119,10 @@ class ParallelExecutionModel:
         self, total_ms: float, serial_ms: float, degree: int
     ) -> float:
         """Wall-clock execution time ``T_d`` at parallelism ``degree``."""
-        if total_ms <= 0:
-            raise CalibrationError(f"total_ms must be > 0, got {total_ms}")
-        serial_ms = min(serial_ms, total_ms)
-        if degree <= 1:
-            return total_ms
-        parallel_ms = total_ms - serial_ms
-        if parallel_ms <= 0:
-            return total_ms
-        n_tasks = max(1, math.ceil(parallel_ms / self.task_grain_ms))
-        rounds = math.ceil(n_tasks / degree)
-        inflated = parallel_ms * (
-            1.0 + self.waste_fraction(total_ms) * (degree - 1)
+        fixed, scaled = _pool_terms(
+            total_ms, serial_ms, degree, self.task_grain_ms, self.task_overhead_ms
         )
-        makespan = (rounds / n_tasks) * inflated + rounds * self.task_overhead_ms
-        return serial_ms + self.startup_overhead_ms + makespan
+        return fixed + scaled * (1.0 + self.waste_fraction(total_ms) * (degree - 1))
 
     def profile(
         self, total_ms: float, serial_ms: float, max_degree: int
@@ -101,13 +139,162 @@ class ParallelExecutionModel:
         return SpeedupProfile(speedups)
 
 
+class _WasteFit:
+    """The fit's cost ``0.5 * sum(r**2)``, ``r = L / T_d(a, b) - target``.
+
+    Holds each target point's :func:`_pool_terms`, which do not depend
+    on ``(a, b)``.  ``T_d`` is evaluated exactly as
+    :meth:`ParallelExecutionModel.parallel_time` does, so the residuals
+    of a fitted model are the ones this class minimised.  Sums use
+    ``math.fsum`` (exactly rounded), so no BLAS summation order reaches
+    the fitted values.
+    """
+
+    def __init__(
+        self,
+        points: list[tuple[float, int, float]],
+        serial_ms: float,
+        task_grain_ms: float,
+        task_overhead_ms: float,
+    ) -> None:
+        self.load = np.array([load for load, _, _ in points])
+        self.extra = np.array([degree - 1.0 for _, degree, _ in points])
+        self.target = np.array([target for _, _, target in points])
+        terms = np.array(
+            [
+                _pool_terms(load, serial_ms, degree, task_grain_ms, task_overhead_ms)
+                for load, degree, _ in points
+            ]
+        ).reshape(-1, 2)
+        self.fixed = terms[:, 0]
+        self.scaled = terms[:, 1]
+
+    def derivatives(
+        self, x: np.ndarray
+    ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+        """Cost, gradient, Hessian and ``diag(JᵀJ)`` at ``x = (a, b)``.
+
+        The Hessian is exact: ``JᵀJ`` plus each residual's own
+        curvature, which matters here because the Figure 2 residuals
+        are not small (a Gauss–Newton ``JᵀJ`` alone converges only
+        linearly on them).
+        """
+        load = self.load
+        a, b = float(x[0]), float(x[1])
+        shrink = 1.0 + load / b
+        work = self.scaled * self.extra
+        time = self.fixed + self.scaled * (1.0 + a / shrink * self.extra)
+        r = load / time - self.target
+        # w = a / (1 + L/b) and its derivatives in a and b.
+        span = b + load
+        w_a = 1.0 / shrink
+        w_b = a * load / (span * span)
+        w_ab = load / (span * span)
+        w_bb = -2.0 * w_b / span
+        # r(T) = L / T - target, with T linear in w.
+        r_t = -load / (time * time)
+        r_tt = -2.0 * r_t / time
+        t_a, t_b = work * w_a, work * w_b
+        j_a, j_b = r_t * t_a, r_t * t_b
+        fsum = math.fsum
+        gn = np.array(
+            [
+                [fsum(j_a * j_a), fsum(j_a * j_b)],
+                [fsum(j_a * j_b), fsum(j_b * j_b)],
+            ]
+        )
+        r_ab = fsum(r * (r_tt * t_a * t_b + r_t * work * w_ab))
+        curvature = np.array(
+            [
+                [fsum(r * r_tt * t_a * t_a), r_ab],
+                [r_ab, fsum(r * (r_tt * t_b * t_b + r_t * work * w_bb))],
+            ]
+        )
+        grad = np.array([fsum(j_a * r), fsum(j_b * r)])
+        return 0.5 * fsum(r * r), grad, gn + curvature, np.diag(gn).copy()
+
+
+def _projected_gradient(x: np.ndarray, grad: np.ndarray) -> float:
+    """``max |x - clip(x - grad, lower, upper)|``: 0 exactly at a bounded optimum."""
+    return float(np.max(np.abs(x - np.clip(x - grad, _LOWER, _UPPER))))
+
+
+def _solve_2x2(m: np.ndarray, v: np.ndarray) -> np.ndarray | None:
+    """``m⁻¹ v`` for a symmetric 2x2 ``m``; None unless positive definite."""
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    if not (m[0, 0] > 0 and det > 0):
+        return None
+    return np.array(
+        [
+            (m[1, 1] * v[0] - m[0, 1] * v[1]) / det,
+            (m[0, 0] * v[1] - m[1, 0] * v[0]) / det,
+        ]
+    )
+
+
+def _minimise(fit: _WasteFit) -> np.ndarray:
+    """Projected Levenberg–Marquardt over the box ``[_LOWER, _UPPER]``.
+
+    Each iteration fixes the parameters held at a bound by the gradient
+    (Bertsekas's projected-Newton active set), solves the damped system
+    ``(H + λ D) s = -g`` over the free ones, with ``D`` the running
+    maximum of ``diag(JᵀJ)`` (Moré's scaling), and projects ``x + s``
+    back onto the box.  A step is taken if it lowers the cost; once the
+    predicted decrease is below the cost's rounding error it is taken if
+    it lowers the projected gradient.  λ shrinks tenfold after a step
+    and grows tenfold (from at least 1e-3) until one is found.
+
+    Converged means :func:`_projected_gradient` ``<= _GRADIENT_TOL``;
+    anything else raises :class:`CalibrationError`.
+    """
+    x = _START.copy()
+    cost, grad, hess, gn_diag = fit.derivatives(x)
+    scale = gn_diag
+    damping = 1e-3
+    for _ in range(_MAX_ITERATIONS):
+        pg = _projected_gradient(x, grad)
+        if pg <= _GRADIENT_TOL:
+            return x
+        held = ((x <= _LOWER) & (grad > 0)) | ((x >= _UPPER) & (grad < 0))
+        scale = np.maximum(scale, gn_diag)
+        while True:
+            m = hess + damping * np.diag(scale)
+            m[held, :] = 0.0
+            m[:, held] = 0.0
+            m[held, held] = 1.0
+            step = _solve_2x2(m, np.where(held, 0.0, -grad))
+            if step is not None:
+                trial = np.clip(x + step, _LOWER, _UPPER)
+                state = fit.derivatives(trial)
+                moved = trial - x
+                curvature = math.fsum((hess * np.outer(moved, moved)).ravel())
+                predicted = -(math.fsum(grad * moved) + 0.5 * curvature)
+                if predicted <= _COST_RESOLUTION * cost:
+                    better = _projected_gradient(trial, state[1]) < pg
+                else:
+                    better = state[0] < cost
+                if better:
+                    x = trial
+                    cost, grad, hess, gn_diag = state
+                    damping *= 0.1
+                    break
+            damping = max(damping * 10.0, 1e-3)
+            if damping > _MAX_DAMPING:
+                raise CalibrationError(
+                    f"parallel-model fit stalled at projected gradient {pg:.3g}"
+                )
+    raise CalibrationError(
+        f"parallel-model fit did not converge in {_MAX_ITERATIONS} iterations"
+    )
+
+
 def fit_parallel_model(
     serial_ms: float,
     task_grain_ms: float,
     task_overhead_ms: float,
     targets: dict[float, dict[int, float]] | None = None,
 ) -> ParallelExecutionModel:
-    """Fit ``(h, a, b)`` so the model reproduces Figure 2.
+    """Fit ``(a, b)`` so the model reproduces Figure 2.
 
     Parameters
     ----------
@@ -119,7 +306,10 @@ def fit_parallel_model(
         ``{L_ms: {degree: speedup}}`` to fit; defaults to
         :data:`FIGURE2_TARGETS`.
 
-    Returns the fitted :class:`ParallelExecutionModel`.
+    Minimises ``0.5 * sum((S_d - target)**2)`` over
+    ``0 <= a <= 10``, ``1 <= b <= 500`` until the projected gradient is
+    at most ``1e-10`` (see :func:`_minimise`), and returns the fitted
+    :class:`ParallelExecutionModel`.
     """
     goal = targets if targets is not None else FIGURE2_TARGETS
     points = [
@@ -129,32 +319,9 @@ def fit_parallel_model(
     ]
     if not points:
         raise CalibrationError("no fit targets supplied")
-
-    def residuals(x: np.ndarray) -> np.ndarray:
-        h, a, b = x
-        model = ParallelExecutionModel(
-            startup_overhead_ms=h,
-            waste_amplitude=a,
-            waste_halflife_ms=b,
-            task_grain_ms=task_grain_ms,
-            task_overhead_ms=task_overhead_ms,
-        )
-        out = []
-        for load_ms, degree, target in points:
-            predicted = load_ms / model.parallel_time(load_ms, serial_ms, degree)
-            out.append(predicted - target)
-        return np.asarray(out)
-
-    result = least_squares(
-        residuals,
-        x0=np.array([0.5, 1.0, 20.0]),
-        bounds=(np.array([0.0, 0.0, 1.0]), np.array([10.0, 10.0, 500.0])),
-    )
-    if not result.success:  # pragma: no cover - optimizer rarely fails
-        raise CalibrationError(f"parallel-model fit failed: {result.message}")
-    h, a, b = (float(v) for v in result.x)
+    fit = _WasteFit(points, serial_ms, task_grain_ms, task_overhead_ms)
+    a, b = (float(v) for v in _minimise(fit))
     return ParallelExecutionModel(
-        startup_overhead_ms=h,
         waste_amplitude=a,
         waste_halflife_ms=b,
         task_grain_ms=task_grain_ms,

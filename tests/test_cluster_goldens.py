@@ -23,28 +23,28 @@ CELLS = {
     "healthy-workers1": (
         {},
         {
-            "aggregator": "d543ca9dd85232f83bf492d9b6397247998a94a88f209052a27ae10f7a4dc34a",
-            "isn": "f9def390900fde33c9fe2a26a57f526eb2463587011e8e9750ecaf0c83fc36c4",
-            "recorders": "38c71d7dcd930ade0d09d03ce7bbebe809228ad676df4b4d1a3a25542e67a052",
+            "aggregator": "a683f5d209e01306749f6a5a995541ec9265d2c2684238f65e7154ef7eafe3d0",
+            "isn": "51b1bbaf408f58082798ba84189066363166a0268f977139e1e08cf2627c4011",
+            "recorders": "a31a04a0d6ba801f75387f5c67c4008d85ecbc9313c11180403232e325f91c32",
             "resilience": "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91",
         },
     ),
     "straggler-unhedged": (
         dict(fault_spec=_STRAGGLER),
         {
-            "aggregator": "c52b2dfdd706c3bcb61169223646c1cd449b8dc1735ea88c253b05066b706f5e",
-            "isn": "55288918b998d84155fbe3bcdc85e6b8ad65eb6493ecea3c42e07846310c8d45",
-            "recorders": "9fe799d4f1bfe19e81b991bdfea4d4122e3e4bbe3539efe26ed46b40a9931521",
+            "aggregator": "0acb7ca6921b2f4849bb0a2a184bdd9110ea33975c78601a5303a8e52eb7920f",
+            "isn": "9bd6d50afdab3d9d15b50bc2306af8c578f15cba6c1d67eecf33fff8242f39c7",
+            "recorders": "82c815bb95aa723777afee7ce4dcab4e3a330fb7827c09e678d409849270b90c",
             "resilience": "8fc5da07f417856668215b15bbe160bd91493ce0a0c8d05cdf7678328283f18d",
         },
     ),
     "straggler-hedged": (
         dict(fault_spec=_STRAGGLER, hedge_policy=HedgePolicy.hedged(60.0)),
         {
-            "aggregator": "2d84fa0286e28968524ca238c2a43fbdfd85074ddc3092a960d050ce012e8629",
-            "isn": "53de28c9ddb19e735f862f629adc42ab6952a8b7925561a1c8bc95fb6299ae6e",
-            "recorders": "b6e6f3d870f45295752afcfc95b9a1679b04b0f9fceb0ac2cd17d7a07ea773ca",
-            "resilience": "378c8d1da550563860b2adbceefee3aafd9e530630ea0ce3d33640bfc183fe67",
+            "aggregator": "3081b7d8076a3c0f7150df41478c6fb2d8b7e2d866c2bfe84001de0553730f08",
+            "isn": "c9b729e6c04223dbbc830f381503c87cb093062ecd35cd8bb49eeacf68913529",
+            "recorders": "a914f0b4fc2b60379c616bfb93776400418286aa6e36cffb9ea9613ed3d46ace",
+            "resilience": "b3d777eeb69eca3d4abd96d58ac0c2d1ea96ca5d59d3babaaad380da51c6b772",
         },
     ),
     "rolling-blackout-partial": (
@@ -55,10 +55,10 @@ CELLS = {
             hedge_policy=HedgePolicy.partial(2),
         ),
         {
-            "aggregator": "c0e9c4ce58f1e0c8f79c4ebeddc83d25e76cf4f2327742efd698beea747ca295",
-            "isn": "c923e4fd6c5a8bc4d1cb0bdee9d6caa0f331a5c2dda9b956e113b2bf2a15f5f8",
-            "recorders": "59d9ced7ed990801555f51cee3315ccfed99c0e9abe5656e8faa05bf7f8befb5",
-            "resilience": "b96b0b98bd4a92cfa5de1c35b2393aac0e241112e94d570b5c2e5c249239fc27",
+            "aggregator": "eb68ddd756fe9aa2f15bf9ec94589e7edb21184fca0cf3d5a632853ecc102b21",
+            "isn": "dd4059fff461f606b436f936c0696587d13d660d23c600209058efb198950102",
+            "recorders": "562fdefc35ef4054bd48cba34faf21e364947c76e8f15abd3a4f5e8ec81fa6fe",
+            "resilience": "2ecbf0a97e2c95f6ced0e6656ed271dccc0fd8bff4a53652600e34af8e725653",
         },
     ),
 }

@@ -409,10 +409,10 @@ class TestObserveCell:
         }
         assert digests == {
             "chrome_trace": (
-                "dcc895defdaac49364b73afa28723209856071f81aed3a7009fb7e6a6fec054c"
+                "3ab0e23d7d0abb3f0061648542d7830aaaa0cb16bf10b070cf8d36bdd8959f0f"
             ),
             "snapshot": (
-                "622dc894ff30749b63af9c88830594b2faf2e2b02340058d2aa3035fb2bbfcb1"
+                "64f3840b8b0fca8a41c932dcb9ff5a1b16e7cbd786be38db52df2a35a45d66af"
             ),
             "decisions": (
                 "cb4e98be839ff1031e6f7bbbcb92c1aacecdfd9b33d470c1ebdafc41589107ef"

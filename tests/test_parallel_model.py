@@ -64,9 +64,9 @@ class TestFigure2Fit:
         assert short6 < 1.6
 
     def test_fit_parameters_positive(self, fitted):
-        assert fitted.startup_overhead_ms >= 0
-        assert fitted.waste_amplitude > 0
-        assert fitted.waste_halflife_ms > 0
+        # Figure 2's optimum lies inside the box, off every bound.
+        assert 0 < fitted.waste_amplitude < 10
+        assert 1 < fitted.waste_halflife_ms < 500
 
     def test_custom_targets_shift_fit(self):
         relaxed = fit_parallel_model(

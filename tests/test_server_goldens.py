@@ -33,34 +33,34 @@ CONFIGS = {
 
 #: (policy, qps, config label) -> expected sha256 of the cell.
 EXPECTED = {
-    ("TPC", 450.0, "12core"): "8b496a1322a3e1a19d3e5b6e4a892a1fd07ff649611bb13e1a66e832bea8f064",
-    ("TPC", 450.0, "6core"): "89a4fb8a5ca2b177a2a20fe108999c3847361529f3b178ff79bcebdfaa15a0de",
-    ("TPC", 750.0, "12core"): "f5e2e3f5db1a5fc06bc55689785d786131b10d29af6fc551e83803ad08392244",
-    ("TPC", 750.0, "6core"): "773420db1b8589be6c91513cff6f812e0822f08b97007ed32bcf03b5eb817bfa",
-    ("TP", 450.0, "12core"): "894464adbe9f03201143304477c519ddef5bc376f1be8c4bc24a80f4eb8d7c6f",
-    ("TP", 450.0, "6core"): "5cc55630ce66a92dfece1bb0d427bc783e8ac459e4f200a1ddcc5e52450a6d09",
-    ("TP", 750.0, "12core"): "fa0658ef3335b499f980e4951620ac2b22248bd1307a7e115a655d64c7d4882e",
-    ("TP", 750.0, "6core"): "08dd30f4737732915f7687411ee4a32bf5d25ab1e144fb9c374ad68c472fa201",
-    ("AP", 450.0, "12core"): "425496de2edcd20f61e4d863df9cd77dd02a64af405a91cb13f0fe35e5f72741",
-    ("AP", 450.0, "6core"): "84ba96a730845900f652d3799a0f2798e146c6ccd054e6a8a42392ff0938dd22",
-    ("AP", 750.0, "12core"): "79ac0c00d7094366f8f08ff4dc7e65fcdb7e2b9a35d90164b611e6e0f2d7d067",
-    ("AP", 750.0, "6core"): "0466e9cbadd0dd494467d472a7b1b8475d62f13df3d7822d653e0766f635fd63",
-    ("Pred", 450.0, "12core"): "106217ee4417fac0eea77a29893cfaf6d5930b78b10f5980ea6038276417c7d8",
-    ("Pred", 450.0, "6core"): "f55ef8ee58d2aa3b6d8a46d7c8c1d851959d2b82ef71b2216e9278cdb2aeb2fe",
-    ("Pred", 750.0, "12core"): "1b501d2579cb1289f5fa3a9bc0ab44075c45b672233fa4e7af151e609e864551",
-    ("Pred", 750.0, "6core"): "f6feb1edfe49f53134375ad40c703dd3158359168eecd8437af608bf6623788f",
-    ("WQ-Linear", 450.0, "12core"): "dcb92a5ceb238a24348ab8bfb8ffd1cb1a2c1417729a45cab706c3ce4008d42d",
-    ("WQ-Linear", 450.0, "6core"): "6803a0b3ee50f26311c1c0c2132ff86494d01bce2bad9fb1ed1f1ad2bdea4c9d",
-    ("WQ-Linear", 750.0, "12core"): "0a2852bdd37764083b43740a63a25b687945721e3e331e4c032aa0f61b605a9f",
-    ("WQ-Linear", 750.0, "6core"): "af851de706ac38b139a561b44b4b4a782ae8cdbebe5077a67c3a1bbca7966e12",
-    ("RampUp", 450.0, "12core"): "5d8a1083ae4991993ccb73482d7224e43f4cc3c1042bf0817f4e451e2f0474c9",
-    ("RampUp", 450.0, "6core"): "9c8555f792de847904308850aaf95adefa34f5c0573942c76ce0ceac2f111b54",
-    ("RampUp", 750.0, "12core"): "ab77b9a831658072bb0620b63d652cc7bd45478d231c46ec2c5a1a726044e27a",
-    ("RampUp", 750.0, "6core"): "1485f678cde6acee173107ed5aa52b6e1eb9ff6c1d822f773b47af8b0fe833a3",
-    ("RampUp-Adaptive", 450.0, "12core"): "0bb63da8c7eb3e6a0f56948594ea323d354e2278a4b49ac247e732718f0b54dd",
-    ("RampUp-Adaptive", 450.0, "6core"): "a22e5da482e911c60870eed40cebe8f3180ccc2532905b29cc2e77c5cd067874",
-    ("RampUp-Adaptive", 750.0, "12core"): "715f2f23bff452c9f55dd3af4a31d05cd8efaaa4e56fb59f1fbeccf9a80adde0",
-    ("RampUp-Adaptive", 750.0, "6core"): "7a3ca0b7b74554a067f3750950281dad8c5b5f5a280e6e4f3c089241ecda22d1",
+    ("TPC", 450.0, "12core"): "95b9ba0c4a0b793a2cedf0416a48bf06d98d116c847a7f2b8d735d73d1de2509",
+    ("TPC", 450.0, "6core"): "52a9247df9e1f4685ab481f9aa8cd21ac47b64dc53b0953c2ba404fde2bcba6d",
+    ("TPC", 750.0, "12core"): "2001e5c0b9e0b0973b06a440a60228da74b318f6fd638611c7308032b8ff6975",
+    ("TPC", 750.0, "6core"): "8fbbf91f7fd4692f6889edbaae08ae22764eb0914ff43520e62c9baf23ff8c05",
+    ("TP", 450.0, "12core"): "797352e9fd1ed1329d52ade13809571bbb38a6853c77752aa4d012510c8153c0",
+    ("TP", 450.0, "6core"): "8d267f586d4e2ed99248dbbd8e034c39969e76d6b87a279ee4be3b2b80c050a3",
+    ("TP", 750.0, "12core"): "c15f9039eb78fc995349796a0cd1d8779204c177336eb5431bdeab9c8d18a032",
+    ("TP", 750.0, "6core"): "39330c87dc4f31cc2e26871a28fe9276eb4bc179efca4796fde94dba0c2e1644",
+    ("AP", 450.0, "12core"): "d2d4a0f4ea033d4dd010c275d5add25335293108265c8d87fb9b720f2b75d7d3",
+    ("AP", 450.0, "6core"): "939d3c829a17843ec978f2aeaa0825e185fceca0ffb9e52107fe503a6b109999",
+    ("AP", 750.0, "12core"): "2bc53e3e9755c304d8daa0adb3ad241f658df790370971a8a3028ffa85a281f1",
+    ("AP", 750.0, "6core"): "32842d4f6c90316aa2dae86a998feed5017360354e61e341f533f1856ad0bb71",
+    ("Pred", 450.0, "12core"): "ff47b82336051ec870caaf03b8dae149e20cb74ff055ff66f2a090711eeba28f",
+    ("Pred", 450.0, "6core"): "ceab193b5bb436ed1d92f05b5691da70f8f9a61ad4de49c6196f2d7056090157",
+    ("Pred", 750.0, "12core"): "67506c059adf2065fe6a5cfba921194555b13f5a24cda2d083af70c67c4ba171",
+    ("Pred", 750.0, "6core"): "cb19052cfe8606f7fe8d2cf07bd437366d26eda2d482f9b3c417a2d77d517d00",
+    ("WQ-Linear", 450.0, "12core"): "3e681263758c50608acfc074cb23ce54e1597211cbb537536e9589e6907c6f37",
+    ("WQ-Linear", 450.0, "6core"): "c2acdb14e9a4ed457e8e30728f22104a8975d2b99ad7d837448994cb6515b3af",
+    ("WQ-Linear", 750.0, "12core"): "6517c9e2b6e9542accc3e3daa01db03cd02408c58d32a0cd39b88892cb521125",
+    ("WQ-Linear", 750.0, "6core"): "5022fb7084bbdfab89f642a843db49887e1870939c9aa7df1ef4b8ae66ec9a26",
+    ("RampUp", 450.0, "12core"): "2e3bd630f32a48b5d4a2b9ec6e41c1a423bf4a7c6e64c9bb84d01a80399bdc2d",
+    ("RampUp", 450.0, "6core"): "9eac99f948dffd0a7d83ea667a48681aa8a172a7ed730a93a6b5fe01938ba1db",
+    ("RampUp", 750.0, "12core"): "a5d4dc912a884cf838dcb39b60805f518733faafc70e7e8e78be58a05427a2cd",
+    ("RampUp", 750.0, "6core"): "f0a225c57fa391dcb930d1c737fcf19121b8e06b2a3c58d29fe14f77bbb3e69c",
+    ("RampUp-Adaptive", 450.0, "12core"): "5b11eb00c7c80358be3ca14c88032af2dba2284e75a631b739691fb909448ec4",
+    ("RampUp-Adaptive", 450.0, "6core"): "b63ecf10c81ee63c9069c15f073759d38a792a55a2517b9e765cc077bab45459",
+    ("RampUp-Adaptive", 750.0, "12core"): "7cbd99b2c2d7167e4ee414340204e6eaeb09a488a66d64313b820bf2eae4be96",
+    ("RampUp-Adaptive", 750.0, "6core"): "1574a5e6efe0af489b04786c6f771aa6c962a2956ee0b5b9b204e130f87a828d",
     ("Sequential", 450.0, "12core"): "f6506bd534f50fcfe073c40222d939cd39a7347d999083f6cab223fce44e963b",
     ("Sequential", 450.0, "6core"): "9ae7d87146517be63f1dccc513d100fe34667da00d761ccda82ab8b403ee6115",
     ("Sequential", 750.0, "12core"): "3d3e6ce502446579a9f37f77caea4c8d229f4b26057223a77f59bd2f2265a815",
@@ -70,7 +70,7 @@ EXPECTED = {
 #: The degraded-core cluster cell: ISN 0 keeps 8 of its 28 workers
 #: over [300, 1500) ms of a ~3 s run.
 DEGRADED_EXPECTED = (
-    "5e957282cca5d2446b1ed56d797163d4e4c14d0ab82557161a20f7642753ba18"
+    "4efbf58b58873f8154bd975467938be3d41786a51fbd00aa56821d0fb1e0e35b"
 )
 
 

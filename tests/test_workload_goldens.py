@@ -31,7 +31,7 @@ _TINY_SEARCH = SearchWorkloadConfig(
 #: Digests of the predictor-independent outputs, shared by both recipes.
 _BUILD = {
     "demands": "f6e15de2bd6f89e3c84f82e4fdf3c8f8116570425a2132255a46dfa3283dddba",
-    "profiles": "082a13d8df6448135c594900cf244e6ab10d5b4ef927c4de8a5513f70935dbfe",
+    "profiles": "581e9d53ce77656b23bb4f6f3d913c33bb10e9cbcd178753bc660d7999a7b8fd",
     "group_weights": "824d2d876ff5d7930d07441b2627762ef179602e4906dc36de406b3c59c63821",
     "ms_per_unit": "ca1858dff1718d495663e45034a2050017cb68f4492fe65e81ba8ba0519f24b1",
 }
