@@ -146,13 +146,15 @@ def _execute_cell(spec: CellSpec, observation: Any = None) -> CellResult:
     started = time.perf_counter()
     workload = memoised_workload(spec.workload)
     server = run_search_experiment(workload, spec, observation)
-    return CellResult.from_recorder(
+    result = CellResult.from_recorder(
         spec,
         server.policy.name,
         server.recorder,
         wall_time_s=time.perf_counter() - started,
         extras=observation.extras() if observation is not None else None,
     )
+    server.close()
+    return result
 
 
 def run_cell(spec: CellSpec, cache: CacheArg = ENV_CACHE) -> CellResult:

@@ -524,6 +524,20 @@ class Server:
                     "requests complete"
                 )
 
+    def close(self) -> None:
+        """Cancel this server's two persistent events and drop their callbacks.
+
+        Those callbacks are bound methods, so a server and its handles
+        form a reference cycle that only the cyclic garbage collector
+        can free, and with the server its recorder (~4.7 MB of lists at
+        20 000 requests) stays resident until a full collection runs.
+        Closed, the server is freed as soon as its last reference goes;
+        it must not run again.
+        """
+        for handle in (self._completion_handle, self._sampler_handle):
+            handle.cancel()
+            handle.callback = None
+
     def __repr__(self) -> str:
         return (
             f"Server(policy={self.policy.name}, queued={self.queue_length}, "
