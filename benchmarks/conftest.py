@@ -30,8 +30,11 @@ Scale knobs (environment variables):
                                      [default ~/.cache/repro-tpc]
 
 Memory note: each pool worker rebuilds and memoises the workload from
-its spec, so ``N`` workers hold ``N`` copies of the inverted index and
-query pools — cap ``REPRO_BENCH_WORKERS`` on memory-tight hosts.
+its spec.  A built workload keeps ~0.5 MB (the corpus, inverted index
+and engine bitsets are freed once its pool is metered), so what a
+worker costs is its imports (~35 MB RSS) plus the build's transient
+peak (~101 MB RSS for a process that builds the canonical workload
+once) — cap ``REPRO_BENCH_WORKERS`` on memory-tight hosts.
 """
 
 from __future__ import annotations

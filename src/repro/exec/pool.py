@@ -18,10 +18,10 @@ Memory note: each worker process memoises the workloads it has built
 (:data:`_WORKLOAD_MEMO`), but a built search workload is small (~0.5 MB
 canonical): the corpus, inverted index and engine bitsets are freed
 once its pool is metered (DESIGN §10).  What each worker pays is the
-build's transient peak on top of its imports (~79 MB, most of it
-``scipy.optimize``): a cold canonical build traces ~53 MB at its peak,
-~142 MB RSS for a process that builds once.  Cap the worker count if
-the host is memory-tight.
+build's transient peak on top of its imports (``import repro`` is
+~35 MB RSS, numpy included): a cold canonical build traces ~53 MB at
+its peak, ~101 MB RSS for a process that builds once.  Cap the worker
+count if the host is memory-tight.
 """
 
 from __future__ import annotations

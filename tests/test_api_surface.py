@@ -2,7 +2,11 @@
 
 import ast
 import importlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import repro
 
@@ -86,6 +90,34 @@ class TestTopLevelApi:
             module_name = ".".join(["repro", *parts]).removesuffix(".__init__")
             module = importlib.import_module(module_name)
             assert module.__doc__, f"{module_name} lacks a module docstring"
+
+
+class TestDependencies:
+    def test_no_scipy_module_is_loaded(self):
+        # The package is numpy-only: scipy.optimize alone would add ~49 MB
+        # and ~0.4 s to every process (workers, the gate, each CLI).  A
+        # fresh interpreter imports repro and every module under it (the
+        # CLIs' __main__ aside) and lists what was loaded; no timing bound.
+        script = (
+            "import importlib, json, pkgutil, sys\n"
+            "import repro\n"
+            "for info in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+            "    if not info.name.endswith('__main__'):\n"
+            "        importlib.import_module(info.name)\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
+        )
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH", "")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        loaded = json.loads(out.stdout.splitlines()[-1])
+        assert "repro.search.parallel" in loaded
+        assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
 
 
 class TestScenarioContracts:
