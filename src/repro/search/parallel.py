@@ -165,7 +165,7 @@ class _WasteFit:
                 _pool_terms(load, serial_ms, degree, task_grain_ms, task_overhead_ms)
                 for load, degree, _ in points
             ]
-        ).reshape(-1, 2)
+        )
         self.fixed = terms[:, 0]
         self.scaled = terms[:, 1]
 

@@ -94,8 +94,8 @@ class TestTopLevelApi:
 
 class TestDependencies:
     def test_no_scipy_module_is_loaded(self):
-        # The package is numpy-only: scipy.optimize alone would add ~49 MB
-        # and ~0.4 s to every process (workers, the gate, each CLI).  A
+        # The package is numpy-only: scipy.optimize added ~44 MB and
+        # ~0.45 s to every process (workers, the gate, each CLI).  A
         # fresh interpreter imports repro and every module under it (the
         # CLIs' __main__ aside) and lists what was loaded; no timing bound.
         script = (
