@@ -10,6 +10,9 @@ build stage that moves a single float fails here.
 The ``tiny`` recipe is the workload of the ``end_to_end_cell`` scenario
 that ``python -m repro.gate --only perf`` times; ``deep`` adds deeper
 trees, full-sample boosting and the feature-noise predict path.
+The canonical recipe is the seed-2016, 12 000-query default build that
+every benchmark, the gate and each pool worker start from; its digests
+add the ``SpeedupBook``'s group profiles.
 """
 
 import hashlib
@@ -59,6 +62,18 @@ RECIPES = {
 }
 
 
+#: The canonical cold build (``default_workload_spec()``, no pool cache).
+CANONICAL = {
+    "book": "6c53d55f8823bd3f79301f19220655096e65894e0f39f0096cf377848820ec09",
+    "demands": "6227dbcd630f0727ac928b874513179058232723770307e001cf92c5e8ea3cf9",
+    "group_weights": "ac6fbeacb2ffee68c9fe8c97c3f2c3ad1805a13462b78d43734f000584978dee",
+    "ms_per_unit": "10e3bef42deaab183b6ddcc23c1ec1ce1a999795c2c5b77e717efdc465ec3fd1",
+    "predictions": "17db3a41b6e827b97a8e06e2b02b7c906e4bcf2202664d945f6bef0e504b6d33",
+    "profiles": "7495b0036c5039a8b4c219805228c8a4490039b77d20da75d79545954d903682",
+    "report": "9bb334a6f37bf80ec794ff25008b0eee5fa798c2c4563b3acd1bcf9c06797f79",
+}
+
+
 def _array_sha(values) -> str:
     data = np.ascontiguousarray(values, dtype=np.float64).tobytes()
     return hashlib.sha256(data).hexdigest()
@@ -89,3 +104,9 @@ def test_workload_golden_digests(name):
         use_cache=False,
     )
     assert digests(workload) == expected
+
+
+def test_canonical_cold_build_golden_digests():
+    workload = build_search_workload(seed=2016, use_cache=False)
+    book = [profile.speedups for profile in workload.speedup_book.profiles]
+    assert {**digests(workload), "book": _array_sha(book)} == CANONICAL
