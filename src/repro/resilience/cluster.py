@@ -390,7 +390,7 @@ def run_shared_resilient(
             ),
             **stats,
         )
-    return ClusterExperimentResult(
+    result = ClusterExperimentResult(
         policy_name=policy_name,
         qps=qps,
         num_isns=num_isns,
@@ -399,3 +399,11 @@ def run_shared_resilient(
         isn_recorders=[s.recorder for s in servers],
         resilience=resilience,
     )
+    # Free the run's state by reference counting, not at the next full
+    # collection: closed servers drop their callbacks into these
+    # closures, and the two hedge-timer closures, which refer to each
+    # other, lose their cells.
+    for server in servers:
+        server.close()
+    del _arm_hedge_timer, _on_hedge_timer
+    return result

@@ -127,16 +127,43 @@ class ParallelExecutionModel:
     def profile(
         self, total_ms: float, serial_ms: float, max_degree: int
     ) -> SpeedupProfile:
-        """Per-query speedup profile ``{S_1..S_P}``.
+        """Per-query speedup profile ``{S_1..S_P}`` (see :meth:`profiles`)."""
+        return self.profiles(np.array([total_ms]), serial_ms, max_degree)[0]
 
-        Clamped monotone non-decreasing: a scheduler never *loses* by
+    def profiles(
+        self, demands_ms: np.ndarray, serial_ms: float, max_degree: int
+    ) -> list[SpeedupProfile]:
+        """One speedup profile ``{S_1..S_P}`` per sequential demand.
+
+        ``S_d = L / T_d`` with ``T_d`` from :meth:`parallel_time`,
+        clamped monotone non-decreasing: a scheduler never *loses* by
         holding extra threads idle, so ``S_d >= S_{d-1}`` effectively.
+        Every demand's terms are computed element-wise in
+        :meth:`parallel_time`'s operation order, so each row is the
+        scalar formula's bit for bit (the task counts are whole floats,
+        exact like the integers they stand for).
         """
-        speedups = [1.0]
-        for d in range(2, max_degree + 1):
-            s = total_ms / self.parallel_time(total_ms, serial_ms, d)
-            speedups.append(max(s, speedups[-1]))
-        return SpeedupProfile(speedups)
+        total = np.asarray(demands_ms, dtype=np.float64)
+        if (total <= 0).any():
+            raise CalibrationError(
+                f"total_ms must be > 0, got {total[total <= 0][0]}"
+            )
+        serial = np.minimum(serial_ms, total)
+        parallel = total - serial
+        n_tasks = np.maximum(1.0, np.ceil(parallel / self.task_grain_ms))
+        waste = self.waste_amplitude / (1.0 + total / self.waste_halflife_ms)
+        speedups = np.ones((len(total), max_degree))
+        for degree in range(2, max_degree + 1):
+            rounds = np.ceil(n_tasks / degree)
+            fixed = serial + rounds * self.task_overhead_ms
+            scaled = (rounds / n_tasks) * parallel
+            time = fixed + scaled * (1.0 + waste * (degree - 1))
+            # A request with no parallel work takes ``L`` at any degree.
+            time = np.where(parallel > 0, time, total)
+            np.maximum(
+                total / time, speedups[:, degree - 2], out=speedups[:, degree - 1]
+            )
+        return [SpeedupProfile(row) for row in speedups.tolist()]
 
 
 class _WasteFit:

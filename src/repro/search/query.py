@@ -119,7 +119,7 @@ class QueryGenerator:
             terms = self._easy_offset + _choice_without_replacement(
                 self._rng, self._easy_probs, self._easy_cdf, k
             )
-        query = Query(self._next_qid, tuple(int(t) for t in sorted(terms)))
+        query = Query(self._next_qid, tuple(sorted(terms.tolist())))
         self._next_qid += 1
         return query
 

@@ -184,9 +184,7 @@ def build_search_workload(
         task_grain_ms=cfg.task_grain_units * scale,
         task_overhead_ms=TASK_OVERHEAD_UNITS * scale,
     )
-    profiles = [
-        model.profile(float(d), serial_ms, max_degree) for d in demands
-    ]
+    profiles = model.profiles(demands, serial_ms, max_degree)
     bounds = group_bounds_ms
     if bounds is None:
         book = SpeedupBook.from_samples(demands, profiles)

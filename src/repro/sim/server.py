@@ -525,18 +525,20 @@ class Server:
                 )
 
     def close(self) -> None:
-        """Cancel this server's two persistent events and drop their callbacks.
+        """Cancel this server's two persistent events and drop every callback.
 
         Those callbacks are bound methods, so a server and its handles
         form a reference cycle that only the cyclic garbage collector
         can free, and with the server its recorder (~4.7 MB of lists at
         20 000 requests) stays resident until a full collection runs.
-        Closed, the server is freed as soon as its last reference goes;
-        it must not run again.
+        A cluster's completion callback closes over the list of its
+        servers, another such cycle. Closed, the server is freed as soon
+        as its last reference goes; it must not run again.
         """
         for handle in (self._completion_handle, self._sampler_handle):
             handle.cancel()
             handle.callback = None
+        self.completion_callback = None
 
     def __repr__(self) -> str:
         return (

@@ -2,8 +2,9 @@
 
 The corpus draw and query sampling re-implement ``Generator.choice``
 (with and without replacement) so that a CDF is built once and the
-draw runs in chunks, and the inverted index replaces a two-array
-``lexsort`` with a fused-key sort. All three promise identical output.
+draw runs in chunks through a guide table, and the inverted index
+replaces a two-array ``lexsort`` with a fused-key sort. All three
+promise identical output.
 These tests hold them to it against the originals: ``Generator.choice``
 itself, and the ``lexsort`` index build kept verbatim below. If numpy
 ever changes how ``choice`` consumes its stream, they fail loudly here
@@ -13,7 +14,11 @@ Pool metering gets the same treatment: the bit-sliced counter behind
 ``SearchEngine.execute_batch`` and ``execute`` and the grouped
 ``query_feature_matrix`` are compared with the per-query ``bincount``
 counter and feature function they replaced, both kept verbatim below.
+So are the speedup profiles: ``ParallelExecutionModel.profiles`` is
+compared with the per-query scalar formula it replaced.
 """
+import math
+
 
 import numpy as np
 import pytest
@@ -24,9 +29,10 @@ from repro.config import (
     TOP_K,
     SearchWorkloadConfig,
 )
-from repro.errors import WorkloadError
+from repro.errors import CalibrationError, WorkloadError
 from repro.prediction.features import query_feature_matrix, query_features
 from repro.search.corpus import (
+    _GUIDE_BUCKETS,
     Corpus,
     _choice_cdf,
     _choice_without_replacement,
@@ -36,6 +42,7 @@ from repro.search.corpus import (
 )
 from repro.search.engine import SearchEngine
 from repro.search.index import InvertedIndex, _fused_keys
+from repro.search.parallel import fit_parallel_model
 from repro.search.query import Query, QueryGenerator
 from repro.search.scoring import bm25_scores, top_k_documents
 
@@ -124,6 +131,136 @@ class TestChoiceWithReplacement:
         got = _draw_with_replacement(ours, _choice_cdf(probs), size)
         np.testing.assert_array_equal(got, theirs.choice(500, size=size, p=probs))
         assert _state(ours) == _state(theirs)
+
+
+def _crowded_probs() -> np.ndarray:
+    """CDF points at exact multiples of 2**-16: eight of weight 2**-16,
+    1 024 of 2**-26 crowding one guide bucket, then four of 2**-14.
+
+    Every weight is a multiple of 2**-40, so the CDF's sums are exact
+    and it ends at exactly 1.
+    """
+    head = np.concatenate(
+        [np.full(8, 2.0**-16), np.full(1_024, 2.0**-26), np.full(4, 2.0**-14)]
+    )
+    tail = np.round(zipf_probabilities(500, 1.1) * (1.0 - head.sum()) * 2.0**40)
+    tail /= 2.0**40
+    tail[0] += (1.0 - head.sum()) - tail.sum()
+    return np.concatenate([head, tail])
+
+
+class _FixedUniforms:
+    """A stand-in generator whose ``random(out=)`` yields given values."""
+
+    def __init__(self, values: np.ndarray) -> None:
+        self._values = values
+        self._at = 0
+
+    def random(self, out: np.ndarray) -> np.ndarray:
+        out[:] = self._values[self._at : self._at + len(out)]
+        self._at += len(out)
+        return out
+
+
+class TestGuideTable:
+    def test_crowded_cdf_matches_generator_choice(self, monkeypatch):
+        monkeypatch.setattr("repro.search.corpus._DRAW_CHUNK", 4096)
+        probs = _crowded_probs()
+        cdf = _choice_cdf(probs)
+        multiples = cdf[[0, 7, 1_031, 1_035]] * _GUIDE_BUCKETS
+        assert np.array_equal(multiples, [1.0, 8.0, 9.0, 25.0])
+        for seed in range(5):
+            ours = np.random.default_rng(seed)
+            theirs = np.random.default_rng(seed)
+            got = _draw_with_replacement(ours, cdf, 50_000)
+            want = theirs.choice(len(probs), size=50_000, p=probs)
+            np.testing.assert_array_equal(got, want)
+            assert _state(ours) == _state(theirs)
+
+    @pytest.mark.parametrize("crowded", [True, False])
+    def test_bucket_edges_and_cdf_points_match_searchsorted(self, crowded):
+        # Every bucket's lower edge, the float below it, and every CDF
+        # point with its neighbours: the uniforms a guide table most
+        # easily gets wrong.
+        probs = _crowded_probs() if crowded else zipf_probabilities(6_000, 1.1)
+        cdf = _choice_cdf(probs)
+        edges = np.arange(_GUIDE_BUCKETS) / _GUIDE_BUCKETS
+        points = cdf[cdf < 1.0]
+        uniforms = np.concatenate(
+            [
+                edges,
+                np.nextafter(edges[1:], 0.0),
+                points,
+                np.nextafter(points, 0.0),
+                np.nextafter(points, 1.0),
+            ]
+        )
+        got = _draw_with_replacement(_FixedUniforms(uniforms), cdf, len(uniforms))
+        np.testing.assert_array_equal(got, cdf.searchsorted(uniforms, side="right"))
+
+
+def _scalar_profile(model, total_ms, serial_ms, max_degree):
+    """The per-query speedup loop ``profiles`` replaced, verbatim."""
+
+    def pool_terms(total_ms, serial_ms, degree, task_grain_ms, task_overhead_ms):
+        serial_ms = min(serial_ms, total_ms)
+        parallel_ms = total_ms - serial_ms
+        if degree <= 1 or parallel_ms <= 0:
+            return total_ms, 0.0
+        n_tasks = max(1, math.ceil(parallel_ms / task_grain_ms))
+        rounds = math.ceil(n_tasks / degree)
+        return (
+            serial_ms + rounds * task_overhead_ms,
+            (rounds / n_tasks) * parallel_ms,
+        )
+
+    def parallel_time(total_ms, serial_ms, degree):
+        fixed, scaled = pool_terms(
+            total_ms, serial_ms, degree, model.task_grain_ms, model.task_overhead_ms
+        )
+        return fixed + scaled * (1.0 + model.waste_fraction(total_ms) * (degree - 1))
+
+    speedups = [1.0]
+    for d in range(2, max_degree + 1):
+        s = total_ms / parallel_time(total_ms, serial_ms, d)
+        speedups.append(max(s, speedups[-1]))
+    return speedups
+
+
+class TestProfiles:
+    SERIAL_MS, GRAIN_MS = 1.2, 0.9
+
+    def demands(self) -> np.ndarray:
+        # Below, at and just above the serial phase; every task-grain
+        # boundary ``serial + k * grain`` and its neighbouring floats;
+        # the Figure 2 loads; and lognormal demands like the pool's.
+        grains = self.SERIAL_MS + self.GRAIN_MS * np.arange(1, 60)
+        return np.concatenate(
+            [
+                [0.01, 0.6, self.SERIAL_MS, np.nextafter(self.SERIAL_MS, 2.0)],
+                grains,
+                np.nextafter(grains, 0.0),
+                np.nextafter(grains, np.inf),
+                [8.0, 50.0, 168.0],
+                np.random.default_rng(3).lognormal(2.5, 1.2, 2_000),
+            ]
+        )
+
+    @pytest.mark.parametrize("max_degree", [1, 2, 6, 9])
+    def test_matches_scalar_formula(self, max_degree):
+        model = fit_parallel_model(self.SERIAL_MS, self.GRAIN_MS, 0.05)
+        demands = self.demands()
+        got = model.profiles(demands, self.SERIAL_MS, max_degree)
+        for demand, profile in zip(demands.tolist(), got):
+            want = _scalar_profile(model, demand, self.SERIAL_MS, max_degree)
+            assert profile.speedups == tuple(want), demand
+        single = model.profile(168.0, self.SERIAL_MS, max_degree)
+        assert single.speedups == got[-2_001].speedups
+
+    def test_non_positive_demand_is_rejected(self):
+        model = fit_parallel_model(self.SERIAL_MS, self.GRAIN_MS, 0.05)
+        with pytest.raises(CalibrationError):
+            model.profiles(np.array([3.0, 0.0]), self.SERIAL_MS, 6)
 
 
 def _lexsort_postings(corpus: Corpus) -> dict[str, np.ndarray]:

@@ -269,22 +269,26 @@ class TestRunSweep:
             np.testing.assert_array_equal(s.corrected, p.corrected)
 
     def test_cell_frees_its_server_without_the_cycle_collector(self):
-        # A finished cell's server, engine handles and recorder must go
+        # A finished cell's servers, engine handles and recorders must go
         # when the cell returns, not at the next full collection: a
         # sweep of 20 000-request cells otherwise holds ~4 MB per cell.
-        pool_mod._execute_cell(tiny_cell())  # build the workload first
-        gc.collect()
-        gc.disable()
-        gc.set_debug(gc.DEBUG_SAVEALL)
-        try:
-            pool_mod._execute_cell(tiny_cell())
+        # A cluster cell also frees its aggregator's per-query sets.
+        cluster = tiny_cell(cluster_config=ClusterConfig(num_isns=8))
+        for spec in (tiny_cell(), cluster):
+            pool_mod._execute_cell(spec)  # build the workload first
             gc.collect()
-            cyclic = {type(obj).__name__ for obj in gc.garbage}
-        finally:
-            gc.set_debug(0)
-            gc.garbage.clear()
-            gc.enable()
-        assert not cyclic & {"Server", "LatencyRecorder", "TPCPolicy"}
+            gc.disable()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            try:
+                pool_mod._execute_cell(spec)
+                gc.collect()
+                cyclic = {type(obj).__name__ for obj in gc.garbage}
+            finally:
+                gc.set_debug(0)
+                gc.garbage.clear()
+                gc.enable()
+            leaked = {"Server", "LatencyRecorder", "TPCPolicy", "Aggregator", "set"}
+            assert not cyclic & leaked, spec.cluster_config
 
     def test_progress_fires_once_per_cell(self, small_sweep, parallel_run):
         _, events = parallel_run

@@ -1,14 +1,17 @@
-"""Differential tests: the vectorised regression tree against the scan.
+"""Differential tests: the level-wise regression tree against the scan.
 
-``ReferenceTree`` is the per-feature split scan and level-by-level
-routing the vectorised :class:`RegressionTree` replaced, kept verbatim.
-On seeded binned matrices both must grow the identical node list and
-return bit-identical predictions.
+``ReferenceTree`` is the recursive per-node, per-feature split scan and
+the per-node routing that :class:`RegressionTree`'s level-wise fit and
+adjacent-child routing replaced, kept verbatim. On seeded binned
+matrices both must grow the identical node list and return
+bit-identical predictions, and a boosted ensemble must predict exactly
+what a per-tree loop of the reference routing does.
 """
 
 import numpy as np
 import pytest
 
+from repro.prediction.boosted import GradientBoostedRegressor
 from repro.prediction.tree import FeatureBinner, RegressionTree, _Node
 
 
@@ -221,3 +224,55 @@ def test_gain_floor(step, nodes):
     y = np.repeat([0.0, step], 10)
     tree = _assert_same(X, y, max_depth=2, min_samples_leaf=1)
     assert tree.num_nodes == nodes
+
+
+def test_matches_reference_on_rows_in_subsample_order():
+    """Boosting fits each tree on a subsample in random order; every sum
+    must follow that row order, not sorted row ids."""
+    rng = np.random.default_rng(21)
+    X = _binned(rng, 2_000, max_bins=64)
+    y = _targets(rng, X)
+    rows = rng.choice(len(X), size=1_600, replace=False)
+    assert not np.all(np.diff(rows) > 0)
+    _assert_same(X[rows], y[rows], max_depth=5, min_samples_leaf=8, X_eval=X)
+
+
+def test_depth_24_tree_keeps_one_routing_entry_per_node():
+    """Doubling targets make the splits peel the largest rows off, so the
+    tree reaches depth 24 with 95 nodes, where a complete layout would
+    allocate 2**25 entries."""
+    X = np.arange(60, dtype=np.uint8)[:, None]
+    y = 2.0 ** np.arange(60)
+    tree = _assert_same(X, y, max_depth=24, min_samples_leaf=1)
+    assert tree._depth == 24
+    assert [len(array) for array in tree._flat] == [tree.num_nodes] * 4 == [95] * 4
+
+
+def test_boosted_fit_and_predict_match_a_reference_loop():
+    """The boosting loop rebuilt on ``ReferenceTree`` grows the same trees,
+    and the ensemble predicts the per-tree reference routing's sum."""
+    rng = np.random.default_rng(4)
+    raw = rng.lognormal(size=(1_500, 5))
+    y = np.log1p(raw[:, 0]) + rng.normal(0.0, 0.2, len(raw))
+    model = GradientBoostedRegressor(
+        num_trees=40, max_depth=5, min_samples_leaf=4, subsample=0.8
+    ).fit(raw, y, rng=np.random.default_rng(5))
+
+    sample_rng = np.random.default_rng(5)
+    binned = model._binner.transform(raw)
+    prediction = np.full(len(y), y.mean())
+    sample_size = int(0.8 * len(y))
+    for tree in model._trees:
+        rows = sample_rng.choice(len(y), size=sample_size, replace=False)
+        ref = ReferenceTree(5, 4).fit(binned[rows], (y - prediction)[rows])
+        assert tree._nodes == ref._nodes
+        prediction += model.learning_rate * ref.predict(binned)
+
+    X_eval = rng.lognormal(size=(700, 5))
+    binned_eval = model._binner.transform(X_eval)
+    expected = np.full(len(X_eval), model._base)
+    for tree in model._trees:
+        ref = ReferenceTree(tree.max_depth, tree.min_samples_leaf)
+        ref._nodes = tree._nodes
+        expected += model.learning_rate * ref.predict(binned_eval)
+    assert np.array_equal(model.predict(X_eval), expected)
