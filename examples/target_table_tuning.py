@@ -7,7 +7,7 @@ correction trigger.  This example runs the offline construction
 (Section 3.3) at reduced scale and shows what the table buys over
 naive constant targets.
 
-Run:  python examples/target_table_tuning.py   (takes ~1-2 minutes)
+Run:  python examples/target_table_tuning.py   (~6 s cold on a 2-vCPU host)
 """
 
 from repro import default_workload

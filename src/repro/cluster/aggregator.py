@@ -78,11 +78,6 @@ class Aggregator:
         """Logical queries answered so far."""
         return len(self.latencies_ms)
 
-    @property
-    def inflight(self) -> int:
-        """Logical queries still waiting for at least one ISN."""
-        return len(self._inflight)
-
     def begin(self, qid: int, arrival_ms: float) -> None:
         """Register the fan-out of a new logical query."""
         if qid in self._inflight or qid in self._emitted:

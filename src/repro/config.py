@@ -227,9 +227,6 @@ class PredictorConfig:
     num_trees: int = 300
     max_depth: int = 5
     subsample: float = 0.8
-    #: Optional lognormal noise applied to features at prediction time,
-    #: to degrade accuracy toward a desired operating point.
-    feature_noise_sigma: float = 0.0
 
     def __post_init__(self) -> None:
         if self.num_trees < 1:
@@ -238,8 +235,6 @@ class PredictorConfig:
             raise ConfigError("max_depth must be >= 1")
         if not 0 < self.subsample <= 1:
             raise ConfigError("subsample must be in (0, 1]")
-        if not 0 <= self.feature_noise_sigma < math.inf:
-            raise ConfigError("feature_noise_sigma must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -68,16 +68,6 @@ class SpeedupProfile:
             raise IndexError(f"degree must be >= 1, got {degree}")
         return self._speedups[min(degree, len(self._speedups)) - 1]
 
-    def efficiency(self, degree: int) -> float:
-        """Parallel efficiency ``S_i / i`` at the given degree."""
-        return self.speedup(degree) / degree
-
-    def truncated(self, max_degree: int) -> "SpeedupProfile":
-        """A copy limited to ``max_degree`` entries."""
-        if max_degree < 1:
-            raise ConfigError("max_degree must be >= 1")
-        return SpeedupProfile(self._speedups[:max_degree])
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, SpeedupProfile) and self._speedups == other._speedups

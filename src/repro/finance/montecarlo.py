@@ -67,12 +67,7 @@ class MonteCarloPricer:
             normals = np.vstack([normals, -normals])
         log_paths = np.cumsum(drift + vol * normals, axis=1)
         prices = option.spot * np.exp(log_paths)
-        averages = prices.mean(axis=1)
-
-        if option.is_call:
-            payoffs = np.maximum(averages - option.strike, 0.0)
-        else:
-            payoffs = np.maximum(option.strike - averages, 0.0)
+        payoffs = option.payoff(prices.mean(axis=1))
         discount = np.exp(-option.rate * option.maturity_years)
         discounted = discount * payoffs
         if self.antithetic:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import ConfigError
 
 __all__ = ["AsianOption"]
@@ -50,8 +52,8 @@ class AsianOption:
         if self.volatility <= 0:
             raise ConfigError("volatility must be positive")
 
-    def payoff(self, path_average: float) -> float:
-        """Payoff for a realised path average."""
+    def payoff(self, path_averages: np.ndarray | float) -> np.ndarray:
+        """Payoffs for realised path averages (element-wise)."""
         if self.is_call:
-            return max(path_average - self.strike, 0.0)
-        return max(self.strike - path_average, 0.0)
+            return np.maximum(path_averages - self.strike, 0.0)
+        return np.maximum(self.strike - path_averages, 0.0)

@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ..errors import SimulationError
 from .spans import RequestSpan, SpanCause
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -186,11 +185,6 @@ class TailReport:
     n_completed: int
     slices: tuple[TailSlice, ...] = field(default_factory=tuple)
 
-    def slice_at(self, percentile: float) -> TailSlice:
-        for s in self.slices:
-            if s.percentile == percentile:
-                return s
-        raise SimulationError(f"no tail slice at p{percentile:g}")
 
 
 def classify_span(

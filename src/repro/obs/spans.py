@@ -88,15 +88,6 @@ class RequestSpan:
         return self.end_ms - self.arrival_ms
 
     @property
-    def execution_ms(self) -> float:
-        """Dispatch to termination (0.0 if never dispatched)."""
-        if self.end_ms is None:
-            raise SimulationError(f"span of request {self.rid} is still open")
-        if self.dispatch_ms is None:
-            return 0.0
-        return self.end_ms - self.dispatch_ms
-
-    @property
     def initial_degree(self) -> int:
         """Degree of the first execution segment (0 if never dispatched)."""
         return self.segments[0].degree if self.segments else 0
@@ -105,11 +96,6 @@ class RequestSpan:
     def max_degree(self) -> int:
         """Highest degree any segment ran at (0 if never dispatched)."""
         return max((s.degree for s in self.segments), default=0)
-
-    @property
-    def degree_raises(self) -> int:
-        """Number of mid-flight degree increases."""
-        return max(0, len(self.segments) - 1)
 
     @property
     def corrected(self) -> bool:

@@ -44,11 +44,6 @@ class GradientBoostedRegressor:
         self._trees: list[RegressionTree] = []
         self._base: float = 0.0
 
-    @property
-    def is_fitted(self) -> bool:
-        """Whether the ensemble has been trained."""
-        return bool(self._trees)
-
     def fit(
         self,
         features: np.ndarray,
@@ -98,19 +93,3 @@ class GradientBoostedRegressor:
         for tree in self._trees:
             out += self.learning_rate * tree.predict(binned)
         return out
-
-    def staged_l1(
-        self, features: np.ndarray, targets: np.ndarray
-    ) -> list[float]:
-        """Mean-absolute error after each boosting stage (diagnostics)."""
-        if not self._trees:
-            raise PredictionError("model is not fitted")
-        X = np.asarray(features, dtype=np.float64)
-        y = np.asarray(targets, dtype=np.float64)
-        binned = self._binner.transform(X)
-        out = np.full(len(X), self._base)
-        errors = []
-        for tree in self._trees:
-            out += self.learning_rate * tree.predict(binned)
-            errors.append(float(np.abs(out - y).mean()))
-        return errors

@@ -3,9 +3,10 @@
 Wraps the gradient-boosted regressor with the paper's two evaluation
 lenses (Section 2.5): the regressor view (L1 error in ms) and the
 classifier view (precision and recall of "is this query long?" at the
-80 ms ``LONG_QUERY_MS`` threshold).  An optional feature-noise knob
-degrades accuracy toward a desired operating point — production
-features are noisier than our synthetic index statistics.
+80 ms ``LONG_QUERY_MS`` threshold).  The predictor sees only index
+statistics; its imperfect operating point comes from the ranking cost
+those statistics do not capture (``hidden_cost_sigma`` of the search
+workload), not from noise added here.
 """
 
 from __future__ import annotations
@@ -31,16 +32,6 @@ class PredictorReport:
     long_threshold_ms: float
     num_eval: int
 
-    def as_row(self) -> dict[str, float]:
-        """Flat dict for tabular reports."""
-        return {
-            "l1_error_ms": self.l1_error_ms,
-            "precision": self.precision,
-            "recall": self.recall,
-            "long_threshold_ms": self.long_threshold_ms,
-            "num_eval": self.num_eval,
-        }
-
 
 class ExecutionTimePredictor:
     """Boosted-tree predictor of sequential query execution time."""
@@ -54,12 +45,6 @@ class ExecutionTimePredictor:
             min_samples_leaf=MIN_SAMPLES_LEAF,
             subsample=self.config.subsample,
         )
-        self._noise_rng: np.random.Generator | None = None
-
-    @property
-    def is_fitted(self) -> bool:
-        """Whether :meth:`fit` has been called."""
-        return self._model.is_fitted
 
     def fit(
         self,
@@ -76,9 +61,7 @@ class ExecutionTimePredictor:
         y = np.asarray(demands_ms, dtype=np.float64)
         if (y <= 0).any():
             raise PredictionError("demands must be positive")
-        X = self._noisy(np.asarray(features, dtype=np.float64), rng)
-        self._model.fit(X, np.log(y), rng=rng)
-        self._noise_rng = rng
+        self._model.fit(np.asarray(features, dtype=np.float64), np.log(y), rng=rng)
         return self
 
     def predict(self, features: np.ndarray) -> np.ndarray:
@@ -86,17 +69,18 @@ class ExecutionTimePredictor:
         X = np.asarray(features, dtype=np.float64)
         if X.ndim == 1:
             X = X.reshape(1, -1)
-        X = self._noisy(X, self._noise_rng)
         return np.exp(self._model.predict(X))
 
+    @staticmethod
     def evaluate(
-        self, features: np.ndarray, demands_ms: np.ndarray
+        predictions_ms: np.ndarray, demands_ms: np.ndarray
     ) -> PredictorReport:
-        """L1 error plus long-query precision/recall on held-out data."""
+        """L1 error plus long-query precision/recall of :meth:`predict`'s
+        output on held-out queries against their measured demands."""
         y = np.asarray(demands_ms, dtype=np.float64)
-        predictions = self.predict(features)
+        predictions = np.asarray(predictions_ms, dtype=np.float64)
         if len(predictions) != len(y):
-            raise PredictionError("features and demands must align")
+            raise PredictionError("predictions and demands must align")
         predicted_long = predictions > LONG_QUERY_MS
         actual_long = y > LONG_QUERY_MS
         true_positive = int((predicted_long & actual_long).sum())
@@ -111,11 +95,3 @@ class ExecutionTimePredictor:
             long_threshold_ms=LONG_QUERY_MS,
             num_eval=len(y),
         )
-
-    def _noisy(
-        self, X: np.ndarray, rng: np.random.Generator | None
-    ) -> np.ndarray:
-        sigma = self.config.feature_noise_sigma
-        if sigma <= 0 or rng is None:
-            return X
-        return X * rng.lognormal(0.0, sigma, size=X.shape)

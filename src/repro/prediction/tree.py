@@ -35,11 +35,6 @@ class FeatureBinner:
         self.max_bins = max_bins
         self._edges: list[np.ndarray] = []
 
-    @property
-    def is_fitted(self) -> bool:
-        """Whether :meth:`fit` has been called."""
-        return bool(self._edges)
-
     def fit(self, features: np.ndarray) -> "FeatureBinner":
         """Learn per-feature quantile bin edges."""
         X = _as_matrix(features)
@@ -95,11 +90,6 @@ class RegressionTree:
         self._flat: tuple[np.ndarray, ...] = ()
         #: Routing steps that settle every row (the deepest leaf's depth).
         self._depth = 0
-
-    @property
-    def num_nodes(self) -> int:
-        """Total node count after fitting."""
-        return len(self._nodes)
 
     def fit(self, binned: np.ndarray, targets: np.ndarray) -> "RegressionTree":
         """Fit to binned features (uint8) and continuous targets.

@@ -131,20 +131,6 @@ class FaultSpec:
         )
 
     @classmethod
-    def degraded(
-        cls, isn: int, workers: int, t0_ms: float, t1_ms: float
-    ) -> "FaultSpec":
-        """One ISN with a shrunken worker pool over ``[t0, t1)``."""
-        return cls(
-            (FaultWindow(FaultKind.DEGRADED, isn, t0_ms, t1_ms, float(workers)),)
-        )
-
-    @classmethod
-    def blackout(cls, isn: int, t0_ms: float, t1_ms: float) -> "FaultSpec":
-        """One ISN crashed over ``[t0, t1)``."""
-        return cls((FaultWindow(FaultKind.BLACKOUT, isn, t0_ms, t1_ms),))
-
-    @classmethod
     def rolling_blackout(
         cls,
         num_isns: int,
@@ -176,10 +162,6 @@ class FaultSpec:
                 for isn in range(count)
             )
         )
-
-    def merged_with(self, other: "FaultSpec") -> "FaultSpec":
-        """The union of two specs' windows."""
-        return FaultSpec(self.windows + other.windows)
 
     # -- queries --------------------------------------------------------
 

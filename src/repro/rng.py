@@ -1,7 +1,7 @@
 """Seeded random-number streams for reproducible experiments.
 
 Every stochastic component in the library (corpus generation, query
-sampling, arrival processes, predictor noise, cluster jitter) draws from
+sampling, arrival processes, predictor subsampling, cluster jitter) draws from
 its own named stream derived from a single experiment seed.  This keeps
 results bit-reproducible while letting components evolve independently:
 adding a draw to one component does not perturb any other component.
@@ -17,8 +17,8 @@ __all__ = ["RngFactory", "stream"]
 class RngFactory:
     """Factory of independent, named ``numpy`` random generators.
 
-    Each named stream is seeded with ``SeedSequence(root_seed).spawn``
-    keyed by a stable hash of the stream name, so the same
+    Each named stream is seeded with ``SeedSequence([root_seed, key])``,
+    ``key`` a stable hash of the stream name, so the same
     ``(root_seed, name)`` pair always yields the same stream.
 
     Example
@@ -51,23 +51,6 @@ class RngFactory:
         key = _stable_hash(name)
         seq = np.random.SeedSequence([self._root_seed, key])
         return np.random.Generator(np.random.PCG64(seq))
-
-    def spawn(self, name: str) -> "RngFactory":
-        """Derive a child factory, e.g. one per ISN in a cluster.
-
-        The child seed is drawn from ``SeedSequence([root_seed,
-        hash(name)])`` rather than the XOR of the two values: XOR is
-        collision-prone (``root ^ h(a) == h(b) ^ root`` whenever two
-        name hashes collide in any bit pattern symmetric around the
-        root), whereas a seed sequence mixes both words through
-        splitmix-style avalanching.
-        """
-        if not name:
-            raise ValueError("spawn name must be non-empty")
-        seq = np.random.SeedSequence([self._root_seed, _stable_hash(name)])
-        child_seed = int(seq.generate_state(1, np.uint64)[0]) & 0x7FFFFFFFFFFFFFFF
-        return RngFactory(child_seed)
-
 
 def stream(root_seed: int, name: str) -> np.random.Generator:
     """Shorthand for ``RngFactory(root_seed).get(name)``."""

@@ -171,15 +171,6 @@ class Corpus:
         """Total token count across all documents."""
         return int(self.doc_offsets[-1])
 
-    def document_length(self, doc_id: int) -> int:
-        """Token count of one document."""
-        return int(self.doc_offsets[doc_id + 1] - self.doc_offsets[doc_id])
-
-    def document_terms(self, doc_id: int) -> np.ndarray:
-        """Term ids (with repetition) of one document."""
-        return self.doc_term_ids[
-            self.doc_offsets[doc_id] : self.doc_offsets[doc_id + 1]
-        ]
 
 
 def build_corpus(

@@ -95,18 +95,6 @@ class InvertedIndex:
         """Document frequency of every term (posting-list lengths)."""
         return self._document_frequencies
 
-    def document_frequency(self, term_id: int) -> int:
-        """Posting-list length of one term."""
-        self._check_term(term_id)
-        return int(self._document_frequencies[term_id])
-
-    def idf(self, term_id: int) -> float:
-        """Robertson-Sparck-Jones IDF of one term."""
-        df = self.document_frequency(term_id)
-        return float(
-            np.log1p((self._num_documents - df + 0.5) / (df + 0.5))
-        )
-
     def df_array(self, term_ids: np.ndarray | list[int]) -> np.ndarray:
         """Vectorised document frequencies, in the shape of ``term_ids``."""
         ids = np.asarray(term_ids, dtype=np.int64)

@@ -111,18 +111,9 @@ class ParallelExecutionModel:
     task_grain_ms: float
     task_overhead_ms: float
 
-    def waste_fraction(self, total_ms: float) -> float:
-        """Per-extra-thread speculative-waste fraction ``w(L)``."""
+    def waste_fraction(self, total_ms: np.ndarray | float) -> np.ndarray | float:
+        """Per-extra-thread speculative-waste fraction ``w(L)`` (element-wise)."""
         return self.waste_amplitude / (1.0 + total_ms / self.waste_halflife_ms)
-
-    def parallel_time(
-        self, total_ms: float, serial_ms: float, degree: int
-    ) -> float:
-        """Wall-clock execution time ``T_d`` at parallelism ``degree``."""
-        fixed, scaled = _pool_terms(
-            total_ms, serial_ms, degree, self.task_grain_ms, self.task_overhead_ms
-        )
-        return fixed + scaled * (1.0 + self.waste_fraction(total_ms) * (degree - 1))
 
     def profile(
         self, total_ms: float, serial_ms: float, max_degree: int
@@ -135,13 +126,14 @@ class ParallelExecutionModel:
     ) -> list[SpeedupProfile]:
         """One speedup profile ``{S_1..S_P}`` per sequential demand.
 
-        ``S_d = L / T_d`` with ``T_d`` from :meth:`parallel_time`,
+        ``S_d = L / T_d`` with ``T_d`` as in the module docstring,
         clamped monotone non-decreasing: a scheduler never *loses* by
         holding extra threads idle, so ``S_d >= S_{d-1}`` effectively.
-        Every demand's terms are computed element-wise in
-        :meth:`parallel_time`'s operation order, so each row is the
-        scalar formula's bit for bit (the task counts are whole floats,
-        exact like the integers they stand for).
+        Every demand's terms are computed element-wise in the operation
+        order of the scalar split :func:`_pool_terms` that
+        :class:`_WasteFit` fits, so each row is the scalar formula's bit
+        for bit (the task counts are whole floats, exact like the
+        integers they stand for).
         """
         total = np.asarray(demands_ms, dtype=np.float64)
         if (total <= 0).any():
@@ -151,7 +143,7 @@ class ParallelExecutionModel:
         serial = np.minimum(serial_ms, total)
         parallel = total - serial
         n_tasks = np.maximum(1.0, np.ceil(parallel / self.task_grain_ms))
-        waste = self.waste_amplitude / (1.0 + total / self.waste_halflife_ms)
+        waste = self.waste_fraction(total)
         speedups = np.ones((len(total), max_degree))
         for degree in range(2, max_degree + 1):
             rounds = np.ceil(n_tasks / degree)
@@ -171,8 +163,8 @@ class _WasteFit:
 
     Holds each target point's :func:`_pool_terms`, which do not depend
     on ``(a, b)``.  ``T_d`` is evaluated exactly as
-    :meth:`ParallelExecutionModel.parallel_time` does, so the residuals
-    of a fitted model are the ones this class minimised.  Sums use
+    :meth:`ParallelExecutionModel.profiles` does, so the residuals of a
+    fitted model are the ones this class minimised.  Sums use
     ``math.fsum`` (exactly rounded), so no BLAS summation order reaches
     the fitted values.
     """
@@ -319,7 +311,6 @@ def fit_parallel_model(
     serial_ms: float,
     task_grain_ms: float,
     task_overhead_ms: float,
-    targets: dict[float, dict[int, float]] | None = None,
 ) -> ParallelExecutionModel:
     """Fit ``(a, b)`` so the model reproduces Figure 2.
 
@@ -329,23 +320,17 @@ def fit_parallel_model(
         Representative serial work per query (parse + rescore).
     task_grain_ms / task_overhead_ms:
         Task-pool granularity, taken from the workload configuration.
-    targets:
-        ``{L_ms: {degree: speedup}}`` to fit; defaults to
-        :data:`FIGURE2_TARGETS`.
 
     Minimises ``0.5 * sum((S_d - target)**2)`` over
     ``0 <= a <= 10``, ``1 <= b <= 500`` until the projected gradient is
     at most ``1e-10`` (see :func:`_minimise`), and returns the fitted
     :class:`ParallelExecutionModel`.
     """
-    goal = targets if targets is not None else FIGURE2_TARGETS
     points = [
         (load_ms, degree, speedup)
-        for load_ms, curve in goal.items()
+        for load_ms, curve in FIGURE2_TARGETS.items()
         for degree, speedup in curve.items()
     ]
-    if not points:
-        raise CalibrationError("no fit targets supplied")
     fit = _WasteFit(points, serial_ms, task_grain_ms, task_overhead_ms)
     a, b = (float(v) for v in _minimise(fit))
     return ParallelExecutionModel(

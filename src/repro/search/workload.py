@@ -10,9 +10,11 @@ Figure 3's offline half, all from first principles:
 3. calibrate work units to milliseconds against the paper's statistics;
 4. fit the task-pool parallel model to Figure 2 and derive per-query
    speedup profiles plus the 3-group :class:`SpeedupBook`;
-5. train the boosted-tree predictor on half the pool and evaluate it on
-   the other half (which becomes the replay pool, so the predictor is
-   never evaluated on queries it trained on).
+5. train the boosted-tree predictor on half the pool and predict the
+   other half once (which becomes the replay pool, so the predictor is
+   never evaluated on queries it trained on); those predictions are
+   both the pool's scheduler-visible estimates and the accuracy
+   report's input.
 
 The result, :class:`SearchWorkload`, hands the simulation everything it
 needs: sampled request traces, group profiles and weights, and the
@@ -199,8 +201,8 @@ def build_search_workload(
     predictor.fit(
         features[train], demands[train], rng=rngs.get("predictor")
     )
-    report = predictor.evaluate(features[evaluate], demands[evaluate])
     predictions = predictor.predict(features[evaluate])
+    report = predictor.evaluate(predictions, demands[evaluate])
 
     return SearchWorkload(
         config=cfg,

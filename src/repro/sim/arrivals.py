@@ -52,10 +52,6 @@ class RateProfile:
         """The maximum rate of the profile."""
         return max(self.rates_qps)
 
-    @property
-    def mean_qps(self) -> float:
-        """Time-average rate over one cycle."""
-        return sum(self.rates_qps) / len(self.rates_qps)
 
 
 def nonhomogeneous_arrival_times(

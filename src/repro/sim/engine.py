@@ -379,20 +379,6 @@ class Engine:
             executed += 1
         return executed
 
-    def run_until(self, time: float) -> None:
-        """Run all events scheduled at or before ``time``, then advance
-        the clock to ``time`` even if no event lands exactly there."""
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            if head[2].seq != head[1]:
-                _heappop(heap)
-                continue
-            if head[0] > time:
-                break
-            self.step()
-        self.now = max(self.now, time)
-
 
 def _bad_time(time: float, now: float) -> str:
     """Why ``time`` cannot be scheduled at ``now`` (error message)."""

@@ -90,19 +90,6 @@ class LatencySummary:
             max_ms=float(arr.max()),
         )
 
-    def as_row(self) -> dict[str, float]:
-        """Summary as a flat dict (handy for tabular reports)."""
-        return {
-            "count": self.count,
-            "mean_ms": self.mean_ms,
-            "p50_ms": self.p50_ms,
-            "p95_ms": self.p95_ms,
-            "p99_ms": self.p99_ms,
-            "p999_ms": self.p999_ms,
-            "max_ms": self.max_ms,
-        }
-
-
 @dataclass(frozen=True)
 class DistributionStats:
     """Shape statistics of a millisecond sample in the paper's terms.

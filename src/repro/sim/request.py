@@ -135,13 +135,6 @@ class Request:
             raise SimulationError(f"request {self.rid} has not started")
         return self.start_ms - self.arrival_ms
 
-    @property
-    def execution_ms(self) -> float:
-        """Wall-clock execution time (start of execution to completion)."""
-        if self.state is not RequestState.COMPLETED:
-            raise SimulationError(f"request {self.rid} has not completed")
-        return self.finish_ms - self.start_ms
-
     def running_for(self, now_ms: float) -> float:
         """Milliseconds since execution began (valid while RUNNING)."""
         if self.state is not RequestState.RUNNING:

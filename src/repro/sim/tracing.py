@@ -146,50 +146,6 @@ class RequestTracer:
         """Ids of all requests with at least one event."""
         return set(self._index())
 
-    def validate(self) -> None:
-        """Check per-request event-order invariants.
-
-        Raises :class:`SimulationError` on a malformed timeline
-        (e.g. dispatch before arrival, events after completion).
-        """
-        order = {
-            TraceEventKind.ARRIVAL: 0,
-            TraceEventKind.DISPATCH: 1,
-            TraceEventKind.DEGREE_CHANGE: 2,
-            TraceEventKind.COMPLETION: 3,
-            TraceEventKind.CANCELLED: 3,
-        }
-        last_time: dict[int, float] = {}
-        last_stage: dict[int, int] = {}
-        done: set[int] = set()
-        for event in self._materialize():
-            if event.rid in done:
-                raise SimulationError(
-                    f"request {event.rid} has events after completion"
-                )
-            if event.time_ms < last_time.get(event.rid, float("-inf")) - 1e-9:
-                raise SimulationError(
-                    f"request {event.rid} timeline is not monotone"
-                )
-            stage = order[event.kind]
-            previous = last_stage.get(event.rid, -1)
-            if event.kind is TraceEventKind.DEGREE_CHANGE:
-                if previous < order[TraceEventKind.DISPATCH]:
-                    raise SimulationError(
-                        f"request {event.rid} changed degree before dispatch"
-                    )
-            elif stage <= previous:
-                raise SimulationError(
-                    f"request {event.rid} repeated stage {event.kind.value}"
-                )
-            last_time[event.rid] = event.time_ms
-            last_stage[event.rid] = max(previous, stage)
-            if event.kind in (
-                TraceEventKind.COMPLETION,
-                TraceEventKind.CANCELLED,
-            ):
-                done.add(event.rid)
-
 
 def attach_tracer(
     server: "Server",

@@ -164,43 +164,97 @@ def _referenced_names(tree: ast.Module) -> set[str]:
     """``Name``/``Attribute`` names a module uses, minus self-references.
 
     Imports and ``__all__`` strings are not ``Name`` nodes, so they do
-    not count; neither does a definition's use of its own name.
+    not count; neither does a mention of a definition's (or a method's)
+    own name inside its own body.
     """
     names: set[str] = set()
-    for stmt in tree.body:
-        used = {
-            node.id if isinstance(node, ast.Name) else node.attr
-            for node in ast.walk(stmt)
-            if isinstance(node, (ast.Name, ast.Attribute))
-        }
-        if isinstance(stmt, _DEFS):
-            used.discard(stmt.name)
-        names |= used
+
+    def visit(node: ast.AST, own: frozenset[str]) -> None:
+        if isinstance(node, _DEFS):
+            own = own | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in own:
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in own:
+            names.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
+    visit(tree, frozenset())
     return names
+
+
+def _public_definitions(tree: ast.Module) -> dict[str, str]:
+    """Public module-level definitions and public defs in class bodies
+    (methods, properties, class- and static methods), as qualified key
+    -> the name a caller would use."""
+    defined: dict[str, str] = {}
+    for stmt in tree.body:
+        if not isinstance(stmt, _DEFS) or stmt.name.startswith("_"):
+            continue
+        defined[stmt.name] = stmt.name
+        if isinstance(stmt, ast.ClassDef):
+            for item in stmt.body:
+                if isinstance(item, _DEFS[:2]) and not item.name.startswith("_"):
+                    defined[f"{stmt.name}.{item.name}"] = item.name
+    return defined
+
+
+def _uncalled(library: dict[str, ast.Module], callers: list[ast.Module]) -> set[str]:
+    """``<where>:<key>`` for each public library definition whose name no
+    caller module refers to and that the allowlist does not name."""
+    referenced: set[str] = set()
+    for tree in callers:
+        referenced |= _referenced_names(tree)
+    return {
+        f"{where}:{key}"
+        for where, tree in library.items()
+        for key, name in _public_definitions(tree).items()
+        if name not in referenced and key not in UNCALLED_ALLOWLIST
+    }
 
 
 class TestNoTestOnlyLibraryCode:
     def test_every_public_definition_has_a_caller(self):
-        referenced: set[str] = set()
-        for directory in CALLER_DIRS:
-            for path in (REPO_ROOT / directory).rglob("*.py"):
-                referenced |= _referenced_names(ast.parse(path.read_text()))
-        defined: dict[str, str] = {}
-        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
-            for stmt in ast.parse(path.read_text()).body:
-                if isinstance(stmt, _DEFS) and not stmt.name.startswith("_"):
-                    defined[stmt.name] = str(path.relative_to(REPO_ROOT))
-        uncalled = sorted(
-            f"{where}:{name}"
-            for name, where in defined.items()
-            if name not in referenced and name not in UNCALLED_ALLOWLIST
-        )
+        trees = {
+            str(path.relative_to(REPO_ROOT)): ast.parse(path.read_text())
+            for path in _python_files(CALLER_DIRS)
+        }
+        library = {
+            where: tree for where, tree in trees.items() if where.startswith("src/repro/")
+        }
+        uncalled = sorted(_uncalled(library, list(trees.values())))
         assert not uncalled, (
             "public library code with no caller outside tests: "
             + ", ".join(uncalled)
         )
-        stale = sorted(set(UNCALLED_ALLOWLIST) - set(defined))
+        defined = {key for tree in library.values() for key in _public_definitions(tree)}
+        stale = sorted(set(UNCALLED_ALLOWLIST) - defined)
         assert not stale, f"allowlisted names no longer defined: {stale}"
+
+    def test_scanner_flags_class_body_definitions(self):
+        library = ast.parse(
+            "class Widget:\n"
+            "    def only_tested(self):\n"
+            "        return 1\n"
+            "    @property\n"
+            "    def only_tested_property(self):\n"
+            "        return 2\n"
+            "    @classmethod\n"
+            "    def only_tested_factory(cls):\n"
+            "        return cls()\n"
+            "    def countdown(self, n):\n"
+            "        return self.countdown(n - 1) if n else 0\n"
+            "    def called(self):\n"
+            "        return 3\n"
+        )
+        caller = ast.parse("from widget import Widget\nWidget().called()\n")
+        flagged = _uncalled({"widget.py": library}, [library, caller])
+        assert flagged == {
+            "widget.py:Widget.only_tested",
+            "widget.py:Widget.only_tested_property",
+            "widget.py:Widget.only_tested_factory",
+            "widget.py:Widget.countdown",
+        }
 
 
 def _python_files(directories) -> list[pathlib.Path]:

@@ -30,7 +30,8 @@ class TestRateProfile:
     def test_peak_and_mean(self):
         profile = RateProfile((100.0, 300.0), 1000.0)
         assert profile.peak_qps == 300.0
-        assert profile.mean_qps == 200.0
+        # Equal-length segments: the cycle's time-average rate.
+        assert np.mean([profile.rate_at(t) for t in (0.0, 1000.0)]) == 200.0
 
     def test_guards(self):
         with pytest.raises(WorkloadError):

@@ -556,7 +556,7 @@ class TestBitSlicedMetering:
         ]
         _assert_same_metering(index, queries)
         doubled = SearchEngine(index).execute(Query(0, (3, 3)))
-        assert doubled.total_postings == 2 * index.document_frequency(3)
+        assert doubled.total_postings == 2 * index.document_frequencies[3]
         assert doubled.scored_hits == 2 * doubled.matched_documents
 
     def test_terms_absent_from_the_corpus(self):

@@ -31,7 +31,7 @@ class TestAggregator:
         agg.on_isn_complete(1, 4.0, isn=0)
         agg.on_isn_complete(0, 5.0, isn=0)
         assert agg.on_isn_complete(1, 6.0, isn=1) is True
-        assert agg.inflight == 1
+        assert agg.completed == 1  # query 0 still waits for ISN 1
         assert agg.on_isn_complete(0, 7.0, isn=1) is True
         assert agg.completed == 2
 

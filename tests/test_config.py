@@ -169,9 +169,6 @@ class TestPredictorConfig:
             {"subsample": 0},
             {"subsample": 1.5},
             {"subsample": math.nan},
-            {"feature_noise_sigma": -0.1},
-            {"feature_noise_sigma": math.nan},
-            {"feature_noise_sigma": math.inf},
         ],
     )
     def test_rejects_invalid(self, kwargs):

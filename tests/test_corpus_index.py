@@ -1,5 +1,7 @@
 """Tests for the corpus generator and inverted index."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -49,17 +51,17 @@ class TestCorpus:
         assert small_corpus.total_tokens == len(small_corpus.doc_term_ids)
 
     def test_document_access(self, small_corpus):
+        # CSR layout: document i owns doc_term_ids[offsets[i]:offsets[i + 1]].
+        offsets = small_corpus.doc_offsets
+        assert offsets[0] == 0
+        assert (np.diff(offsets) >= 8).all()  # the minimum document length
         for doc_id in (0, 100, 399):
-            terms = small_corpus.document_terms(doc_id)
-            assert len(terms) == small_corpus.document_length(doc_id)
+            terms = small_corpus.doc_term_ids[offsets[doc_id] : offsets[doc_id + 1]]
             assert terms.min() >= 0
             assert terms.max() < 300
 
     def test_mean_length_near_configured(self, small_corpus):
-        lengths = [
-            small_corpus.document_length(d)
-            for d in range(small_corpus.num_documents)
-        ]
+        lengths = np.diff(small_corpus.doc_offsets)
         assert np.mean(lengths) == pytest.approx(60, rel=0.25)
 
     def test_reproducible_for_same_seed(self):
@@ -82,14 +84,15 @@ class TestInvertedIndex:
     def test_document_frequency_matches_postings(self, small_index):
         for term in (0, 10, 299):
             docs, _ = small_index.postings(term)
-            assert small_index.document_frequency(term) == len(docs)
+            assert small_index.document_frequencies[term] == len(docs)
 
     def test_postings_reconstruct_corpus_counts(self, small_corpus, small_index):
         """The tf of (term, doc) in the index equals the term's count in
         the document — the index is lossless."""
         doc_id = 7
+        lo, hi = small_corpus.doc_offsets[doc_id : doc_id + 2]
         terms, counts = np.unique(
-            small_corpus.document_terms(doc_id), return_counts=True
+            small_corpus.doc_term_ids[lo:hi], return_counts=True
         )
         for term, count in zip(terms, counts):
             docs, tfs = small_index.postings(int(term))
@@ -103,17 +106,21 @@ class TestInvertedIndex:
 
     def test_idf_decreases_with_df(self, small_index):
         # rank 0 is most frequent -> smallest IDF.
-        assert small_index.idf(0) < small_index.idf(299)
+        low, high = small_index.idf_array([0, 299])
+        assert low < high
 
     def test_idf_array_matches_scalar(self, small_index):
+        # The Robertson-Sparck-Jones IDF, one term at a time.
         ids = [0, 5, 100]
         arr = small_index.idf_array(ids)
+        n = small_index.num_documents
         for i, term in enumerate(ids):
-            assert arr[i] == pytest.approx(small_index.idf(term))
+            df = len(small_index.postings(term)[0])
+            assert arr[i] == pytest.approx(math.log1p((n - df + 0.5) / (df + 0.5)))
 
     def test_total_postings_sums_dfs(self, small_index):
         ids = [1, 2, 3]
-        expected = sum(small_index.document_frequency(t) for t in ids)
+        expected = sum(small_index.document_frequencies[t] for t in ids)
         assert small_index.total_postings(ids) == expected
 
     def test_term_out_of_range_rejected(self, small_index):
@@ -125,5 +132,5 @@ class TestInvertedIndex:
     def test_doc_lengths_and_average(self, small_index, small_corpus):
         assert len(small_index.doc_lengths) == 400
         assert small_index.avg_doc_length == pytest.approx(
-            np.mean([small_corpus.document_length(d) for d in range(400)])
+            np.mean(np.diff(small_corpus.doc_offsets))
         )

@@ -8,6 +8,8 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
 
+from conftest import run_until
+
 
 class TestScheduling:
     def test_events_fire_in_time_order(self):
@@ -113,7 +115,7 @@ class TestRunControl:
         fired = []
         engine.schedule_at(1.0, lambda: fired.append(1))
         engine.schedule_at(5.0, lambda: fired.append(5))
-        engine.run_until(3.0)
+        run_until(engine, 3.0)
         assert fired == [1]
         assert engine.now == 3.0
         engine.run()
@@ -121,7 +123,7 @@ class TestRunControl:
 
     def test_run_until_advances_clock_without_events(self):
         engine = Engine()
-        engine.run_until(42.0)
+        run_until(engine, 42.0)
         assert engine.now == 42.0
 
 

@@ -7,7 +7,7 @@ from repro.sim.engine import Engine
 from repro.sim.load import LoadMetric, load_value
 from repro.sim.server import Server
 
-from conftest import make_request
+from conftest import make_request, run_until
 from test_server import FixedDegreePolicy
 
 
@@ -32,7 +32,7 @@ class TestLoadValue:
         assert load_value(busy_server, LoadMetric.QUEUE_LENGTH) == 0.0
 
     def test_cpu_util_scaled_to_thread_equivalents(self, busy_server):
-        busy_server.engine.run_until(100.0)
+        run_until(busy_server.engine, 100.0)
         value = load_value(busy_server, LoadMetric.CPU_UTIL)
         cap = busy_server.config.hardware_threads
         assert 0.0 <= value <= cap

@@ -91,12 +91,6 @@ class TestLatencyRecorder:
         with pytest.raises(SimulationError):
             LatencyRecorder().summary()
 
-    def test_summary_as_row_keys(self):
-        rec = LatencyRecorder()
-        rec.record(completed_request(0, 10.0))
-        row = rec.summary().as_row()
-        assert set(row) >= {"count", "mean_ms", "p99_ms", "p999_ms"}
-
 
 class TestDegreeDistribution:
     def test_percentages_split_by_true_demand_class(self):

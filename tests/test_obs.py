@@ -39,7 +39,7 @@ from repro.sim.engine import Engine
 from repro.sim.server import Server
 from repro.sim.tracing import TraceEventKind, attach_tracer
 
-from conftest import LONG_PROFILE, make_request
+from conftest import LONG_PROFILE, make_request, run_until, validate_trace
 from test_server import FixedDegreePolicy
 
 
@@ -65,7 +65,7 @@ class TestSpans:
         for span in spans:
             assert span.cause is SpanCause.COMPLETED
             assert span.initial_degree == 2
-            assert span.response_ms >= span.execution_ms >= 0
+            assert span.response_ms >= span.end_ms - span.dispatch_ms >= 0
             assert not span.corrected
 
     def test_correction_yields_two_segments(self, speedup_book):
@@ -78,7 +78,7 @@ class TestSpans:
         server.run_to_completion(1)
         (span,) = assemble_spans(tracer)
         assert span.corrected
-        assert span.degree_raises == 1
+        assert len(span.segments) == 2  # one mid-flight raise
         assert span.max_degree > span.initial_degree
         # Segments tile dispatch..end without gaps.
         assert span.segments[0].start_ms == span.dispatch_ms
@@ -92,7 +92,7 @@ class TestSpans:
         tracer = attach_tracer(server)
         req = make_request(0, 50.0)
         server.submit(req)
-        server.engine.run_until(10.0)
+        run_until(server.engine, 10.0)
         server.cancel_request(req, cause="hedge-superseded")
         (span,) = assemble_spans(tracer)
         assert span.cause is SpanCause.HEDGE_SUPERSEDED
@@ -104,7 +104,7 @@ class TestSpans:
         )
         tracer = attach_tracer(server)
         server.submit(make_request(0, 50.0))
-        server.engine.run_until(10.0)  # still running: no terminal event
+        run_until(server.engine, 10.0)  # still running: no terminal event
         (span,) = assemble_spans(tracer)
         assert span.cause is SpanCause.OPEN
         assert not span.cause.terminal
@@ -170,12 +170,11 @@ class TestAttribution:
     def test_tail_report_counts_sum(self):
         spans = [_span(i, 0.0, float(10 + i)) for i in range(100)]
         report = tail_report(spans, percentiles=(90.0,))
-        s = report.slice_at(90.0)
+        (s,) = report.slices
+        assert s.percentile == 90.0
         assert report.n_completed == 100
         assert sum(s.counts.values()) == s.n_tail
         assert s.n_tail >= 10
-        with pytest.raises(SimulationError):
-            report.slice_at(50.0)
 
     def test_tail_report_empty(self):
         report = tail_report([])
@@ -222,7 +221,7 @@ class TestChromeTrace:
             server.submit(make_request(i, 10.0 + 5 * i))
         victim = make_request(4, 100.0)
         server.submit(victim)
-        server.engine.run_until(5.0)
+        run_until(server.engine, 5.0)
         server.cancel_request(victim, cause="hedge-superseded")
         server.run_to_completion(4)
         return chrome_trace(
@@ -333,7 +332,7 @@ class TestObservation:
         obs.attach(server)
         req = make_request(0, 50.0)
         server.submit(req)
-        server.engine.run_until(5.0)
+        run_until(server.engine, 5.0)
         server.cancel_request(req, cause="blackout")
         snap = obs.metrics()
         assert snap["cancellations"] == 1.0
@@ -373,7 +372,7 @@ class TestObserveCell:
     def test_extras_and_trace_populated(self, observed_pair):
         spec, _, (observed, obs) = observed_pair
         assert observed.extras["obs.events_traced"] == len(obs.tracer)
-        obs.tracer.validate()
+        validate_trace(obs.tracer)
         spans = obs.spans()
         assert len(spans) == spec.n_requests
         doc = obs.chrome_trace()

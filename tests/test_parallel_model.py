@@ -10,6 +10,9 @@ from repro.errors import CalibrationError
 from repro.search.parallel import (
     _GRADIENT_TOL,
     FIGURE2_TARGETS,
+    ParallelExecutionModel,
+    _minimise,
+    _pool_terms,
     _projected_gradient,
     _WasteFit,
     fit_parallel_model,
@@ -50,6 +53,21 @@ def fitted_x(model):
     return np.array([model.waste_amplitude, model.waste_halflife_ms])
 
 
+def fit_targets(targets, serial_ms=1.2, task_grain_ms=1.0, task_overhead_ms=0.02):
+    """The model :func:`fit_parallel_model` would fit to other targets."""
+    fit = waste_fit(targets, serial_ms, task_grain_ms, task_overhead_ms)
+    a, b = (float(v) for v in _minimise(fit))
+    return ParallelExecutionModel(a, b, task_grain_ms, task_overhead_ms)
+
+
+def parallel_time(model, total_ms, serial_ms, degree):
+    """Wall-clock time ``T_d`` of one request at ``degree`` (scalar)."""
+    fixed, scaled = _pool_terms(
+        total_ms, serial_ms, degree, model.task_grain_ms, model.task_overhead_ms
+    )
+    return fixed + scaled * (1.0 + model.waste_fraction(total_ms) * (degree - 1))
+
+
 @pytest.fixture(scope="module")
 def fitted():
     return fit_parallel_model(
@@ -59,7 +77,7 @@ def fitted():
 
 class TestModelMechanics:
     def test_degree_one_time_equals_total(self, fitted):
-        assert fitted.parallel_time(50.0, 1.2, 1) == 50.0
+        assert parallel_time(fitted, 50.0, 1.2, 1) == 50.0
 
     def test_waste_fraction_decreases_with_length(self, fitted):
         assert fitted.waste_fraction(8.0) > fitted.waste_fraction(168.0)
@@ -81,7 +99,7 @@ class TestModelMechanics:
 
     def test_rejects_nonpositive_total(self, fitted):
         with pytest.raises(CalibrationError):
-            fitted.parallel_time(0.0, 1.0, 2)
+            fitted.profile(0.0, 1.0, 2)
 
 
 class TestFigure2Fit:
@@ -110,25 +128,17 @@ class TestFigure2Fit:
         assert 1 < fitted.waste_halflife_ms < 500
 
     def test_custom_targets_shift_fit(self):
-        relaxed = fit_parallel_model(
-            serial_ms=1.2,
-            task_grain_ms=1.0,
-            task_overhead_ms=0.02,
-            targets={100.0: {6: 5.5}, 10.0: {6: 2.0}},
-        )
+        relaxed = fit_targets(RELAXED_TARGETS)
         default = fit_parallel_model(1.2, 1.0, 0.02)
+        assert fit_targets(FIGURE2_TARGETS) == default
         assert relaxed.profile(100.0, 1.2, 6).speedup(6) > default.profile(
             100.0, 1.2, 6
         ).speedup(6)
 
     def test_relaxed_targets_hold_halflife_at_its_bound(self):
-        relaxed = fit_parallel_model(1.2, 1.0, 0.02, targets=RELAXED_TARGETS)
+        relaxed = fit_targets(RELAXED_TARGETS)
         assert relaxed.waste_halflife_ms == 1.0
         assert 0 < relaxed.waste_amplitude < 10
-
-    def test_empty_targets_rejected(self):
-        with pytest.raises(CalibrationError):
-            fit_parallel_model(1.0, 1.0, 0.02, targets={})
 
 
 class TestFitConvergence:
@@ -138,7 +148,7 @@ class TestFitConvergence:
         "targets", [FIGURE2_TARGETS, RELAXED_TARGETS], ids=["figure2", "relaxed"]
     )
     def test_projected_gradient_below_tolerance(self, targets):
-        model = fit_parallel_model(1.2, 1.0, 0.02, targets=targets)
+        model = fit_targets(targets)
         _, grad, _, _ = waste_fit(targets).derivatives(fitted_x(model))
         assert _projected_gradient(fitted_x(model), grad) <= _GRADIENT_TOL
 
@@ -161,7 +171,7 @@ class TestFitConvergence:
 
     def test_figure2_residuals_and_cost_pinned(self, fitted):
         residuals = [
-            load_ms / fitted.parallel_time(load_ms, 1.2, degree) - target
+            load_ms / parallel_time(fitted, load_ms, 1.2, degree) - target
             for load_ms, curve in FIGURE2_TARGETS.items()
             for degree, target in curve.items()
         ]

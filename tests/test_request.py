@@ -50,12 +50,6 @@ class TestLifecycleGuards:
         with pytest.raises(SimulationError):
             _ = req.queueing_ms
 
-    def test_execution_requires_completion(self):
-        req = make_request(0, 10.0)
-        req.state = RequestState.RUNNING
-        with pytest.raises(SimulationError):
-            _ = req.execution_ms
-
     def test_running_for_requires_running(self):
         req = make_request(0, 10.0)
         with pytest.raises(SimulationError):
@@ -72,9 +66,8 @@ class TestLifecycleGuards:
         req.finish_ms = 15.0
         assert req.response_ms == pytest.approx(14.0)
         assert req.queueing_ms == pytest.approx(2.0)
-        assert req.execution_ms == pytest.approx(12.0)
         assert req.response_ms == pytest.approx(
-            req.queueing_ms + req.execution_ms
+            req.queueing_ms + req.finish_ms - req.start_ms
         )
 
     def test_repr_mentions_state_and_degree(self):

@@ -22,7 +22,7 @@ from repro.sim.engine import Engine
 from repro.sim.request import RequestState
 from repro.sim.server import Server
 
-from conftest import make_request
+from conftest import make_request, run_until
 from test_server import FixedDegreePolicy
 
 
@@ -114,12 +114,6 @@ class TestFaultSpec:
         c = sample_fault_spec(RngFactory(8), **kwargs)
         assert a != c  # different seed, different campaign
 
-    def test_merged_with(self):
-        merged = FaultSpec.straggler(0, 2.0).merged_with(
-            FaultSpec.degraded(1, 4, 0.0, 10.0)
-        )
-        assert len(merged.windows) == 2
-
 
 # ---------------------------------------------------------------------------
 # HedgePolicy
@@ -174,7 +168,7 @@ class TestServerResilienceHooks:
         server = Server(ServerConfig(), FixedDegreePolicy(1), engine=Engine())
         req = make_request(0, 50.0)
         server.submit(req)
-        server.engine.run_until(20.0)
+        run_until(server.engine, 20.0)
         work = server.cancel_request(req)
         assert req.state is RequestState.CANCELLED
         # Degree 1, uncontended: 20 ms wall-clock = 20 ms of work.
@@ -354,7 +348,7 @@ class TestResilientCluster:
                 tiny_search_workload, "TPC", qps=100.0, n_queries=50, seed=3,
                 cluster_config=ClusterConfig(num_isns=3),
                 target_table=target_table,
-                fault_spec=FaultSpec.blackout(0, 10.0, 50.0),
+                fault_spec=FaultSpec((FaultWindow(FaultKind.BLACKOUT, 0, 10.0, 50.0),)),
             )
 
     def test_blackout_with_partial_wait_terminates(
@@ -383,7 +377,7 @@ class TestResilientCluster:
             tiny_search_workload, "TPC", qps=100.0, n_queries=150, seed=7,
             cluster_config=ClusterConfig(num_isns=3),
             target_table=target_table,
-            fault_spec=FaultSpec.blackout(0, 0.0, 400.0),
+            fault_spec=FaultSpec((FaultWindow(FaultKind.BLACKOUT, 0, 0.0, 400.0),)),
             hedge_policy=HedgePolicy.hedged(40.0),
         )
         assert len(result.aggregator_latencies_ms) == 150
@@ -451,7 +445,7 @@ class TestResilientCluster:
             tiny_search_workload, "TPC", qps=250.0, n_queries=300, seed=13,
             cluster_config=ClusterConfig(num_isns=2),
             target_table=target_table,
-            fault_spec=FaultSpec.degraded(0, workers=1, t0_ms=0.0, t1_ms=1e7),
+            fault_spec=FaultSpec((FaultWindow(FaultKind.DEGRADED, 0, 0.0, 1e7, 1.0),)),
         )
         healthy = run_cluster_experiment(
             tiny_search_workload, "TPC", qps=250.0, n_queries=300, seed=13,

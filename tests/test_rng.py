@@ -29,43 +29,6 @@ class TestRngFactory:
         b = RngFactory(7).get("foo").random(5)
         np.testing.assert_array_equal(a, b)
 
-    def test_spawn_derives_child_factory(self):
-        parent = RngFactory(5)
-        child1 = parent.spawn("isn-0")
-        child2 = parent.spawn("isn-1")
-        assert child1.root_seed != child2.root_seed
-        # deterministic derivation
-        assert parent.spawn("isn-0").root_seed == child1.root_seed
-
-    def test_spawn_names_never_collide(self):
-        # Regression: the XOR-based derivation could collide for names
-        # whose hashes cancelled against the root seed; the
-        # SeedSequence-based derivation avalanches instead.
-        parent = RngFactory(123)
-        seeds = {parent.spawn(f"isn-{i}").root_seed for i in range(256)}
-        assert len(seeds) == 256
-
-    def test_spawn_streams_are_distinct(self):
-        parent = RngFactory(7)
-        draws = [
-            tuple(parent.spawn(f"shard-{i}").get("demand").random(8))
-            for i in range(64)
-        ]
-        assert len(set(draws)) == 64
-
-    def test_nested_spawn_is_order_sensitive(self):
-        # XOR is commutative, so the old derivation gave
-        # spawn("a").spawn("b") and spawn("b").spawn("a") the SAME
-        # child seed.  The fixed derivation distinguishes them.
-        parent = RngFactory(42)
-        ab = parent.spawn("a").spawn("b").root_seed
-        ba = parent.spawn("b").spawn("a").root_seed
-        assert ab != ba
-
-    def test_spawn_rejects_empty_name(self):
-        with pytest.raises(ValueError):
-            RngFactory(3).spawn("")
-
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             RngFactory(-1)

@@ -92,7 +92,7 @@ class TestExecution:
         cfg, index, engine = setup
         term = 5
         ex = engine.execute(Query(0, (term,)))
-        df = index.document_frequency(term)
+        df = index.document_frequencies[term]
         assert ex.matched_documents == df
         assert ex.scored_hits == df
 

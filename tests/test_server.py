@@ -11,7 +11,7 @@ from repro.sim.engine import Engine
 from repro.sim.request import RequestState
 from repro.sim.server import Server
 
-from conftest import make_request
+from conftest import make_request, run_until
 
 
 class FixedDegreePolicy(ParallelismPolicy):
@@ -261,7 +261,7 @@ class TestLoadSurface:
         reqs = [make_request(i, 200.0) for i in range(6)]
         for r in reqs:
             server.submit(r)
-        server.engine.run_until(150.0)
+        run_until(server.engine, 150.0)
         assert 0.2 < server.cpu_utilization < 0.5  # ~6/16.2 = 0.37
 
     def test_cpu_utilization_resets_when_idle(self):
@@ -313,10 +313,10 @@ class TestSamplerIdleShutdown:
         idle_events = server.engine.events_run
         # A long idle gap, then a second burst: sampling resumes and
         # utilisation is measured over the new window, not the gap.
-        server.engine.run_until(server.engine.now + 10_000.0)
+        run_until(server.engine, server.engine.now + 10_000.0)
         assert server.engine.events_run == idle_events
         server.submit(make_request(1, 200.0))
-        server.engine.run_until(server.engine.now + 150.0)
+        run_until(server.engine, server.engine.now + 150.0)
         assert server.cpu_utilization > 0.0
         server.run_to_completion(2)
 
@@ -343,7 +343,7 @@ class TestCompletionHandle:
         server.submit(request)
         handle = server._completion_handle
         assert handle.seq >= 0
-        server.engine.run_until(4.0)
+        run_until(server.engine, 4.0)
         server.cancel_request(request)
         assert handle.seq == -1
         assert handle.callback == server._on_completion_event

@@ -20,7 +20,7 @@ from repro.config import ClusterConfig, ServerConfig
 from repro.exec import CellSpec, run_cell
 from repro.experiments.scenarios import TINY_TARGET_TABLE
 from repro.policies import policy_names
-from repro.resilience import FaultSpec
+from repro.resilience import FaultKind, FaultSpec, FaultWindow
 
 N_REQUESTS = 1_500
 SEED = 5
@@ -115,6 +115,6 @@ def test_degraded_worker_pool_golden_digest(tiny_workload_spec):
         tiny_workload_spec, "TPC", 300.0, 900, SEED,
         target_table=TINY_TARGET_TABLE,
         cluster_config=ClusterConfig(num_isns=3),
-        fault_spec=FaultSpec.degraded(0, 8, t0_ms=300.0, t1_ms=1_500.0),
+        fault_spec=FaultSpec((FaultWindow(FaultKind.DEGRADED, 0, 300.0, 1_500.0, 8.0),)),
     )
     assert cell_digest(run_cell(spec, cache=None)) == DEGRADED_EXPECTED

@@ -32,10 +32,6 @@ class TestSpeedupProfile:
     def test_speedup_saturates_beyond_max_degree(self):
         assert LONG_PROFILE.speedup(10) == LONG_PROFILE.speedup(6)
 
-    def test_efficiency_decreases_with_degree(self):
-        effs = [LONG_PROFILE.efficiency(d) for d in range(1, 7)]
-        assert all(b <= a + 1e-12 for a, b in zip(effs, effs[1:]))
-
     def test_rejects_s1_not_one(self):
         with pytest.raises(ConfigError):
             SpeedupProfile([2.0, 3.0])
@@ -51,10 +47,6 @@ class TestSpeedupProfile:
     def test_rejects_wildly_superlinear(self):
         with pytest.raises(ConfigError):
             SpeedupProfile([1.0, 30.0])
-
-    def test_truncated_limits_max_degree(self):
-        assert LONG_PROFILE.truncated(3).max_degree == 3
-        assert LONG_PROFILE.truncated(3).speedup(3) == LONG_PROFILE.speedup(3)
 
     def test_equality_and_hash(self):
         assert SpeedupProfile([1.0, 2.0]) == SpeedupProfile([1.0, 2.0])

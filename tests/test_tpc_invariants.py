@@ -62,7 +62,7 @@ def test_corrected_requests_ran_past_target(pairs):
     server, reqs = run_tpc(pairs)
     for req in reqs:
         if req.corrected:
-            assert req.execution_ms >= req.target_ms - 1e-6
+            assert req.finish_ms - req.start_ms >= req.target_ms - 1e-6
             assert req.max_degree_seen > req.initial_degree
 
 

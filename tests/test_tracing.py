@@ -16,7 +16,7 @@ from repro.sim.tracing import (
     attach_tracer,
 )
 
-from conftest import LONG_PROFILE, make_request
+from conftest import LONG_PROFILE, make_request, run_until, validate_trace
 from test_server import FixedDegreePolicy
 
 
@@ -81,14 +81,14 @@ class TestTimeline:
         for i in range(20):
             server.submit(make_request(i, 5.0 + i))
         server.run_to_completion(20)
-        tracer.validate()
+        validate_trace(tracer)
         assert tracer.requests_traced() == set(range(20))
 
     def test_running_cancellation_recorded(self):
         server, tracer = traced_server(FixedDegreePolicy(2))
         req = make_request(0, 50.0)
         server.submit(req)
-        server.engine.run_until(10.0)
+        run_until(server.engine, 10.0)
         server.cancel_request(req)
         kinds = [e.kind for e in tracer.timeline(0)]
         assert kinds == [
@@ -99,7 +99,7 @@ class TestTimeline:
         cancelled = tracer.timeline(0)[-1]
         assert cancelled.time_ms == pytest.approx(10.0)
         assert cancelled.degree == 2  # degree held at cancellation time
-        tracer.validate()
+        validate_trace(tracer)
 
     def test_queued_cancellation_skips_dispatch(self):
         server, tracer = traced_server(
@@ -112,7 +112,7 @@ class TestTimeline:
         kinds = [e.kind for e in tracer.timeline(1)]
         assert kinds == [TraceEventKind.ARRIVAL, TraceEventKind.CANCELLED]
         server.run_to_completion(1)
-        tracer.validate()
+        validate_trace(tracer)
 
 
 class TestValidation:
@@ -123,21 +123,21 @@ class TestValidation:
         tracer.record(2.0, 1, TraceEventKind.COMPLETION, 1)
         tracer.record(3.0, 1, TraceEventKind.DEGREE_CHANGE, 2)
         with pytest.raises(SimulationError):
-            tracer.validate()
+            validate_trace(tracer)
 
     def test_detects_degree_change_before_dispatch(self):
         tracer = RequestTracer()
         tracer.record(0.0, 1, TraceEventKind.ARRIVAL, 0)
         tracer.record(1.0, 1, TraceEventKind.DEGREE_CHANGE, 2)
         with pytest.raises(SimulationError):
-            tracer.validate()
+            validate_trace(tracer)
 
     def test_detects_non_monotone_times(self):
         tracer = RequestTracer()
         tracer.record(5.0, 1, TraceEventKind.ARRIVAL, 0)
         tracer.record(1.0, 1, TraceEventKind.DISPATCH, 1)
         with pytest.raises(SimulationError):
-            tracer.validate()
+            validate_trace(tracer)
 
     def test_cancel_cause_recorded(self):
         server = Server(
@@ -146,7 +146,7 @@ class TestValidation:
         tracer = attach_tracer(server)
         req = make_request(0, 50.0)
         server.submit(req)
-        server.engine.run_until(10.0)
+        run_until(server.engine, 10.0)
         server.cancel_request(req, cause="hedge-superseded")
         cancelled = tracer.timeline(0)[-1]
         assert cancelled.kind is TraceEventKind.CANCELLED
@@ -161,7 +161,7 @@ class TestValidation:
         )
         for i in range(10):
             server.submit(make_request(i, 5.0 + 3 * i))
-        server.engine.run_until(20.0)
+        run_until(server.engine, 20.0)
         mid = tracer.timeline(0)  # force an index build mid-run
         assert mid == [e for e in tracer.events if e.rid == 0]
         server.run_to_completion(10)
@@ -186,7 +186,7 @@ class TestValidation:
             if e.kind is TraceEventKind.ARRIVAL
         ]
         assert arrivals == [(r.arrival_ms, r.rid) for r in requests]
-        tracer.validate()
+        validate_trace(tracer)
 
     def test_attach_requires_fresh_server(self):
         server = Server(ServerConfig(), FixedDegreePolicy(1), engine=Engine())
@@ -201,12 +201,12 @@ class TestValidation:
         tracer.record(2.0, 1, TraceEventKind.CANCELLED, 1)
         tracer.record(3.0, 1, TraceEventKind.COMPLETION, 1)
         with pytest.raises(SimulationError):
-            tracer.validate()
+            validate_trace(tracer)
 
     def test_validator_covers_every_event_kind(self):
         # The validator's stage map must stay exhaustive: a new
         # TraceEventKind without ordering rules would silently KeyError
-        # inside validate() instead of being checked.
+        # inside validate_trace() instead of being checked.
         tracer = RequestTracer()
         for rid, kind in enumerate(TraceEventKind):
             if kind is not TraceEventKind.ARRIVAL:
@@ -217,7 +217,7 @@ class TestValidation:
             ):
                 tracer.record(0.5, rid, TraceEventKind.DISPATCH, 1)
             tracer.record(1.0, rid, kind, 1)
-        tracer.validate()
+        validate_trace(tracer)
 
     def test_event_str(self):
         event = TraceEvent(1.5, 7, TraceEventKind.DISPATCH, 3)

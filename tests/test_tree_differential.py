@@ -181,20 +181,20 @@ def test_leaf_minimum_above_half_blocks_every_split():
     X = _binned(rng, 101, max_bins=64)
     y = _targets(rng, X)
     # More than half of the rows: the root cannot even be searched.
-    assert _assert_same(X, y, max_depth=4, min_samples_leaf=51).num_nodes == 1
+    assert len(_assert_same(X, y, max_depth=4, min_samples_leaf=51)._nodes) == 1
     # Half of the rows: the search runs and splits near the median.
-    assert _assert_same(X, y, max_depth=4, min_samples_leaf=50).num_nodes == 3
+    assert len(_assert_same(X, y, max_depth=4, min_samples_leaf=50)._nodes) == 3
     # Half of the rows, but every boundary leaves one side short.
     lopsided = np.repeat(np.array([[0, 2], [1, 3]], dtype=np.uint8), [30, 70], axis=0)
     y = np.repeat([0.0, 1.0], [30, 70])
-    assert _assert_same(lopsided, y, max_depth=4, min_samples_leaf=50).num_nodes == 1
+    assert len(_assert_same(lopsided, y, max_depth=4, min_samples_leaf=50)._nodes) == 1
 
 
 def test_all_constant_columns_make_a_stump():
     X = np.full((40, 3), 5, dtype=np.uint8)
     y = np.random.default_rng(1).normal(size=40)
     tree = _assert_same(X, y, max_depth=3, min_samples_leaf=1)
-    assert tree.num_nodes == 1
+    assert len(tree._nodes) == 1
 
 
 def test_single_row_leaves():
@@ -204,7 +204,7 @@ def test_single_row_leaves():
     tree = _assert_same(X, y, max_depth=8, min_samples_leaf=1)
     assert _leaf_sizes(tree, X)[0] == 1
     one_row = _assert_same(X[:1], y[:1], max_depth=3, min_samples_leaf=1)
-    assert one_row.num_nodes == 1
+    assert len(one_row._nodes) == 1
 
 
 def test_refit_rebuilds_routing():
@@ -223,7 +223,7 @@ def test_gain_floor(step, nodes):
     X = np.repeat(np.array([[0], [1]], dtype=np.uint8), 10, axis=0)
     y = np.repeat([0.0, step], 10)
     tree = _assert_same(X, y, max_depth=2, min_samples_leaf=1)
-    assert tree.num_nodes == nodes
+    assert len(tree._nodes) == nodes
 
 
 def test_matches_reference_on_rows_in_subsample_order():
@@ -245,7 +245,7 @@ def test_depth_24_tree_keeps_one_routing_entry_per_node():
     y = 2.0 ** np.arange(60)
     tree = _assert_same(X, y, max_depth=24, min_samples_leaf=1)
     assert tree._depth == 24
-    assert [len(array) for array in tree._flat] == [tree.num_nodes] * 4 == [95] * 4
+    assert [len(array) for array in tree._flat] == [len(tree._nodes)] * 4 == [95] * 4
 
 
 def test_boosted_fit_and_predict_match_a_reference_loop():

@@ -9,12 +9,13 @@ build stage that moves a single float fails here.
 
 The ``tiny`` recipe is the workload of the ``end_to_end_cell`` scenario
 that ``python -m repro.gate --only perf`` times; ``deep`` adds deeper
-trees, full-sample boosting and the feature-noise predict path.
+trees and full-sample boosting.
 The canonical recipe is the seed-2016, 12 000-query default build that
 every benchmark, the gate and each pool worker start from; its digests
 add the ``SpeedupBook``'s group profiles.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -50,13 +51,11 @@ RECIPES = {
         },
     ),
     "deep": (
-        PredictorConfig(
-            num_trees=60, max_depth=6, subsample=1.0, feature_noise_sigma=0.1
-        ),
+        PredictorConfig(num_trees=60, max_depth=6, subsample=1.0),
         {
             **_BUILD,
-            "predictions": "bb2c1d13c5cd076cad30983e54efe8b1393f069f405562e44e573c09053b54c7",
-            "report": "94aa639c28cd97decc7c6b6a0258b23004de14393c678011cbbce1d49f051e61",
+            "predictions": "0ae8448d856e10e13d04b834df409a12c255251a5a6e78ce9d33c7add34f93d3",
+            "report": "c1100d10d8ec6d97e01ae9c80c0109549c0a846f41156a3206c1fd8ce4c067e4",
         },
     ),
 }
@@ -81,7 +80,7 @@ def _array_sha(values) -> str:
 
 def digests(workload) -> dict[str, str]:
     """The six golden digests of one built workload."""
-    report = sorted(workload.predictor_report.as_row().items())
+    report = sorted(dataclasses.asdict(workload.predictor_report).items())
     profiles = [profile.speedups for profile in workload.pool_profiles]
     return {
         "demands": _array_sha(workload.pool_demands_ms),
