@@ -11,6 +11,8 @@ Demonstrates both halves of the finance substrate:
 Run:  python examples/finance_pricing.py
 """
 
+import sys
+
 import numpy as np
 
 from repro.config import (
@@ -44,7 +46,12 @@ def price_some_options() -> None:
             f"{result.path_steps / 1e6:.1f}M path-steps"
         )
     cost = pricer.calibrate_ms_per_path_step(n_paths=20_000, n_steps=100)
-    print(f"  measured cost on this host: {cost * 1e6:.2f} ns per path-step\n")
+    # A wall-clock reading: on stderr, so stdout is the same on every run.
+    print(
+        f"  measured cost on this host: {cost * 1e6:.2f} ns per path-step",
+        file=sys.stderr,
+    )
+    print()
 
 
 def compare_policies() -> None:

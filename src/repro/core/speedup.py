@@ -11,14 +11,14 @@ the average profile of the group is used for scheduling decisions.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..config import DEFAULT_GROUP_BOUNDS_MS, validate_group_bounds
 from ..errors import ConfigError
 
-__all__ = ["SpeedupProfile", "SpeedupBook", "demand_group"]
+__all__ = ["SpeedupProfile", "SpeedupBook", "demand_group", "demand_groups"]
 
 
 class SpeedupProfile:
@@ -88,6 +88,12 @@ def demand_group(
     return bisect_right(bounds_ms, demand_ms)
 
 
+def demand_groups(demands_ms: np.ndarray, bounds_ms: Sequence[float]) -> np.ndarray:
+    """:func:`demand_group` of every demand, as an intp array."""
+    bounds = np.asarray(bounds_ms, dtype=np.float64)
+    return np.searchsorted(bounds, demands_ms, side="right")
+
+
 class SpeedupBook:
     """Per-group speedup profiles keyed by (predicted) sequential time.
 
@@ -143,31 +149,34 @@ class SpeedupBook:
     @classmethod
     def from_samples(
         cls,
-        demands_ms: Iterable[float],
-        per_request_profiles: Iterable[SpeedupProfile],
+        demands_ms: Sequence[float] | np.ndarray,
+        speedups: Sequence[Sequence[float]] | np.ndarray,
         bounds_ms: Sequence[float] = DEFAULT_GROUP_BOUNDS_MS,
         max_degree: int | None = None,
     ) -> "SpeedupBook":
-        """Average measured per-request profiles within each demand group.
+        """Average measured per-request speedups within each demand group.
 
         This is how the paper obtains Figure 2: execute a query log,
         classify queries by sequential time, and average the measured
-        speedups per degree inside each class.
+        speedups per degree inside each class.  ``speedups`` holds one
+        request's ``(S_1, ..., S_P)`` per row; degrees past ``P``
+        saturate at ``S_P``.  Each group's sums add its rows in sample
+        order, as a per-request loop does.
         """
         bounds = validate_group_bounds(bounds_ms)
-        demands = list(demands_ms)
-        profiles = list(per_request_profiles)
-        if len(demands) != len(profiles):
-            raise ConfigError("demands and profiles must align")
-        if not demands:
+        demands = np.asarray(demands_ms, dtype=np.float64)
+        samples = np.asarray(speedups, dtype=np.float64)
+        if samples.ndim != 2 or demands.shape != samples.shape[:1]:
+            raise ConfigError("demands and speedups must align")
+        if not len(demands):
             raise ConfigError("cannot build a SpeedupBook from zero samples")
-        degree = max_degree or profiles[0].max_degree
+        degree = max_degree or samples.shape[1]
+        if degree != samples.shape[1]:
+            samples = samples[:, np.minimum(np.arange(degree), samples.shape[1] - 1)]
+        groups = demand_groups(demands, bounds)
         sums = np.zeros((len(bounds) + 1, degree))
-        counts = np.zeros(len(bounds) + 1, dtype=np.int64)
-        for demand, profile in zip(demands, profiles):
-            g = demand_group(demand, bounds)
-            sums[g] += [profile.speedup(d) for d in range(1, degree + 1)]
-            counts[g] += 1
+        np.add.at(sums, groups, samples)
+        counts = np.bincount(groups, minlength=len(bounds) + 1)
         group_profiles: list[SpeedupProfile] = []
         for g in range(len(bounds) + 1):
             if counts[g] == 0:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import PredictionError
-from .tree import FeatureBinner, RegressionTree
+from .tree import FeatureBinner, RegressionTree, feature_codes
 
 __all__ = ["GradientBoostedRegressor"]
 
@@ -64,6 +64,8 @@ class GradientBoostedRegressor:
                 f"need at least {2 * self.min_samples_leaf} samples"
             )
         binned = self._binner.fit(X).transform(X)
+        # One code matrix for every round; each takes its rows' columns.
+        codes, width = feature_codes(binned)
         self._base = float(y.mean())
         prediction = np.full(len(y), self._base)
         self._trees = []
@@ -71,12 +73,12 @@ class GradientBoostedRegressor:
         sample_size = max(2 * self.min_samples_leaf, int(self.subsample * n))
         for _ in range(self.num_trees):
             residuals = y - prediction
+            tree = RegressionTree(self.max_depth, self.min_samples_leaf)
             if rng is not None and sample_size < n:
                 rows = rng.choice(n, size=sample_size, replace=False)
+                tree.fit_codes(codes.take(rows, axis=1), width, residuals[rows])
             else:
-                rows = np.arange(n)
-            tree = RegressionTree(self.max_depth, self.min_samples_leaf)
-            tree.fit(binned[rows], residuals[rows])
+                tree.fit_codes(codes, width, residuals)
             prediction += self.learning_rate * tree.predict(binned)
             self._trees.append(tree)
         return self

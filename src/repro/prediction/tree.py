@@ -14,13 +14,11 @@ are adjacent, a few ``take`` calls per level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import PredictionError
 
-__all__ = ["FeatureBinner", "RegressionTree"]
+__all__ = ["FeatureBinner", "RegressionTree", "feature_codes"]
 
 #: A leaf's routing threshold: no uint8 bin code exceeds it.
 _NEVER_RIGHT = 255
@@ -60,16 +58,24 @@ class FeatureBinner:
         return binned
 
 
-@dataclass(frozen=True)
-class _Node:
-    """One tree node; leaves carry a value, internal nodes a split."""
+def feature_codes(binned: np.ndarray) -> tuple[np.ndarray, int]:
+    """Feature-major codes of a binned matrix, and their bin ``width``.
 
-    feature: int
-    threshold_bin: int
-    left: int
-    right: int
-    value: float
-    is_leaf: bool
+    Feature ``j``'s codes are offset by ``j * width`` into a range of its
+    own, so one ``bincount`` histograms every feature at once. Any
+    subset of the columns (rows of ``binned``) fits with the same
+    ``width``: a width above a subset's largest code only adds bins with
+    no rows on their right, which can never be a split. The codes take
+    the narrowest unsigned dtype that holds them (uint16 for the
+    predictor's features); intp codes lift a two-build process's peak
+    RSS by ~11 MB (glibc heap layout, DESIGN §10).
+    """
+    X = np.asarray(binned)
+    width = int(X.max()) + 1 if X.size else 1
+    dtype = np.min_scalar_type(max(X.shape[1] * width - 1, 0))
+    codes = np.ascontiguousarray(X.T, dtype=dtype)
+    codes += (np.arange(len(codes)) * width).astype(dtype)[:, None]
+    return codes, width
 
 
 class RegressionTree:
@@ -82,8 +88,6 @@ class RegressionTree:
             raise PredictionError("min_samples_leaf must be >= 1")
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
-        #: The nodes in pre-order (a node, its left subtree, its right).
-        self._nodes: list[_Node] = []
         #: The nodes breadth-first as (feature, threshold, child, value)
         #: arrays for routing: a split node's children are ``child`` and
         #: ``child + 1``; a leaf is its own child.
@@ -92,29 +96,31 @@ class RegressionTree:
         self._depth = 0
 
     def fit(self, binned: np.ndarray, targets: np.ndarray) -> "RegressionTree":
-        """Fit to binned features (uint8) and continuous targets.
+        """Fit to binned features (uint8) and continuous targets."""
+        X = np.asarray(binned)
+        if X.ndim != 2:
+            raise PredictionError("binned features and targets must align")
+        return self.fit_codes(*feature_codes(X), targets)
+
+    def fit_codes(
+        self, codes: np.ndarray, width: int, targets: np.ndarray
+    ) -> "RegressionTree":
+        """Fit to :func:`feature_codes` output (or a subset of its columns).
 
         Grows the tree level by level. Each row carries its node's slot
         among the level's nodes, so one count and one weighted
         ``bincount`` per level build every splittable node's histogram
         of every feature at once (see :meth:`_best_splits`).
         """
-        X = np.asarray(binned)
         y = np.asarray(targets, dtype=np.float64)
-        if X.ndim != 2 or len(X) != len(y):
+        if codes.ndim != 2 or codes.shape[1] != len(y):
             raise PredictionError("binned features and targets must align")
         if len(y) == 0:
             raise PredictionError("cannot fit a tree on zero samples")
         n = len(y)
-        width = int(X.max()) + 1 if X.size else 1
-        # Feature-major codes, each feature's offset into its own bin
-        # range: a histogram bin's rows, all of one feature, then add up
-        # in row order.
-        bins = np.ascontiguousarray(X.T, dtype=np.intp)
-        flat_bins = bins.reshape(-1)
-        codes = bins + (np.arange(len(bins)) * width)[:, None]
-        keys = np.empty_like(codes)
-        weights = np.tile(y, len(bins))
+        flat_codes = codes.reshape(-1)
+        keys = np.empty(codes.shape, dtype=np.intp)
+        weights = np.tile(y, len(codes))
         row_ids = np.arange(n)
         levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         values: list[np.ndarray] = []
@@ -124,10 +130,11 @@ class RegressionTree:
         level_size, first = 1, 0
         while True:
             # Each node's rows in ascending order, as the recursive
-            # partition kept them, so its pairwise sum is the same. (A
-            # uint16 radix sort is faster but lifts a two-build
-            # process's peak RSS by 13 MB: glibc heap layout, DESIGN §10.)
-            order = np.argsort(slot, kind="stable")
+            # partition kept them, so its pairwise sum is the same. A
+            # stable sort of narrow slots is a radix sort.
+            order = np.argsort(
+                slot.astype(np.min_scalar_type(level_size)), kind="stable"
+            )
             sizes = np.bincount(slot, minlength=level_size + 1)[:level_size]
             ends = np.cumsum(sizes)
             y_sorted = y.take(order[: ends[-1]])
@@ -158,11 +165,13 @@ class RegressionTree:
             if not len(split):
                 break
             # Left child's slot on the next level; leaves and the spare
-            # slot map to the next spare slot and never go right.
+            # slot map to the next spare slot and never go right (feature
+            # 0's codes are below ``width <= 256``).
             next_left = np.full(level_size + 1, 2 * len(split), dtype=np.intp)
             next_left[split] = 2 * np.arange(len(split))
-            row_bins = flat_bins.take(feature.take(slot) * n + row_ids)
-            slot = next_left.take(slot) + (row_bins > threshold.take(slot))
+            cut = feature * width + threshold
+            row_codes = flat_codes.take(feature.take(slot) * n + row_ids)
+            slot = next_left.take(slot) + (row_codes > cut.take(slot))
             first += level_size
             level_size = 2 * len(split)
         self._depth = len(levels) - 1
@@ -170,7 +179,6 @@ class RegressionTree:
             *(np.concatenate(arrays) for arrays in zip(*levels)),
             np.concatenate(values),
         )
-        self._nodes = _preorder(*(array.tolist() for array in self._flat))
         return self
 
     def _best_splits(
@@ -208,7 +216,10 @@ class RegressionTree:
         left_sums = np.cumsum(hist[:k], axis=2)[:, :, :-1]
         n = sizes.take(candidates)[:, None, None]
         total_sum = sums.take(candidates)[:, None, None]
-        # The parent term as the per-node scalar expression computed it.
+        # The parent term as the per-node scalar expression computed it:
+        # ``np.float64 ** 2`` is libm ``pow``, which differs from the
+        # array ``** 2`` (an exact square, rounded once) in about one
+        # value in 1 200.
         parent = np.array([sums[j] ** 2 / int(sizes[j]) for j in candidates])
         right_counts = n - left_counts
         right_sums = total_sum - left_sums
@@ -234,7 +245,7 @@ class RegressionTree:
         node's right child follows its left, and a leaf points to itself
         with a threshold no bin code exceeds.
         """
-        if not self._nodes:
+        if not self._flat:
             raise PredictionError("tree is not fitted")
         feature, threshold, child, value = self._flat
         X = np.asarray(binned)
@@ -245,33 +256,6 @@ class RegressionTree:
             x = flat.take(base + feature.take(node))
             node = child.take(node) + (x > threshold.take(node))
         return value.take(node)
-
-
-def _preorder(
-    feature: list[int], threshold: list[int], child: list[int], value: list[float]
-) -> list[_Node]:
-    """Breadth-first nodes as the recursive fit's pre-order ``_Node`` list."""
-    order = []
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        if child[node] != node:
-            stack += (child[node] + 1, child[node])
-    renumber = {node: i for i, node in enumerate(order)}
-    return [
-        _Node(-1, -1, -1, -1, value[b], True)
-        if child[b] == b
-        else _Node(
-            feature[b],
-            threshold[b],
-            renumber[child[b]],
-            renumber[child[b] + 1],
-            value[b],
-            False,
-        )
-        for b in order
-    ]
 
 
 def _as_matrix(features: np.ndarray) -> np.ndarray:

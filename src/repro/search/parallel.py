@@ -118,13 +118,15 @@ class ParallelExecutionModel:
     def profile(
         self, total_ms: float, serial_ms: float, max_degree: int
     ) -> SpeedupProfile:
-        """Per-query speedup profile ``{S_1..S_P}`` (see :meth:`profiles`)."""
-        return self.profiles(np.array([total_ms]), serial_ms, max_degree)[0]
+        """Per-query speedup profile ``{S_1..S_P}`` (see :meth:`speedups`)."""
+        return SpeedupProfile(
+            self.speedups(np.array([total_ms]), serial_ms, max_degree)[0].tolist()
+        )
 
-    def profiles(
+    def speedups(
         self, demands_ms: np.ndarray, serial_ms: float, max_degree: int
-    ) -> list[SpeedupProfile]:
-        """One speedup profile ``{S_1..S_P}`` per sequential demand.
+    ) -> np.ndarray:
+        """Speedups ``{S_1..S_P}`` per sequential demand, one row each.
 
         ``S_d = L / T_d`` with ``T_d`` as in the module docstring,
         clamped monotone non-decreasing: a scheduler never *loses* by
@@ -155,7 +157,7 @@ class ParallelExecutionModel:
             np.maximum(
                 total / time, speedups[:, degree - 2], out=speedups[:, degree - 1]
             )
-        return [SpeedupProfile(row) for row in speedups.tolist()]
+        return speedups
 
 
 class _WasteFit:
@@ -163,7 +165,7 @@ class _WasteFit:
 
     Holds each target point's :func:`_pool_terms`, which do not depend
     on ``(a, b)``.  ``T_d`` is evaluated exactly as
-    :meth:`ParallelExecutionModel.profiles` does, so the residuals of a
+    :meth:`ParallelExecutionModel.speedups` does, so the residuals of a
     fitted model are the ones this class minimised.  Sums use
     ``math.fsum`` (exactly rounded), so no BLAS summation order reaches
     the fitted values.

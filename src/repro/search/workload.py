@@ -8,19 +8,20 @@ Figure 3's offline half, all from first principles:
    bulk metering pass, :meth:`SearchEngine.execute_batch`) and compute
    their pre-execution features;
 3. calibrate work units to milliseconds against the paper's statistics;
-4. fit the task-pool parallel model to Figure 2 and derive per-query
-   speedup profiles plus the 3-group :class:`SpeedupBook`;
-5. train the boosted-tree predictor on half the pool and predict the
+4. train the boosted-tree predictor on half the pool and predict the
    other half once (which becomes the replay pool, so the predictor is
    never evaluated on queries it trained on); those predictions are
    both the pool's scheduler-visible estimates and the accuracy
-   report's input.
+   report's input;
+5. fit the task-pool parallel model to Figure 2 and derive per-query
+   speedups, the 3-group :class:`SpeedupBook` and a speedup profile
+   per replay-pool query.
 
 The result, :class:`SearchWorkload`, hands the simulation everything it
 needs: sampled request traces, group profiles and weights, and the
 measured predictor operating point.
 
-Steps 1-2 take about a second at the canonical size (2-vCPU x86-64
+Steps 1-2 take about 0.45 s at the canonical size (2-vCPU x86-64
 host).  Their outputs, the per-query work units and features, are one
 ``search-pool-<hash>.npz`` entry of the on-disk cache
 (:mod:`repro.exec.cache`, which also holds the cell results), keyed by
@@ -46,7 +47,7 @@ from ..config import (
     PredictorConfig,
     SearchWorkloadConfig,
 )
-from ..core.speedup import SpeedupBook, SpeedupProfile
+from ..core.speedup import SpeedupBook, SpeedupProfile, demand_groups
 from ..errors import WorkloadError
 from ..exec.cache import cache_dir, read_entry, write_entry
 from ..exec.spec import spec_hash
@@ -181,28 +182,30 @@ def build_search_workload(
     demands = units * scale
     serial_ms = SERIAL_WORK_UNITS * scale
 
+    # Train/eval split: even indices train, odd indices become the pool.
+    # The fit runs before the speedups are built and takes the training
+    # half as strided views, not copies: otherwise what it leaves
+    # allocated can split the heap hole a second build's corpus lands
+    # in, and a two-build process peaks 13 MB higher (glibc heap
+    # layout, DESIGN §10).
+    evaluate = np.arange(1, len(demands), 2)
+    predictor = ExecutionTimePredictor(pcfg)
+    predictor.fit(features[::2], demands[::2], rng=rngs.get("predictor"))
+    predictions = predictor.predict(features[evaluate])
+    report = predictor.evaluate(predictions, demands[evaluate])
+
     model = fit_parallel_model(
         serial_ms=serial_ms,
         task_grain_ms=cfg.task_grain_units * scale,
         task_overhead_ms=TASK_OVERHEAD_UNITS * scale,
     )
-    profiles = model.profiles(demands, serial_ms, max_degree)
+    speedups = model.speedups(demands, serial_ms, max_degree)
     bounds = group_bounds_ms
     if bounds is None:
-        book = SpeedupBook.from_samples(demands, profiles)
+        book = SpeedupBook.from_samples(demands, speedups)
     else:
-        book = SpeedupBook.from_samples(demands, profiles, bounds)
+        book = SpeedupBook.from_samples(demands, speedups, bounds)
     weights = _group_weights(book, demands)
-
-    # Train/eval split: even indices train, odd indices become the pool.
-    train = np.arange(0, len(demands), 2)
-    evaluate = np.arange(1, len(demands), 2)
-    predictor = ExecutionTimePredictor(pcfg)
-    predictor.fit(
-        features[train], demands[train], rng=rngs.get("predictor")
-    )
-    predictions = predictor.predict(features[evaluate])
-    report = predictor.evaluate(predictions, demands[evaluate])
 
     return SearchWorkload(
         config=cfg,
@@ -215,7 +218,7 @@ def build_search_workload(
         predictor_report=report,
         pool_demands_ms=demands[evaluate],
         pool_predictions_ms=predictions,
-        pool_profiles=[profiles[i] for i in evaluate],
+        pool_profiles=[SpeedupProfile(row) for row in speedups[evaluate].tolist()],
         provenance=WorkloadProvenance(
             seed=seed,
             pool_size=pool_size,
@@ -230,11 +233,9 @@ def build_search_workload(
 def _group_weights(
     book: SpeedupBook, demands: np.ndarray
 ) -> tuple[float, ...]:
-    counts = [0] * book.num_groups
-    for demand in demands:
-        counts[book.group_of(float(demand))] += 1
-    total = len(demands)
-    return tuple(c / total for c in counts)
+    groups = demand_groups(demands, book.bounds_ms)
+    counts = np.bincount(groups, minlength=book.num_groups)
+    return tuple((counts / len(demands)).tolist())
 
 
 def _measured_pool(

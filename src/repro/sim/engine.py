@@ -348,6 +348,19 @@ class Engine:
         heapq.heapify(heap)
         self._compactions += 1
 
+    def close(self) -> None:
+        """Drop the retired entries a finished run leaves in the heap.
+
+        Each holds a handle whose back-reference to this engine would
+        keep both in a reference cycle until a full collection.  Only a
+        run with nothing pending can be closed.
+        """
+        if self.pending:
+            raise SimulationError(
+                f"cannot close an engine with {self.pending} pending events"
+            )
+        self._heap.clear()
+
     def step(self) -> bool:
         """Run the next live event.  Returns False when the heap is empty."""
         heap = self._heap

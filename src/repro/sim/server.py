@@ -532,13 +532,18 @@ class Server:
         can free, and with the server its recorder (~4.7 MB of lists at
         20 000 requests) stays resident until a full collection runs.
         A cluster's completion callback closes over the list of its
-        servers, another such cycle. Closed, the server is freed as soon
-        as its last reference goes; it must not run again.
+        servers, another such cycle, and so does the engine with the
+        handles left in its heap, which it drops once nothing is pending
+        (the last server on a shared engine closes it). Closed, the
+        server is freed as soon as its last reference goes; it must not
+        run again.
         """
         for handle in (self._completion_handle, self._sampler_handle):
             handle.cancel()
             handle.callback = None
         self.completion_callback = None
+        if not self.engine.pending:
+            self.engine.close()
 
     def __repr__(self) -> str:
         return (

@@ -14,22 +14,26 @@ Pool metering gets the same treatment: the bit-sliced counter behind
 ``SearchEngine.execute_batch`` and ``execute`` and the grouped
 ``query_feature_matrix`` are compared with the per-query ``bincount``
 counter and feature function they replaced, both kept verbatim below.
-So are the speedup profiles: ``ParallelExecutionModel.profiles`` is
-compared with the per-query scalar formula it replaced.
+So are the speedup profiles: ``ParallelExecutionModel.speedups`` is
+compared with the per-query scalar formula it replaced, and
+``SpeedupBook.from_samples`` and the workload's group weights with the
+per-request loops they replaced.
 """
 import math
-
 
 import numpy as np
 import pytest
 
 from repro.config import (
+    DEFAULT_GROUP_BOUNDS_MS,
     SCORE_COST_PER_HIT,
     SERIAL_WORK_UNITS,
     TOP_K,
     SearchWorkloadConfig,
+    validate_group_bounds,
 )
-from repro.errors import CalibrationError, WorkloadError
+from repro.core.speedup import SpeedupBook, SpeedupProfile, demand_group
+from repro.errors import CalibrationError, ConfigError, WorkloadError
 from repro.prediction.features import query_feature_matrix, query_features
 from repro.search.corpus import (
     _GUIDE_BUCKETS,
@@ -45,6 +49,7 @@ from repro.search.index import InvertedIndex, _fused_keys
 from repro.search.parallel import fit_parallel_model
 from repro.search.query import Query, QueryGenerator
 from repro.search.scoring import bm25_scores, top_k_documents
+from repro.search.workload import _group_weights
 
 
 def _random_probs(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -250,17 +255,123 @@ class TestProfiles:
     def test_matches_scalar_formula(self, max_degree):
         model = fit_parallel_model(self.SERIAL_MS, self.GRAIN_MS, 0.05)
         demands = self.demands()
-        got = model.profiles(demands, self.SERIAL_MS, max_degree)
-        for demand, profile in zip(demands.tolist(), got):
+        got = model.speedups(demands, self.SERIAL_MS, max_degree)
+        assert got.shape == (len(demands), max_degree)
+        for demand, row in zip(demands.tolist(), got.tolist()):
             want = _scalar_profile(model, demand, self.SERIAL_MS, max_degree)
-            assert profile.speedups == tuple(want), demand
+            assert row == want, demand
         single = model.profile(168.0, self.SERIAL_MS, max_degree)
-        assert single.speedups == got[-2_001].speedups
+        assert list(single.speedups) == got[-2_001].tolist()
 
     def test_non_positive_demand_is_rejected(self):
         model = fit_parallel_model(self.SERIAL_MS, self.GRAIN_MS, 0.05)
         with pytest.raises(CalibrationError):
-            model.profiles(np.array([3.0, 0.0]), self.SERIAL_MS, 6)
+            model.speedups(np.array([3.0, 0.0]), self.SERIAL_MS, 6)
+
+
+def _scalar_book(
+    demands_ms, per_request_profiles, bounds_ms=DEFAULT_GROUP_BOUNDS_MS, max_degree=None
+):
+    """The per-request loop of ``SpeedupBook.from_samples`` that one
+    ``np.add.at`` replaced, verbatim."""
+    bounds = validate_group_bounds(bounds_ms)
+    demands = list(demands_ms)
+    profiles = list(per_request_profiles)
+    if len(demands) != len(profiles):
+        raise ConfigError("demands and profiles must align")
+    if not demands:
+        raise ConfigError("cannot build a SpeedupBook from zero samples")
+    degree = max_degree or profiles[0].max_degree
+    sums = np.zeros((len(bounds) + 1, degree))
+    counts = np.zeros(len(bounds) + 1, dtype=np.int64)
+    for demand, profile in zip(demands, profiles):
+        g = demand_group(demand, bounds)
+        sums[g] += [profile.speedup(d) for d in range(1, degree + 1)]
+        counts[g] += 1
+    group_profiles: list[SpeedupProfile] = []
+    for g in range(len(bounds) + 1):
+        if counts[g] == 0:
+            # An empty group inherits its shorter neighbour's profile
+            # (conservative: shorter groups parallelize worse).
+            inherited = (
+                group_profiles[-1]
+                if group_profiles
+                else SpeedupProfile([1.0] * degree)
+            )
+            group_profiles.append(inherited)
+            continue
+        mean = sums[g] / counts[g]
+        mean[0] = 1.0
+        mean = np.maximum.accumulate(mean)  # enforce monotonicity
+        group_profiles.append(SpeedupProfile(mean.tolist()))
+    return SpeedupBook(group_profiles, bounds)
+
+
+def _scalar_group_weights(book, demands):
+    """The per-demand group count ``_group_weights`` replaced, verbatim."""
+    counts = [0] * book.num_groups
+    for demand in demands:
+        counts[book.group_of(float(demand))] += 1
+    total = len(demands)
+    return tuple(c / total for c in counts)
+
+
+class TestSpeedupBook:
+    """``from_samples`` over a speedup matrix against the per-request loop."""
+
+    def samples(self, seed: int, n: int, degree: int = 6):
+        rng = np.random.default_rng(seed)
+        demands = rng.lognormal(3.0, 1.2, n)
+        speedups = np.ones((n, degree))
+        speedups[:, 1:] += np.cumsum(rng.random((n, degree - 1)) * 0.8, axis=1)
+        return demands, speedups
+
+    def check(self, demands, speedups, *args):
+        book = SpeedupBook.from_samples(demands, speedups, *args)
+        profiles = [SpeedupProfile(row) for row in speedups.tolist()]
+        ref = _scalar_book(demands.tolist(), profiles, *args)
+        assert book.bounds_ms == ref.bounds_ms
+        assert book.profiles == ref.profiles
+        assert _group_weights(book, demands) == _scalar_group_weights(ref, demands)
+        return book
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_demands(self, seed):
+        self.check(*self.samples(seed, 3_000))
+
+    def test_model_speedups_of_a_pool(self):
+        model = fit_parallel_model(1.2, 0.9, 0.05)
+        demands = np.random.default_rng(8).lognormal(2.5, 1.2, 5_000)
+        self.check(demands, model.speedups(demands, 1.2, 6))
+
+    def test_demands_on_a_bound_join_the_higher_group(self):
+        demands, speedups = self.samples(1, 400)
+        demands[::3] = 30.0
+        demands[1::3] = 80.0
+        demands[2::7] = np.nextafter(80.0, 0.0)
+        book = self.check(demands, speedups)
+        assert book.group_of(30.0) == 1 and book.group_of(80.0) == 2
+
+    def test_empty_groups_inherit_their_shorter_neighbour(self):
+        demands, speedups = self.samples(2, 300)
+        demands[:150] = 5.0
+        demands[150:] = 200.0
+        book = self.check(demands, speedups)
+        assert book.profiles[1] == book.profiles[0] != book.profiles[2]
+        # No short sample: the short group starts from no speedup.
+        only_long = self.check(demands[150:], speedups[150:])
+        assert only_long.profiles[0] == SpeedupProfile([1.0] * 6)
+        assert only_long.profiles[1] == only_long.profiles[0]
+
+    @pytest.mark.parametrize("bounds", [(), (10.0,), (5.0, 10.0, 20.0, 40.0, 160.0)])
+    def test_custom_bounds(self, bounds):
+        self.check(*self.samples(3, 2_000), bounds)
+
+    @pytest.mark.parametrize("max_degree", [9, 3, 6])
+    def test_max_degree_saturates_or_truncates(self, max_degree):
+        demands, speedups = self.samples(4, 1_000)
+        book = self.check(demands, speedups, DEFAULT_GROUP_BOUNDS_MS, max_degree)
+        assert book.max_degree == max_degree
 
 
 def _lexsort_postings(corpus: Corpus) -> dict[str, np.ndarray]:

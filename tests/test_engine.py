@@ -185,6 +185,18 @@ class TestHeapHygiene:
         assert engine.compactions == 0
         assert engine.garbage == 100
 
+    def test_close_drops_retired_entries_only_when_nothing_is_pending(self):
+        engine = Engine(compact_min_garbage=10_000)
+        live = engine.schedule_at(2.0, lambda: None)
+        engine.schedule_at(1.0, lambda: None).cancel()
+        with pytest.raises(SimulationError, match="1 pending"):
+            engine.close()
+        live.cancel()
+        assert engine.garbage == 2
+        engine.close()
+        assert engine.garbage == 0 and engine.compactions == 0
+        assert engine.run() == 0
+
     def test_explicit_compact_preserves_firing_order(self):
         engine = Engine(compact_min_garbage=10_000)
         fired = []

@@ -287,7 +287,15 @@ class TestRunSweep:
                 gc.set_debug(0)
                 gc.garbage.clear()
                 gc.enable()
-            leaked = {"Server", "LatencyRecorder", "TPCPolicy", "Aggregator", "set"}
+            leaked = {
+                "Server",
+                "LatencyRecorder",
+                "TPCPolicy",
+                "Aggregator",
+                "set",
+                "Engine",
+                "EventHandle",
+            }
             assert not cyclic & leaked, spec.cluster_config
 
     def test_progress_fires_once_per_cell(self, small_sweep, parallel_run):

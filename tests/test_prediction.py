@@ -68,7 +68,7 @@ class TestRegressionTree:
         binner = FeatureBinner().fit(X)
         tree = RegressionTree(max_depth=10, min_samples_leaf=20)
         tree.fit(binner.transform(X), y)
-        assert len(tree._nodes) <= 3  # at most one split possible
+        assert len(tree._flat[0]) <= 3  # at most one split possible
 
     def test_predict_before_fit_rejected(self):
         with pytest.raises(PredictionError):

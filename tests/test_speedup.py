@@ -94,26 +94,21 @@ class TestSpeedupBook:
 
     def test_from_samples_averages_within_groups(self):
         demands = [10.0, 20.0, 100.0, 200.0]
-        profiles = [
-            SpeedupProfile([1.0, 1.0]),
-            SpeedupProfile([1.0, 1.2]),
-            SpeedupProfile([1.0, 1.8]),
-            SpeedupProfile([1.0, 2.0]),
-        ]
-        book = SpeedupBook.from_samples(demands, profiles)
+        speedups = [[1.0, 1.0], [1.0, 1.2], [1.0, 1.8], [1.0, 2.0]]
+        book = SpeedupBook.from_samples(demands, speedups)
         assert book.profile_of_group(0).speedup(2) == pytest.approx(1.1)
         assert book.profile_of_group(2).speedup(2) == pytest.approx(1.9)
 
     def test_from_samples_empty_group_inherits_neighbour(self):
-        book = SpeedupBook.from_samples(
-            [10.0], [SpeedupProfile([1.0, 1.5])]
-        )
+        book = SpeedupBook.from_samples([10.0], [[1.0, 1.5]])
         # mid and long groups had no samples; they inherit short's.
         assert book.profile_of_group(1).speedup(2) == pytest.approx(1.5)
 
     def test_from_samples_rejects_misaligned(self):
         with pytest.raises(ConfigError):
-            SpeedupBook.from_samples([1.0, 2.0], [SpeedupProfile([1.0])])
+            SpeedupBook.from_samples([1.0, 2.0], [[1.0]])
+        with pytest.raises(ConfigError):
+            SpeedupBook.from_samples([], np.ones((0, 6)))
 
     def test_group_bounds_give_each_group_its_measured_profile(
         self, tiny_workload_spec, tiny_search_workload

@@ -3,16 +3,61 @@
 ``ReferenceTree`` is the recursive per-node, per-feature split scan and
 the per-node routing that :class:`RegressionTree`'s level-wise fit and
 adjacent-child routing replaced, kept verbatim. On seeded binned
-matrices both must grow the identical node list and return
-bit-identical predictions, and a boosted ensemble must predict exactly
-what a per-tree loop of the reference routing does.
+matrices both must grow the identical node list (:func:`preorder` reads
+the level-wise tree's breadth-first arrays in the scan's node order) and
+return bit-identical predictions, and a boosted ensemble must predict
+exactly what a per-tree loop of the reference routing does. Boosting
+fits every round on columns of one shared code matrix; it must grow the
+trees a per-round ``RegressionTree.fit`` on the subsample's own rows
+grows.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from repro.prediction.boosted import GradientBoostedRegressor
-from repro.prediction.tree import FeatureBinner, RegressionTree, _Node
+from repro.prediction.tree import FeatureBinner, RegressionTree
+
+
+@dataclass(frozen=True)
+class _Node:
+    """One tree node; leaves carry a value, internal nodes a split."""
+
+    feature: int
+    threshold_bin: int
+    left: int
+    right: int
+    value: float
+    is_leaf: bool
+
+
+def preorder(tree: RegressionTree) -> list[_Node]:
+    """A fitted tree's breadth-first arrays as the recursive fit's
+    pre-order ``_Node`` list (a node, its left subtree, its right)."""
+    feature, threshold, child, value = (array.tolist() for array in tree._flat)
+    order = []
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if child[node] != node:
+            stack += (child[node] + 1, child[node])
+    renumber = {node: i for i, node in enumerate(order)}
+    return [
+        _Node(-1, -1, -1, -1, value[b], True)
+        if child[b] == b
+        else _Node(
+            feature[b],
+            threshold[b],
+            renumber[child[b]],
+            renumber[child[b] + 1],
+            value[b],
+            False,
+        )
+        for b in order
+    ]
 
 
 class ReferenceTree:
@@ -127,12 +172,13 @@ def _targets(rng: np.random.Generator, X: np.ndarray) -> np.ndarray:
 
 
 def _leaf_sizes(tree: RegressionTree, X: np.ndarray) -> list[int]:
-    """Training rows per leaf, by walking each row down ``_nodes``."""
+    """Training rows per leaf, by walking each row down the node list."""
+    nodes = preorder(tree)
     sizes: dict[int, int] = {}
     for row in X:
         nid = 0
-        while not tree._nodes[nid].is_leaf:
-            node = tree._nodes[nid]
+        while not nodes[nid].is_leaf:
+            node = nodes[nid]
             nid = node.left if row[node.feature] <= node.threshold_bin else node.right
         sizes[nid] = sizes.get(nid, 0) + 1
     return sorted(sizes.values())
@@ -141,7 +187,7 @@ def _leaf_sizes(tree: RegressionTree, X: np.ndarray) -> list[int]:
 def _assert_same(X, y, max_depth, min_samples_leaf, X_eval=None):
     tree = RegressionTree(max_depth, min_samples_leaf).fit(X, y)
     ref = ReferenceTree(max_depth, min_samples_leaf).fit(X, y)
-    assert tree._nodes == ref._nodes
+    assert preorder(tree) == ref._nodes
     X_eval = X if X_eval is None else X_eval
     assert np.array_equal(tree.predict(X_eval), ref.predict(X_eval))
     return tree
@@ -173,7 +219,7 @@ def test_tied_columns_split_on_the_first():
     X = _binned(rng, 500, max_bins=16)
     y = X[:, 1].astype(np.float64)
     tree = _assert_same(X, y, max_depth=1, min_samples_leaf=1)
-    assert tree._nodes[0].feature == 1  # not its duplicate, column 5
+    assert preorder(tree)[0].feature == 1  # not its duplicate, column 5
 
 
 def test_leaf_minimum_above_half_blocks_every_split():
@@ -181,20 +227,21 @@ def test_leaf_minimum_above_half_blocks_every_split():
     X = _binned(rng, 101, max_bins=64)
     y = _targets(rng, X)
     # More than half of the rows: the root cannot even be searched.
-    assert len(_assert_same(X, y, max_depth=4, min_samples_leaf=51)._nodes) == 1
+    assert len(preorder(_assert_same(X, y, max_depth=4, min_samples_leaf=51))) == 1
     # Half of the rows: the search runs and splits near the median.
-    assert len(_assert_same(X, y, max_depth=4, min_samples_leaf=50)._nodes) == 3
+    assert len(preorder(_assert_same(X, y, max_depth=4, min_samples_leaf=50))) == 3
     # Half of the rows, but every boundary leaves one side short.
     lopsided = np.repeat(np.array([[0, 2], [1, 3]], dtype=np.uint8), [30, 70], axis=0)
     y = np.repeat([0.0, 1.0], [30, 70])
-    assert len(_assert_same(lopsided, y, max_depth=4, min_samples_leaf=50)._nodes) == 1
+    stump = _assert_same(lopsided, y, max_depth=4, min_samples_leaf=50)
+    assert len(preorder(stump)) == 1
 
 
 def test_all_constant_columns_make_a_stump():
     X = np.full((40, 3), 5, dtype=np.uint8)
     y = np.random.default_rng(1).normal(size=40)
     tree = _assert_same(X, y, max_depth=3, min_samples_leaf=1)
-    assert len(tree._nodes) == 1
+    assert len(preorder(tree)) == 1
 
 
 def test_single_row_leaves():
@@ -204,7 +251,7 @@ def test_single_row_leaves():
     tree = _assert_same(X, y, max_depth=8, min_samples_leaf=1)
     assert _leaf_sizes(tree, X)[0] == 1
     one_row = _assert_same(X[:1], y[:1], max_depth=3, min_samples_leaf=1)
-    assert len(one_row._nodes) == 1
+    assert len(preorder(one_row)) == 1
 
 
 def test_refit_rebuilds_routing():
@@ -223,7 +270,7 @@ def test_gain_floor(step, nodes):
     X = np.repeat(np.array([[0], [1]], dtype=np.uint8), 10, axis=0)
     y = np.repeat([0.0, step], 10)
     tree = _assert_same(X, y, max_depth=2, min_samples_leaf=1)
-    assert len(tree._nodes) == nodes
+    assert len(preorder(tree)) == nodes
 
 
 def test_matches_reference_on_rows_in_subsample_order():
@@ -245,7 +292,7 @@ def test_depth_24_tree_keeps_one_routing_entry_per_node():
     y = 2.0 ** np.arange(60)
     tree = _assert_same(X, y, max_depth=24, min_samples_leaf=1)
     assert tree._depth == 24
-    assert [len(array) for array in tree._flat] == [len(tree._nodes)] * 4 == [95] * 4
+    assert [len(array) for array in tree._flat] == [len(preorder(tree))] * 4 == [95] * 4
 
 
 def test_boosted_fit_and_predict_match_a_reference_loop():
@@ -265,7 +312,7 @@ def test_boosted_fit_and_predict_match_a_reference_loop():
     for tree in model._trees:
         rows = sample_rng.choice(len(y), size=sample_size, replace=False)
         ref = ReferenceTree(5, 4).fit(binned[rows], (y - prediction)[rows])
-        assert tree._nodes == ref._nodes
+        assert preorder(tree) == ref._nodes
         prediction += model.learning_rate * ref.predict(binned)
 
     X_eval = rng.lognormal(size=(700, 5))
@@ -273,6 +320,69 @@ def test_boosted_fit_and_predict_match_a_reference_loop():
     expected = np.full(len(X_eval), model._base)
     for tree in model._trees:
         ref = ReferenceTree(tree.max_depth, tree.min_samples_leaf)
-        ref._nodes = tree._nodes
+        ref._nodes = preorder(tree)
         expected += model.learning_rate * ref.predict(binned_eval)
     assert np.array_equal(model.predict(X_eval), expected)
+
+
+def _level_sizes(tree: RegressionTree) -> list[int]:
+    """Nodes per level of a fitted tree's breadth-first arrays."""
+    child = tree._flat[2]
+    level = np.array([0])
+    sizes = []
+    while len(level):
+        sizes.append(len(level))
+        split = level[child[level] != level]
+        level = np.concatenate([child[split], child[split] + 1])
+    return sizes
+
+
+def test_matches_reference_past_255_nodes_on_a_level():
+    """The fit sorts rows by their node's slot in the narrowest dtype that
+    holds a level's slots; a level of more than 255 nodes takes uint16."""
+    rng = np.random.default_rng(13)
+    X = _binned(rng, 2_000, max_bins=256)
+    y = _targets(rng, X)
+    tree = _assert_same(X, y, max_depth=10, min_samples_leaf=1)
+    assert max(_level_sizes(tree)) > 255
+
+
+@pytest.mark.parametrize("subsample, seeded", [(0.5, True), (1.0, True), (0.5, False)])
+def test_boosting_over_shared_codes_matches_a_per_round_fit(subsample, seeded):
+    """Every round fits its subsample's columns of one code matrix whose
+    width is the whole matrix's; it grows the tree a fit on the
+    subsample's own rows grows, also when the subsample's largest bin
+    code is below the whole matrix's."""
+    rng = np.random.default_rng(11)
+    raw = rng.lognormal(size=(300, 3))
+    y = np.log1p(raw[:, 0]) + rng.normal(0.0, 0.2, len(raw))
+    model = GradientBoostedRegressor(
+        num_trees=30,
+        max_depth=4,
+        min_samples_leaf=2,
+        subsample=subsample,
+        max_bins=256,
+    ).fit(raw, y, rng=np.random.default_rng(12) if seeded else None)
+
+    sample_rng = np.random.default_rng(12)
+    binned = model._binner.transform(raw)
+    prediction = np.full(len(y), y.mean())
+    narrower = 0
+    for tree in model._trees:
+        if seeded and subsample < 1:
+            size = int(subsample * len(y))
+            rows = sample_rng.choice(len(y), size=size, replace=False)
+        else:
+            rows = np.arange(len(y))
+        narrower += binned[rows].max() < binned.max()
+        ref = RegressionTree(4, 2).fit(binned[rows], (y - prediction)[rows])
+        assert tree._depth == ref._depth
+        for got, want in zip(tree._flat, ref._flat, strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        prediction += model.learning_rate * ref.predict(binned)
+    if subsample < 1 and seeded:
+        assert 0 < narrower < len(model._trees)
+    else:
+        assert narrower == 0
+    # The ensemble predicts what the per-round loop accumulated.
+    assert np.array_equal(model.predict(raw), prediction)
