@@ -13,13 +13,21 @@ straggler into a TPC cluster and compares three aggregator policies:
    cancelled (tied requests);
 3. wait-for-k: answer from k = n-1 shards, tolerate one late node.
 
+Each aggregation is one cluster cell; the three run in one sweep (in
+parallel under ``REPRO_BENCH_WORKERS``, cached under
+``REPRO_EXEC_CACHE=1``).
+
 Run:  python examples/cluster_resilience.py  [--isns 8] [--queries 2000]
 """
 
 import argparse
 
-from repro import default_target_table, default_workload
-from repro.cluster import run_cluster_experiment
+from repro import (
+    CellSpec,
+    default_target_table,
+    default_workload_spec,
+    run_sweep,
+)
 from repro.config import ClusterConfig
 from repro.experiments.report import format_table
 from repro.resilience import FaultSpec, HedgePolicy
@@ -39,9 +47,6 @@ def main() -> None:
                         help="hedge timeout in milliseconds")
     args = parser.parse_args()
 
-    workload = default_workload()
-    table = default_target_table()
-    ccfg = ClusterConfig(num_isns=args.isns)
     horizon_ms = 1000.0 * args.queries / args.qps
     fault = FaultSpec.straggler(
         0, args.slowdown, t0_ms=0.0, t1_ms=horizon_ms * 4.0
@@ -52,6 +57,20 @@ def main() -> None:
         (f"hedge @{args.timeout:g}ms", HedgePolicy.hedged(args.timeout)),
         (f"wait-for-{args.isns - 1}", HedgePolicy.partial(args.isns - 1)),
     ]
+    cells = [
+        CellSpec.for_experiment(
+            default_workload_spec(),
+            "TPC",
+            args.qps,
+            args.queries,
+            seed=3,
+            target_table=default_target_table(),
+            cluster_config=ClusterConfig(num_isns=args.isns),
+            fault_spec=fault,
+            hedge_policy=hedge,
+        )
+        for _, hedge in variants
+    ]
 
     print(
         f"Replaying {args.queries} queries at {args.qps:g} QPS across "
@@ -60,28 +79,16 @@ def main() -> None:
     )
     rows = []
     p999 = {}
-    for label, hedge in variants:
-        result = run_cluster_experiment(
-            workload,
-            "TPC",
-            args.qps,
-            args.queries,
-            seed=3,
-            cluster_config=ccfg,
-            target_table=table,
-            fault_spec=fault,
-            hedge_policy=hedge,
-        )
-        p999[label] = result.aggregator_percentile(99.9)
-        stats = result.resilience
+    for (label, _), result in zip(variants, run_sweep(cells)):
+        p999[label] = result.summary.p999_ms
         rows.append(
             [
                 label,
-                round(result.aggregator_percentile(50), 1),
-                round(result.aggregator_percentile(99), 1),
-                round(result.aggregator_percentile(99.9), 1),
-                f"{100 * stats.hedge_rate:.1f}%",
-                f"{100 * stats.wasted_work_fraction:.1f}%",
+                round(result.summary.p50_ms, 1),
+                round(result.summary.p99_ms, 1),
+                round(result.summary.p999_ms, 1),
+                f"{100 * result.extras['hedge_rate']:.1f}%",
+                f"{100 * result.extras['wasted_work_fraction']:.1f}%",
             ]
         )
 

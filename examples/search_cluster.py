@@ -9,15 +9,25 @@ slowest ISN sets the user-visible latency.  The example shows
    percentile (the paper's Figure 8(b) order-statistics effect), and
 2. how much TPC improves the user-visible tail over the baselines.
 
+Each policy is one cluster cell; the four run in one sweep (in
+parallel under ``REPRO_BENCH_WORKERS``, cached under
+``REPRO_EXEC_CACHE=1``).
+
 Run:  python examples/search_cluster.py  [--isns 16] [--queries 3000]
 """
 
 import argparse
 
-from repro import default_target_table, default_workload
-from repro.cluster import run_cluster_experiment
+from repro import (
+    CellSpec,
+    default_target_table,
+    default_workload_spec,
+    run_sweep,
+)
 from repro.config import ClusterConfig
 from repro.experiments.report import format_table
+
+POLICIES = ("Sequential", "AP", "Pred", "TPC")
 
 
 def main() -> None:
@@ -30,37 +40,34 @@ def main() -> None:
                         help="offered load in queries per second")
     args = parser.parse_args()
 
-    workload = default_workload()
-    table = default_target_table()
-    cluster_cfg = ClusterConfig(num_isns=args.isns)
+    cells = [
+        CellSpec.for_experiment(
+            default_workload_spec(),
+            policy,
+            args.qps,
+            args.queries,
+            seed=3,
+            target_table=default_target_table(),
+            cluster_config=ClusterConfig(num_isns=args.isns),
+        )
+        for policy in POLICIES
+    ]
 
     print(
         f"Replaying {args.queries} queries at {args.qps:g} QPS across "
         f"{args.isns} ISNs per policy..."
     )
-    rows = []
-    tpc_result = None
-    for policy in ("Sequential", "AP", "Pred", "TPC"):
-        result = run_cluster_experiment(
-            workload,
+    results = dict(zip(POLICIES, run_sweep(cells)))
+    rows = [
+        [
             policy,
-            args.qps,
-            args.queries,
-            seed=3,
-            cluster_config=cluster_cfg,
-            target_table=table,
-        )
-        if policy == "TPC":
-            tpc_result = result
-        rows.append(
-            [
-                policy,
-                round(result.aggregator_percentile(95), 1),
-                round(result.aggregator_percentile(99), 1),
-                round(result.isn_percentile(99), 1),
-                f"{100 * result.fraction_slower_than(100.0):.2f}%",
-            ]
-        )
+            round(result.summary.p95_ms, 1),
+            round(result.summary.p99_ms, 1),
+            round(result.extras["isn_p99_ms"], 1),
+            f"{100 * (result.responses_ms > 100.0).mean():.2f}%",
+        ]
+        for policy, result in results.items()
+    ]
 
     print()
     print(
@@ -71,9 +78,8 @@ def main() -> None:
         )
     )
 
-    assert tpc_result is not None
-    agg_p99 = tpc_result.aggregator_percentile(99)
-    isn_pct = tpc_result.isn_percentile_of_latency(agg_p99)
+    agg_p99 = results["TPC"].summary.p99_ms
+    isn_pct = results["TPC"].extras["isn_pct_at_agg_p99"]
     print(
         f"\nTPC's aggregator P99 of {agg_p99:.1f} ms corresponds to the "
         f"P{isn_pct:.2f} of an individual ISN:\ntaming the cluster's P99 "

@@ -71,7 +71,6 @@ from .experiments import (
 from .policies import make_policy, policy_names
 from .search import build_search_workload
 from .finance import build_finance_workload
-from .cluster import run_cluster_experiment
 from .resilience import FaultSpec, HedgePolicy, run_scenario
 from .sim import Engine, LatencyRecorder, Request, Server
 
@@ -100,7 +99,6 @@ __all__ = [
     "default_workload_spec",
     "default_target_table",
     "run_load_sweep",
-    "run_cluster_experiment",
     # resilience
     "FaultSpec",
     "HedgePolicy",

@@ -12,8 +12,9 @@ All shared randomness — trace, arrivals, the demand-jitter matrix — is
 drawn once up front, and the run goes to the shared-engine runner
 :func:`repro.resilience.cluster.run_shared_resilient`, which puts every
 ISN on one engine and also serves fault injection and hedging.  A
-cluster run is one simulation; sweeps parallelise across cluster cells
-through :func:`repro.exec.run_sweep` instead.
+cluster run is one simulation; sweeps parallelise across cluster cells,
+each of which ``repro.exec.pool._execute_cell`` expands into one call
+of :func:`run_cluster_experiment`.
 """
 
 from __future__ import annotations
@@ -75,10 +76,6 @@ class ClusterExperimentResult:
         arr = np.sort(self.isn_latencies_ms)
         rank = np.searchsorted(arr, latency_ms, side="right")
         return 100.0 * rank / len(arr)
-
-    def fraction_slower_than(self, latency_ms: float) -> float:
-        """Fraction of aggregator responses slower than ``latency_ms``."""
-        return float((self.aggregator_latencies_ms > latency_ms).mean())
 
 
 def run_cluster_experiment(

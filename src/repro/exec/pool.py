@@ -101,8 +101,8 @@ def resolve_worker_count(workers: int | None = None) -> int:
 def memoised_workload(spec: WorkloadSpec) -> Any:
     """Build (or reuse) the workload a spec describes, in this process.
 
-    Public so non-cell callers (``default_workload``, direct cluster
-    runs in tests) share the copy that inline cell execution builds
+    Public so callers outside a cell (``default_workload``, perfbench,
+    the test fixtures) share the copy that inline cell execution builds
     instead of paying a second multi-second workload build.
     """
     workload = _WORKLOAD_MEMO.get(spec)
@@ -127,24 +127,42 @@ def forget_workload(spec: WorkloadSpec) -> None:
 def _execute_cell(spec: CellSpec, observation: Any = None) -> CellResult:
     """Expand and simulate one cell (runs in worker or caller process).
 
+    A cell with ``cluster_config`` set is one partition-aggregate
+    cluster run; any other cell is one single-server experiment.
     ``observation`` (a :class:`repro.obs.Observation`, single-server
     cells only) is attached before the run and its scalar telemetry
     lands in ``extras``; the simulated numbers are unchanged by it.
     """
     from ..experiments.runner import run_search_experiment
 
-    if spec.cluster_config is not None:
-        if observation is not None:
-            raise ConfigError(
-                "observe_cell supports single-server cells only; "
-                "cluster cells are not observable yet"
-            )
-        from ..resilience.runner import execute_cluster_cell
-
-        return execute_cluster_cell(spec)
-
+    if spec.cluster_config is not None and observation is not None:
+        raise ConfigError(
+            "observe_cell supports single-server cells only; "
+            "cluster cells are not observable yet"
+        )
     started = time.perf_counter()
     workload = memoised_workload(spec.workload)
+    if spec.cluster_config is not None:
+        from ..cluster.cluster import run_cluster_experiment
+
+        cluster = run_cluster_experiment(
+            workload,
+            spec.policy_name,
+            spec.qps,
+            spec.n_requests,
+            spec.seed,
+            cluster_config=spec.cluster_config,
+            server_config=spec.server_config,
+            policy_config=spec.policy_config,
+            target_table=spec.target_table,
+            load_metric=spec.load_metric,
+            prediction=spec.prediction,
+            fault_spec=spec.fault_spec,
+            hedge_policy=spec.hedge_policy,
+        )
+        return CellResult.from_cluster(
+            spec, cluster, wall_time_s=time.perf_counter() - started
+        )
     server = run_search_experiment(workload, spec, observation)
     result = CellResult.from_recorder(
         spec,

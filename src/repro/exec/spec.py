@@ -45,6 +45,7 @@ from ..sim.load import LoadMetric
 from ..sim.metrics import LatencyRecorder, LatencySummary
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..cluster.cluster import ClusterExperimentResult
     from ..resilience.faults import FaultSpec
     from ..resilience.hedging import HedgePolicy
 
@@ -395,7 +396,7 @@ class CellResult:
     #: Wall-clock seconds the simulation took (0.0 on a cache hit).
     wall_time_s: float = 0.0
     #: Auxiliary scalar metrics (cluster cells: resilience accounting,
-    #: per-ISN percentiles).  Empty for single-server cells.
+    #: per-ISN percentiles; observed cells: telemetry).
     extras: dict[str, float] = dataclasses.field(default_factory=dict)
 
     @classmethod
@@ -423,4 +424,48 @@ class CellResult:
             corrected=np.asarray(recorder.corrected, dtype=bool),
             wall_time_s=wall_time_s,
             extras=extras if extras is not None else {},
+        )
+
+    @classmethod
+    def from_cluster(
+        cls,
+        spec: CellSpec,
+        result: "ClusterExperimentResult",
+        wall_time_s: float = 0.0,
+    ) -> "CellResult":
+        """Extract the serializable outcome of a finished cluster run.
+
+        Aggregator latencies fill ``responses_ms``; per-ISN percentiles
+        and any resilience accounting go to ``extras``; the per-request
+        arrays stay empty (a query spans many ISNs).
+        """
+        latencies = np.asarray(result.aggregator_latencies_ms, dtype=np.float64)
+        summary = LatencySummary.from_latencies(latencies)
+        extras: dict[str, float] = {
+            "num_isns": float(result.num_isns),
+            "isn_p99_ms": result.isn_percentile(99),
+            "isn_p999_ms": result.isn_percentile(99.9),
+            # Figure 8(b): the ISN percentile the aggregator's p99 sits at.
+            "isn_pct_at_agg_p99": float(
+                result.isn_percentile_of_latency(summary.p99_ms)
+            ),
+        }
+        if result.resilience is not None:
+            extras.update(result.resilience.as_row())
+        empty = np.empty(0, dtype=np.float64)
+        return cls(
+            spec_hash=spec.content_hash,
+            policy_name=result.policy_name,
+            qps=spec.qps,
+            summary=summary,
+            responses_ms=latencies,
+            queueing_ms=empty,
+            executions_ms=empty,
+            demands_ms=empty,
+            predictions_ms=empty,
+            initial_degrees=np.empty(0, dtype=np.int64),
+            max_degrees=np.empty(0, dtype=np.int64),
+            corrected=np.empty(0, dtype=bool),
+            wall_time_s=wall_time_s,
+            extras=extras,
         )

@@ -14,7 +14,7 @@ Both default to exact no-ops: with neither active, a cluster run's
 latencies are bit-identical to a run that omits them and its result
 carries no resilience accounting.  :func:`run_shared_resilient` is the
 shared-engine cluster runner behind every
-:func:`repro.cluster.run_cluster_experiment` call.
+:func:`repro.cluster.run_cluster_experiment` call, cluster cells included.
 
 ``python -m repro.resilience`` runs named fault scenarios comparing the
 paper's policies and writes a ``BENCH_resilience.json`` report.

@@ -40,9 +40,9 @@ def poisson_arrival_times(
 class OpenLoopClient:
     """Schedules a request trace onto one server.
 
-    Fan-out to the ISNs of a cluster (Figure 1) is the cluster
-    runner's job (:func:`repro.resilience.cluster.run_shared_resilient`),
-    not the client's.
+    Fan-out to the ISNs of a cluster (Figure 1) is not the client's
+    job: :func:`repro.resilience.cluster.run_shared_resilient` schedules
+    every cluster run's arrivals itself.
     """
 
     def __init__(self, server: Server) -> None:

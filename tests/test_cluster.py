@@ -117,10 +117,6 @@ class TestClusterExperiment:
         for recorder in small_cluster_result.isn_recorders:
             assert len(recorder) == 800
 
-    def test_fraction_slower_than(self, small_cluster_result):
-        assert small_cluster_result.fraction_slower_than(0.0) == 1.0
-        assert small_cluster_result.fraction_slower_than(1e9) == 0.0
-
     def test_demand_jitter_spreads_isn_latencies(
         self, tiny_search_workload, target_table
     ):

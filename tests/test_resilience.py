@@ -18,6 +18,7 @@ from repro.resilience import (
 )
 from repro.resilience.scenarios import get_scenario, run_scenario
 from repro.rng import RngFactory
+from repro.sim.metrics import LatencySummary
 from repro.sim.engine import Engine
 from repro.sim.request import RequestState
 from repro.sim.server import Server
@@ -502,22 +503,51 @@ class TestExecIntegration:
                 fault_spec=FaultSpec.straggler(0, 2.0),
             )
 
+    @pytest.mark.parametrize(
+        "fault_spec, hedge_policy",
+        [
+            (None, None),
+            (FaultSpec.straggler(0, 3.0), HedgePolicy.wait_for_all()),
+            (FaultSpec.straggler(0, 3.0), HedgePolicy.hedged(60.0)),
+            (FaultSpec.straggler(0, 3.0), HedgePolicy.partial(2)),
+        ],
+        ids=["no-options", "wait-for-all", "hedged", "wait-for-2"],
+    )
     def test_cluster_cell_executes_and_caches(
-        self, tiny_search_workload, target_table, tmp_path
+        self, tiny_search_workload, target_table, tmp_path,
+        fault_spec, hedge_policy,
     ):
+        """A cluster cell is a direct cluster run, packed: the same
+        latencies bit for bit, their summary, the per-ISN keys and the
+        resilience row; and it round-trips through the cache."""
         wspec = _tiny_workload_spec(tiny_search_workload)
-        spec = CellSpec.for_experiment(
-            wspec, "TPC", 200.0, 150, 5,
+        options = dict(
             target_table=target_table,
-            cluster_config=ClusterConfig(num_isns=2),
-            fault_spec=FaultSpec.straggler(0, 3.0),
-            hedge_policy=HedgePolicy.hedged(60.0),
+            cluster_config=ClusterConfig(num_isns=3),
+            fault_spec=fault_spec,
+            hedge_policy=hedge_policy,
         )
+        spec = CellSpec.for_experiment(wspec, "TPC", 200.0, 150, 5, **options)
         cache = ResultCache(tmp_path)
         cold = run_cell(spec, cache=cache)
-        assert len(cold.responses_ms) == 150
-        assert cold.extras["hedges_issued"] >= 0
-        assert cold.extras["num_isns"] == 2.0
+        direct = run_cluster_experiment(
+            tiny_search_workload, "TPC", 200.0, 150, 5, **options
+        )
+        latencies = np.asarray(direct.aggregator_latencies_ms, dtype=np.float64)
+        assert cold.responses_ms.tobytes() == latencies.tobytes()
+        assert cold.summary == LatencySummary.from_latencies(latencies)
+        expected = {
+            "num_isns": 3.0,
+            "isn_p99_ms": direct.isn_percentile(99),
+            "isn_p999_ms": direct.isn_percentile(99.9),
+            "isn_pct_at_agg_p99": direct.isn_percentile_of_latency(
+                direct.aggregator_percentile(99)
+            ),
+        }
+        assert (direct.resilience is None) == (fault_spec is None)
+        if direct.resilience is not None:
+            expected.update(direct.resilience.as_row())
+        assert cold.extras == expected
         warm = run_cell(spec, cache=cache)
         assert warm.wall_time_s == 0.0  # served from cache
         np.testing.assert_array_equal(cold.responses_ms, warm.responses_ms)
